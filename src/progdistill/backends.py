@@ -312,24 +312,25 @@ class TableStudent:
 
     # -- prediction ---------------------------------------------------------
 
-    def _support(self, inp: SubTaskInput, counts: Mapping[str, float],
-                 extra: str | None = None) -> tuple[str, ...]:
-        query = resolve_query(inp, self.base.parser)
-        labels = set(counts) | set(answer_support(query, self.base.world))
-        if extra is not None:
-            labels.add(extra)
-        return tuple(sorted(labels))
-
     def smoothed_distribution(self, inp: SubTaskInput,
                               extra_label: str | None = None) -> dict[str, float]:
         counts = self.table.get(self.base.student_key(inp), {})
-        support = self._support(inp, counts, extra_label)
+        return self._smoothed(inp, counts, extra_label)
+
+    def _smoothed(self, inp: SubTaskInput, counts: Mapping[str, float],
+                  extra_label: str | None = None) -> dict[str, float]:
+        """Add-alpha distribution over the counted labels, the query's answer
+        support and `extra_label`, in label order."""
+        query = resolve_query(inp, self.base.parser)
+        support = set(counts) | set(answer_support(query, self.base.world))
+        if extra_label is not None:
+            support.add(extra_label)
         total = sum(counts.values())
         denom = total + self.alpha * len(support)
         if denom <= 0:
             return {}
         return {label: (counts.get(label, 0.0) + self.alpha) / denom
-                for label in support}
+                for label in sorted(support)}
 
     def label_probability(self, inp: SubTaskInput, label: str) -> float:
         dist = self.smoothed_distribution(inp, extra_label=label)
@@ -339,7 +340,7 @@ class TableStudent:
         counts = self.table.get(self.base.student_key(inp))
         if counts and sum(counts.values()) >= self.tau:
             best = min(counts, key=lambda label: (-counts[label], label))
-            return Prediction(best, self.smoothed_distribution(inp))
+            return Prediction(best, self._smoothed(inp, counts))
         return self.base.predict(inp)
 
     # -- stats / persistence --------------------------------------------------

@@ -23,7 +23,7 @@ from .adapter import AdapterError, adapt_step
 from .backends import Prediction, SubTaskInput, TableStudent
 from .interpreter import ExecutionTrace
 from .questions import DISTILLABLE_KINDS
-from .util import read_jsonl, write_jsonl
+from .util import iter_jsonl, write_jsonl
 from .worlds import Rect, WorldConfig, WorldStore, crop
 
 logger = logging.getLogger(__name__)
@@ -159,16 +159,17 @@ def sample_loss(trace_triples: Sequence[Triple],
 
 
 def _mean_training_loss(students: Mapping[str, TableStudent],
-                        triples: Sequence[Triple], store: WorldStore) -> float:
+                        triples: Sequence[Triple],
+                        inputs: Sequence[SubTaskInput]) -> float:
     """Mean sample loss over the training triples under the current tables,
-    where a sample is one source question."""
+    where a sample is one source question; `inputs[i]` is triple i's rebuilt
+    sub-task input."""
     by_sample: dict[str, list[float]] = {}
-    for triple in triples:
+    for triple, inp in zip(triples, inputs):
         student = students.get(triple.module_kind)
         if student is None:
             continue
-        p = student.label_probability(triple_input(triple, store),
-                                      triple.pseudo_label)
+        p = student.label_probability(inp, triple.pseudo_label)
         loss = -math.log(p) if p > 0.0 else math.inf
         by_sample.setdefault(triple.source_qid, []).append(loss)
     if not by_sample:
@@ -215,7 +216,7 @@ def train(students: Mapping[str, TableStudent], triples: Sequence[Triple],
             triple = usable[idx]
             enabled[triple.module_kind].update(inputs[idx], triple.pseudo_label)
         report.epoch_mean_sample_loss.append(
-            _mean_training_loss(enabled, usable, store))
+            _mean_training_loss(enabled, usable, inputs))
 
     for kind, student in sorted(enabled.items()):
         report.table_sizes[kind] = len(student.table)
@@ -256,4 +257,4 @@ def save_triples(path, triples: Iterable[Triple]) -> int:
 
 
 def load_triples(path) -> list[Triple]:
-    return [triple_from_record(r) for r in read_jsonl(path)]
+    return [triple_from_record(r) for r in iter_jsonl(path)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 MODULE_ARITY = {
@@ -48,54 +49,54 @@ class ParseError(Exception):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: object  # str | int | bool | tuple of literal values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRef:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     module_kind: str
     receiver: "Expr"
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Index:
     target: "Expr"
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Len:
     target: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compare:
     op: str  # "==" | "!="
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolOp:
     op: str  # "and" | "or"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotOp:
     operand: "Expr"
 
@@ -103,20 +104,20 @@ class NotOp:
 Expr = Union[Literal, Var, ImageRef, Call, Index, Len, Compare, BoolOp, NotOp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     cond: Expr
     then_body: tuple["Stmt", ...]
     else_body: tuple["Stmt", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     expr: Expr
 
@@ -124,7 +125,7 @@ class Return:
 Stmt = Union[Assign, If, Return]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     statements: tuple[Stmt, ...]
     source_text: str
@@ -134,7 +135,7 @@ class Program:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # NAME, INT, STRING, OP
     value: object
@@ -502,6 +503,11 @@ class _Parser:
                          line.number, first.column)
 
 
+# Parsing is pure, and the pipeline parses the same texts again in every run,
+# evaluation and ablation: a default-config recipe makes about 50,000 calls over
+# about 1,200 distinct texts. Programs are immutable, so every caller shares the
+# cached Program. Failures are not cached: each call raises a fresh ParseError.
+@lru_cache(maxsize=4096)
 def parse(source: str) -> Program:
     """Parse a program or raise a ParseError with a distinguishable kind."""
     return _Parser(source).parse()

@@ -31,7 +31,8 @@ from .interpreter import trace_from_record, trace_to_record
 from .questions import (DISTILLABLE_KINDS, GenConfig, generate_grounding,
                         generate_qa, qa_from_record, qa_to_record)
 from .service import ProgramServiceClient, ServiceError
-from .util import config_digest, read_jsonl, sha256_file, write_jsonl
+from .util import (config_digest, iter_jsonl, read_jsonl, sha256_file,
+                   write_jsonl)
 from .worlds import WorldConfig, WorldStore, default_world_config, generate_world
 
 REGISTRY_NAMES = ("baseline", "distilled", "teacher-replacement", "all-oracle")
@@ -470,7 +471,7 @@ def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
     require_artifacts(run, "run-programs:train:baseline", ["traces"])
     train_store, _, store = load_world_stores(run)
     traces = [trace_from_record(r)
-              for r in read_jsonl(run.traces_file("train", "baseline"))]
+              for r in iter_jsonl(run.traces_file("train", "baseline"))]
     qapairs = [qa_from_record(r) for r in read_jsonl(run.split_file("train"))]
     question_types = {qa.question_id: qa.question_type for qa in qapairs}
     teacher = OracleBackend(store, cfg.world)
@@ -514,7 +515,7 @@ def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
     _, _, store = load_world_stores(run)
     qapairs = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
     traces = [trace_from_record(r)
-              for r in read_jsonl(run.traces_file("test", registry_name))]
+              for r in iter_jsonl(run.traces_file("test", registry_name))]
     by_id = {t.question_id: t for t in traces}
     missing = [qa.question_id for qa in qapairs if qa.question_id not in by_id]
     if missing:
@@ -798,7 +799,7 @@ def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
     for name in ("baseline", "distilled"):
         traces = {t.question_id: t for t in
                   (trace_from_record(r)
-                   for r in read_jsonl(run.traces_file("test", name)))}
+                   for r in iter_jsonl(run.traces_file("test", name)))}
         outcomes[name] = traces
     fixed = []
     for qa in qapairs:

@@ -597,8 +597,18 @@ class QuestionParser:
         self.nouns = set(world.nouns)
         self.attributes = world.all_attributes()
         self.families = set(world.attribute_families)
+        # text -> result; parsing depends only on the text and this world, and
+        # the pipeline asks about a few hundred distinct texts many times over.
+        self._memo: dict[str, ParsedQuery | None] = {}
 
     def parse(self, text: str) -> ParsedQuery | None:
+        try:
+            return self._memo[text]
+        except KeyError:
+            result = self._memo[text] = self._parse_text(text)
+            return result
+
+    def _parse_text(self, text: str) -> ParsedQuery | None:
         if not text:
             return None
         t = " ".join(text.casefold().replace("?", " ").split())

@@ -50,6 +50,8 @@ class ProgramServiceClient:
             decoded = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(f"program service returned bad JSON: {exc}") from exc
+        if not isinstance(decoded, dict):
+            raise ServiceError("program service response is not a JSON object")
         program = decoded.get("program_text")
         if not isinstance(program, str):
             raise ServiceError("program service response missing 'program_text'")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 _SEP = "\x1f"
 
@@ -61,11 +61,14 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    out = []
+def iter_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield one decoded object per non-blank line, reading as it goes."""
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
             line = line.strip()
             if line:
-                out.append(json.loads(line))
-    return out
+                yield json.loads(line)
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    return list(iter_jsonl(path))

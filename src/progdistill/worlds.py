@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -100,6 +101,12 @@ class SceneGraph:
     @property
     def names(self) -> set[str]:
         return {o.name for o in self.objects}
+
+    @cached_property
+    def root_patch(self) -> ScenePatch:
+        """The full-canvas patch, computed on first use and kept on the scene,
+        so it lives exactly as long as the scene does."""
+        return crop(self, (0, 0, self.canvas[0], self.canvas[1]))
 
 
 @dataclass(frozen=True)
@@ -287,7 +294,7 @@ def crop(scene: SceneGraph, region: Rect,
 
 
 def full_patch(scene: SceneGraph) -> ScenePatch:
-    return crop(scene, (0, 0, scene.canvas[0], scene.canvas[1]))
+    return scene.root_patch
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,37 @@ class TestParse:
         assert call.args[0].value == ("x", "y")
 
 
+class TestParseCache:
+    def test_repeated_parse_returns_identical_program(self):
+        first = parse(TWO_STATEMENT)
+        # an equal text built as a separate string object hits the same entry
+        again = parse("".join(list(TWO_STATEMENT)))
+        assert again is first
+
+    def test_ast_nodes_are_slotted_and_frozen(self):
+        program = parse(TWO_STATEMENT)
+        nodes = [program, *program.statements, program.statements[0].expr]
+        for node in nodes:
+            assert not hasattr(node, "__dict__"), type(node).__name__
+        with pytest.raises(AttributeError):
+            program.source_text = "changed"
+
+    @pytest.mark.parametrize("source", [
+        "return (\n",
+        'return "unterminated\n',
+        'p = image.find("a")\nreturn p[0].verify_property("a")\n',
+        'if True:\n    x = 1\nreturn x\n',
+        "x = 1\n",
+    ])
+    def test_bad_text_raises_the_same_error_every_call(self, source):
+        seen = set()
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse(source)
+            seen.add((err.value.kind, err.value.line, err.value.column))
+        assert len(seen) == 1
+
+
 # ---------------------------------------------------------------------------
 # Round-trip property over generated programs
 # ---------------------------------------------------------------------------

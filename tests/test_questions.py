@@ -166,6 +166,18 @@ class TestCorruptProgram:
                 with pytest.raises(ParseError):
                     parse(broken)
 
+    def test_repeated_corruption_ends_and_is_deterministic(self, world,
+                                                           small_store):
+        # parse() is cached; corrupting the same source again must take the
+        # same path to the same unparseable text.
+        gen = GenConfig(world=world)
+        for qa in generate_qa(small_store.get(small_store.ids()[0]), gen, 0):
+            outputs = {corrupt_program(qa.program, random.Random("cp:rep"))
+                       for _ in range(3)}
+            assert len(outputs) == 1
+            with pytest.raises(ParseError):
+                parse(outputs.pop())
+
 
 class TestQuestionParser:
     @pytest.mark.parametrize("text,expected", [
@@ -199,6 +211,18 @@ class TestQuestionParser:
     ])
     def test_parse(self, world, text, expected):
         assert QuestionParser(world).parse(text) == expected
+
+    def test_memo_gives_the_unmemoized_result(self, world, small_store):
+        texts = ["Is this flower red?", "What color is this?", "", "nonsense",
+                 "How many dogs are there?", "Is this flower red or blue?"]
+        gen = GenConfig(world=world)
+        for sid in small_store.ids()[:4]:
+            texts += [qa.question
+                      for qa in generate_qa(small_store.get(sid), gen, 0)]
+        memoized, reference = QuestionParser(world), QuestionParser(world)
+        for _ in range(2):
+            for text in texts:
+                assert memoized.parse(text) == reference._parse_text(text), text
 
     def test_every_generated_question_is_answerable(self, world, small_store):
         parser = QuestionParser(world)

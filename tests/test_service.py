@@ -22,6 +22,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             body = b"not json at all"
         elif type(self).mode == "missing_key":
             body = json.dumps({"nope": 1}).encode()
+        elif type(self).mode == "non_object":
+            body = json.dumps([1, 2]).encode()
         else:
             body = json.dumps({"program_text": CANNED_PROGRAM}).encode()
         self.send_response(200)
@@ -70,6 +72,12 @@ class TestClient:
 
     def test_missing_program_text_key(self, stub_server):
         _StubHandler.mode = "missing_key"
+        client = ProgramServiceClient(stub_server, timeout=2.0)
+        with pytest.raises(ServiceError):
+            client.generate("q?", "pointer")
+
+    def test_non_object_response(self, stub_server):
+        _StubHandler.mode = "non_object"
         client = ProgramServiceClient(stub_server, timeout=2.0)
         with pytest.raises(ServiceError):
             client.generate("q?", "pointer")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from progdistill import worlds
 from progdistill.worlds import (AskAttributeFamily, AskName, ChooseOption,
                                 CropError, Exists, SceneGraph, SceneObject,
                                 UNKNOWN, VerifyAttribute, WorldConfig,
@@ -105,6 +106,32 @@ class TestCrop:
         patch = crop(scene, (10, 10, 40, 40))
         again = crop(scene, patch.region)
         assert again.visible_objects == patch.visible_objects
+
+    def test_full_patch_is_the_full_canvas_crop(self, world):
+        for seed in range(10):
+            scene = generate_world(seed, world)
+            canvas = (0, 0, scene.canvas[0], scene.canvas[1])
+            assert full_patch(scene) == crop(scene, canvas)
+
+    def test_full_patch_computed_once_per_scene_object(self, world,
+                                                       monkeypatch):
+        calls = []
+        real_crop = worlds.crop
+
+        def counting_crop(scene, region, origin_label=None):
+            calls.append(scene.scene_id)
+            return real_crop(scene, region, origin_label)
+
+        monkeypatch.setattr(worlds, "crop", counting_crop)
+        scene = generate_world(4, world)
+        first = full_patch(scene)
+        assert full_patch(scene) is first
+        assert len(calls) == 1
+        # an equal scene is a different object with its own patch
+        twin = scene_from_record(scene_to_record(scene))
+        assert twin == scene
+        assert full_patch(twin) == first
+        assert len(calls) == 2
 
 
 class TestOracle:
