@@ -9,6 +9,15 @@ predict() is safe under concurrent reads. Table students are single-writer
 during training; freezing a student (done when a registry is assembled for
 evaluation) makes further update() calls raise, which is how the pipeline
 enforces the train/evaluate phase separation.
+
+Every sub-module call is a pure function of its backend and inputs, so
+ModuleRegistry.dispatch memoizes its coerced output per (backend, kind,
+receiver, args). replace() hands the same memo to the registry it returns:
+one memo serves a registry family (a base and every combination built from
+it), and it is freed with them. Calls to a trainable backend that is not yet
+frozen are never memoized. The memo takes no lock: threads sharing a registry
+family may compute one entry twice, and both store the same value. It is not
+pickled, so each process-pool worker starts with an empty one.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ class PhaseError(RuntimeError):
     """update() called on a backend that is frozen for evaluation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubTaskInput:
     module_kind: str
     patch: ScenePatch | PatchList
@@ -54,7 +63,7 @@ class SubTaskInput:
     center_word: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     answer: object
     distribution: dict[str, float] = field(default_factory=dict)
@@ -387,10 +396,12 @@ class ModuleRegistry:
     """Immutable binding of the five module kinds to backends.
 
     find and exists must be served by the detector; replace() only accepts the
-    three distillable kinds and returns a new registry.
+    three distillable kinds and returns a new registry that shares this one's
+    dispatch memo.
     """
 
-    def __init__(self, bindings: Mapping[str, object]):
+    def __init__(self, bindings: Mapping[str, object],
+                 memo: dict | None = None):
         missing = [k for k in MODULE_KINDS if k not in bindings]
         if missing:
             raise RegistryError(f"unbound module kinds: {missing}")
@@ -398,6 +409,11 @@ class ModuleRegistry:
             if not isinstance(bindings[kind], DetectorBackend):
                 raise RegistryError(f"{kind} must be bound to the detector")
         self._bindings = dict(bindings)
+        self._memo = {} if memo is None else memo
+
+    def __getstate__(self) -> dict:
+        # Pool workers rebuild the memo themselves; shipping it costs pickling.
+        return {**self.__dict__, "_memo": {}}
 
     def backend(self, kind: str):
         return self._bindings[kind]
@@ -407,7 +423,7 @@ class ModuleRegistry:
             raise RegistryError(f"{kind} cannot be replaced")
         bindings = dict(self._bindings)
         bindings[kind] = backend
-        return ModuleRegistry(bindings)
+        return ModuleRegistry(bindings, self._memo)
 
     def describe(self) -> dict[str, str]:
         return {kind: getattr(b, "name", type(b).__name__)
@@ -416,6 +432,19 @@ class ModuleRegistry:
     # -- interpreter entry point ----------------------------------------------
 
     def dispatch(self, kind: str, receiver, args: tuple):
+        backend = self._bindings.get(kind)
+        if not getattr(backend, "frozen", True):
+            return self._dispatch(kind, receiver, args)
+        # The backend object itself is in the key, so a replaced kind never
+        # sees its predecessor's entries. Failed calls raise and are not kept.
+        key = (backend, kind, receiver, args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            output = self._memo[key] = self._dispatch(kind, receiver, args)
+            return output
+
+    def _dispatch(self, kind: str, receiver, args: tuple):
         if kind not in self._bindings:
             raise BackendError(f"unknown module kind {kind!r}")
         center = receiver.origin_label if isinstance(

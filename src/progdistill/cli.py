@@ -13,9 +13,9 @@ import json
 import os
 import sys
 
-from .pipeline import (ChecksumError, ConfigError, MissingArtifactError,
-                       PipelineError, REGISTRY_NAMES, RunPaths,
-                       load_config, run_full_recipe, stage_ablate,
+from .pipeline import (ABLATION_AXES, ChecksumError, ConfigError,
+                       MissingArtifactError, PipelineError, REGISTRY_NAMES,
+                       RunPaths, load_config, run_full_recipe, stage_ablate,
                        stage_build_dataset, stage_distill, stage_evaluate,
                        stage_gen_qa, stage_gen_world, stage_ground_eval,
                        stage_harvest, stage_report, stage_run_programs)
@@ -73,10 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run an ablation or transfer experiment")
     _add_common(p)
-    p.add_argument("--axis",
-                   choices=("distilled-count", "trainset-size",
-                            "cross-framework", "visual-pointer"),
-                   required=True)
+    p.add_argument("--axis", choices=ABLATION_AXES, required=True)
 
     p = sub.add_parser("ground-eval", help="referring-expression IoU evaluation")
     _add_common(p)

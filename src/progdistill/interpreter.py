@@ -43,7 +43,7 @@ class NaNValue:
 NAN = NaNValue()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     step_index: int
     module_kind: str
@@ -53,7 +53,7 @@ class StepRecord:
     center_word: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionTrace:
     question_id: str
     source: str

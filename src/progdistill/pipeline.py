@@ -36,6 +36,8 @@ from .util import (config_digest, iter_jsonl, read_jsonl, sha256_file,
 from .worlds import WorldConfig, WorldStore, default_world_config, generate_world
 
 REGISTRY_NAMES = ("baseline", "distilled", "teacher-replacement", "all-oracle")
+ABLATION_AXES = ("distilled-count", "trainset-size", "cross-framework",
+                 "visual-pointer")
 
 
 class PipelineError(Exception):
@@ -111,6 +113,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
         try:
             cfg = cls()
             if "seed" in d:
@@ -123,6 +127,7 @@ class PipelineConfig:
             questions = d.get("questions", {})
             cfg.questions_per_scene = tuple(
                 questions.get("per_scene", cfg.questions_per_scene))
+            lo, hi = cfg.questions_per_scene
             cfg.fault_rate = float(questions.get("fault_rate", cfg.fault_rate))
             cfg.visual_pointer = bool(questions.get("visual_pointer",
                                                     cfg.visual_pointer))
@@ -165,7 +170,6 @@ class PipelineConfig:
             raise ConfigError("fault_rate outside [0, 1]")
         if cfg.train_scenes < 1 or cfg.eval_scenes < 1:
             raise ConfigError("scene counts must be >= 1")
-        lo, hi = cfg.questions_per_scene
         if lo < 1 or hi < lo:
             raise ConfigError("questions per_scene range invalid")
         if not 0.0 <= cfg.rho <= 1.0:
@@ -362,11 +366,9 @@ def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
     gen = cfg.gen_config()
     for store, path in ((train_store, run.qa_train), (eval_store, run.qa_eval)):
         verifier = consistency_verifier(store, cfg.world) if gen.should_verify else None
-        pool = []
-        for scene_id in store.ids():
-            pool.extend(generate_qa(store.get(scene_id), gen, cfg.seed,
-                                    verifier=verifier))
-        write_jsonl(path, (qa_to_record(qa) for qa in pool))
+        write_jsonl(path, (qa_to_record(qa) for scene_id in store.ids()
+                           for qa in generate_qa(store.get(scene_id), gen,
+                                                 cfg.seed, verifier=verifier)))
     write_stage_manifest(run, "gen-qa", cfg,
                          {"worlds_train": run.worlds_train,
                           "worlds_eval": run.worlds_eval},
@@ -550,8 +552,13 @@ def _write_eval_outputs(run: RunPaths, registry_name: str,
 
 def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str,
                  workers: int = 1) -> dict:
-    _, eval_store, store = load_world_stores(run)
-    test_set = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
+    if axis not in ABLATION_AXES:
+        raise ConfigError(f"unknown ablation axis {axis!r}")
+    require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
+    require_artifacts(run, "build-dataset", ["split_test"])
+    if axis != "visual-pointer":
+        _, eval_store, store = load_world_stores(run)
+        test_set = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
 
     if axis == "distilled-count":
         require_artifacts(run, "distill",
@@ -593,7 +600,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str,
                                   detector_seed=cfg.detector_seed,
                                   workers=workers)
         result = {name: rep.to_dict() for name, rep in reports.items()}
-    elif axis == "visual-pointer":
+    else:
         probe_world = replace_world(cfg.world, ambiguity_rate=cfg.vp_probe_ambiguity)
         probe_store = WorldStore()
         for i in range(cfg.vp_probe_scenes):
@@ -604,8 +611,6 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str,
         result = visual_pointer_effect(probe_store, probe_world, cfg.profile,
                                        gen, cfg.seed, miss_rate=cfg.miss_rate,
                                        detector_seed=cfg.detector_seed)
-    else:
-        raise ConfigError(f"unknown ablation axis {axis!r}")
 
     path = run.ablation_file(axis)
     path.write_text(json.dumps(result, indent=2, sort_keys=True),
@@ -787,33 +792,34 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
 
 def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
                           limit: int = 2) -> list[str]:
-    """Render trace diffs for the first questions the distilled framework
-    fixes; empty when the needed artifacts are not there yet."""
+    """Render trace diffs for the first questions, in split order, that the
+    baseline gets wrong and the distilled framework gets right; empty when the
+    needed artifacts are not there yet. Traces are streamed and only their
+    verdicts kept."""
     needed = [run.traces_file("test", "baseline"),
               run.traces_file("test", "distilled"), run.split_file("test")]
     if not all(p.exists() for p in needed):
         return []
-    _, _, store = load_world_stores(run)
     qapairs = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
-    outcomes = {}
-    for name in ("baseline", "distilled"):
-        traces = {t.question_id: t for t in
-                  (trace_from_record(r)
-                   for r in iter_jsonl(run.traces_file("test", name)))}
-        outcomes[name] = traces
-    fixed = []
-    for qa in qapairs:
-        base_trace = outcomes["baseline"].get(qa.question_id)
-        dist_trace = outcomes["distilled"].get(qa.question_id)
-        if base_trace is None or dist_trace is None:
-            continue
-        if (not question_correct(qa, base_trace)[0]
-                and question_correct(qa, dist_trace)[0]):
-            fixed.append(qa)
-        if len(fixed) >= limit:
-            break
+    by_id = {qa.question_id: qa for qa in qapairs}
+
+    def verdicts(name: str, among) -> dict[str, bool]:
+        out = {}
+        for record in iter_jsonl(run.traces_file("test", name)):
+            trace = trace_from_record(record)
+            if trace.question_id in among:
+                out[trace.question_id] = question_correct(
+                    by_id[trace.question_id], trace)[0]
+        return out
+
+    base_wrong = {qid for qid, ok in verdicts("baseline", by_id).items()
+                  if not ok}
+    fixed_ids = {qid for qid, ok in verdicts("distilled", base_wrong).items()
+                 if ok}
+    fixed = [qa for qa in qapairs if qa.question_id in fixed_ids][:limit]
     if not fixed:
         return []
+    _, _, store = load_world_stores(run)
     before = build_registry("baseline", run, cfg, store)
     after = build_registry("distilled", run, cfg, store)
     return [case_report(qa, before, after, store,

@@ -109,7 +109,7 @@ class SceneGraph:
         return crop(self, (0, 0, self.canvas[0], self.canvas[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenePatch:
     """A view of a scene restricted to a region.
 
@@ -123,7 +123,7 @@ class ScenePatch:
     visible_objects: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatchList:
     """An ordered group of patches carrying the provenance of the find() that
     produced them (kept even when the list is empty)."""

@@ -1,19 +1,25 @@
 import math
+import pickle
 import random
 
 import pytest
 
+from progdistill import evaluation
 from progdistill.backends import (BackendError, CorruptedBackend,
                                   CorruptionProfile, DetectorBackend,
                                   ModuleRegistry, OracleBackend, PhaseError,
-                                  RegistryError, SubTaskInput, TableStudent,
-                                  baseline_registry, distilled_registry,
+                                  Prediction, RegistryError, SubTaskInput,
+                                  TableStudent, baseline_registry,
+                                  consistency_verifier, distilled_registry,
                                   fresh_students, oracle_registry,
                                   perfect_registry, resolve_query)
-from progdistill.questions import QuestionParser, query_key
+from progdistill.distill import DistillConfig, harvest, train
+from progdistill.interpreter import ExecutionTrace, StepRecord
+from progdistill.questions import (GenConfig, QuestionParser, generate_qa,
+                                   query_key)
 from progdistill.worlds import (ChooseOption, PatchList, SceneGraph,
-                                SceneObject, VerifyAttribute, WorldConfig,
-                                crop, full_patch, generate_world,
+                                SceneObject, ScenePatch, VerifyAttribute,
+                                WorldConfig, crop, full_patch, generate_world,
                                 overlap_ratio)
 
 from conftest import store_for
@@ -387,3 +393,120 @@ class TestRegistry:
             small_store, world, profile).describe()["find"]
         assert oracle_registry(small_store, world).describe()[
             "simple_query"] == "oracle"
+
+
+class _CountingQuery:
+    """Pure stub backend for simple_query that counts its predict calls."""
+
+    def __init__(self, answer: str = "red"):
+        self.answer = answer
+        self.calls = 0
+
+    def predict(self, inp: SubTaskInput) -> Prediction:
+        self.calls += 1
+        return Prediction(self.answer)
+
+
+class TestDispatchMemo:
+    QUESTION = ("What color is this flower?",)
+
+    def test_repeated_dispatch_predicts_once(self, flower_scene, world):
+        stub = _CountingQuery()
+        registry = perfect_registry(store_for(flower_scene), world).replace(
+            "simple_query", stub)
+        patch = full_patch(flower_scene)
+        for _ in range(3):
+            assert registry.dispatch("simple_query", patch, self.QUESTION) == "red"
+        assert stub.calls == 1
+        registry.dispatch("simple_query", patch, ("What is this?",))
+        assert stub.calls == 2
+
+    def test_replace_shares_memo_but_not_entries(self, flower_scene, world):
+        old, new = _CountingQuery("red"), _CountingQuery("blue")
+        base = perfect_registry(store_for(flower_scene), world)
+        first = base.replace("simple_query", old)
+        second = first.replace("simple_query", new)
+        patch = full_patch(flower_scene)
+        assert first.dispatch("simple_query", patch, self.QUESTION) == "red"
+        assert second.dispatch("simple_query", patch, self.QUESTION) == "blue"
+        assert (old.calls, new.calls) == (1, 1)
+        # find is bound to the same detector across the family: one predict.
+        detector = base.backend("find")
+        predict, calls = detector.predict, []
+
+        def counting_predict(inp):
+            calls.append(inp)
+            return predict(inp)
+
+        detector.predict = counting_predict
+        for registry in (base, first, second):
+            registry.dispatch("find", patch, ("flower",))
+        assert len(calls) == 1
+
+    def test_unfrozen_student_is_not_memoized(self, flower_scene, world):
+        base = CorruptedBackend(store_for(flower_scene), world,
+                                CorruptionProfile(seed=1, rho=1.0))
+        student = TableStudent("verify_property", base, tau=3)
+        registry = perfect_registry(store_for(flower_scene), world).replace(
+            "verify_property", student)
+        patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
+        args = ("flower", "red")
+        assert registry.dispatch("verify_property", patch, args) is False
+        inp = SubTaskInput("verify_property", patch, object_name="flower",
+                           attribute="red", center_word="flower")
+        for _ in range(3):
+            student.update(inp, "yes")
+        assert registry.dispatch("verify_property", patch, args) is True
+
+    def test_pickled_registry_has_empty_memo(self, flower_scene, world):
+        registry = perfect_registry(store_for(flower_scene), world)
+        patch = full_patch(flower_scene)
+        registry.dispatch("simple_query", patch, self.QUESTION)
+        assert registry._memo
+        clone = pickle.loads(pickle.dumps(registry))
+        assert clone._memo == {}
+        assert registry._memo
+        assert clone.dispatch("simple_query", patch, self.QUESTION) == "red"
+
+    def test_ablation_with_shared_memo_matches_fresh_bases(self, world,
+                                                           small_store,
+                                                           profile,
+                                                           monkeypatch):
+        gen = GenConfig(world=world)
+        verifier = consistency_verifier(small_store, world)
+        qas = [qa for sid in small_store.ids()
+               for qa in generate_qa(small_store.get(sid), gen, 0,
+                                     verifier=verifier)]
+        traces = evaluation.run_programs(
+            qas, small_store, baseline_registry(small_store, world, profile))
+        triples = harvest(traces, OracleBackend(small_store, world), world)
+        students = fresh_students(small_store, world, profile, tau=1)
+        train(students, triples, DistillConfig(), small_store)
+
+        shared = evaluation.ablate_distilled_count(
+            baseline_registry(small_store, world, profile), students,
+            qas, small_store, world)
+        combo_registry = evaluation._combo_registry
+        monkeypatch.setattr(
+            evaluation, "_combo_registry",
+            lambda base, students, combo: combo_registry(
+                baseline_registry(small_store, world, profile), students, combo))
+        fresh = evaluation.ablate_distilled_count(
+            baseline_registry(small_store, world, profile), students,
+            qas, small_store, world)
+        assert shared == fresh
+        rows = shared["rows"]
+        assert rows[0]["acc_all"] != rows[3]["acc_all"]
+
+    def test_hot_value_classes_are_slotted(self, flower_scene):
+        patch = full_patch(flower_scene)
+        patches = PatchList((patch,), origin_label="flower")
+        inp = SubTaskInput("exists", patches)
+        step = StepRecord(0, "exists", patches, (), True, "flower")
+        values = [inp, Prediction(True), patch, patches, step,
+                  ExecutionTrace("q0", "", (step,), True, "ok")]
+        assert [type(v) for v in values] == [SubTaskInput, Prediction,
+                                             ScenePatch, PatchList,
+                                             StepRecord, ExecutionTrace]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__

@@ -50,6 +50,8 @@ class TestConfig:
         {"dataset": {"val_scene_share": 2.0}},
         {"world": {"nouns": [], "attribute_families": {"color": ["red"]},
                    "relations": ["near"]}},
+        {"questions": {"per_scene": [1, 2, 3]}},
+        [{"seed": 1}],
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
@@ -77,6 +79,14 @@ class TestStageOrderingAndChecksums:
         out = str(tmp_path / "run")
         assert _run(["gen-qa", "--config", tiny_config_file,
                      "--out-dir", out]) == EXIT_MISSING_ARTIFACT
+
+    @pytest.mark.parametrize("axis", ["distilled-count", "trainset-size",
+                                      "cross-framework", "visual-pointer"])
+    def test_ablate_on_empty_dir_is_missing_artifact(self, tmp_path,
+                                                     tiny_config_file, axis):
+        assert _run(["ablate", "--axis", axis, "--config", tiny_config_file,
+                     "--out-dir", str(tmp_path / "run")]) == \
+            EXIT_MISSING_ARTIFACT
 
     def test_tampered_artifact_fails_checksum(self, tmp_path, tiny_config_file):
         out = tmp_path / "run"
