@@ -10,7 +10,7 @@ The three templating rules are pinned byte-for-byte by tests:
     simple_query(question)                    ->  question, ending in exactly one "?"
 
 The sub-image is always the receiver patch of the step, unchanged.
-All functions are pure and safe to call from parallel workers.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -20,23 +20,11 @@ from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from .interpreter import StepRecord
+from .questions import (DISTILLABLE_KINDS, PLURAL_IRREGULAR, SINGULAR_WITH_S,
+                        article)
 from .worlds import ScenePatch
 
 logger = logging.getLogger(__name__)
-
-ADAPTABLE_KINDS = ("verify_property", "best_text_match", "simple_query")
-
-VOWELS = "aeiou"
-
-# Plurality of the center word: irregular plurals, s-final singulars, then the
-# trailing-s heuristic.
-PLURAL_IRREGULAR = frozenset({
-    "men", "women", "children", "people", "feet", "teeth", "geese", "mice",
-    "sheep", "scissors", "glasses",
-})
-SINGULAR_WITH_S = frozenset({
-    "glass", "grass", "bus", "dress", "class", "gas", "lens",
-})
 
 
 class AdapterError(ValueError):
@@ -51,6 +39,8 @@ class TeacherInput:
 
 
 def is_plural(word: str | None) -> bool:
+    """Plurality of the center word: irregular plurals, s-final singulars,
+    then the trailing-s heuristic."""
     if not word:
         return False
     if word in PLURAL_IRREGULAR:
@@ -58,10 +48,6 @@ def is_plural(word: str | None) -> bool:
     if word in SINGULAR_WITH_S:
         return False
     return word.endswith("s")
-
-
-def indefinite_article(word: str) -> str:
-    return "an" if word[:1].lower() in VOWELS else "a"
 
 
 def adapt_verify_property(object_name: str, attribute: str) -> str:
@@ -98,7 +84,7 @@ def adapt_best_text_match(options: Sequence[str], center_word: str | None = None
     joined = " or ".join(options)
     if plural:
         return f"Are these {joined}?"
-    return f"Is this {indefinite_article(options[0])} {joined}?"
+    return f"Is this {article(options[0])} {joined}?"
 
 
 def adapt_simple_query(question: str) -> str:
@@ -120,7 +106,7 @@ def adapt_step(step: StepRecord, *, attribute_vocab: Collection[str],
     The center word and its plurality come from the receiver's find()
     provenance; the sub-image is the receiver patch itself.
     """
-    if step.module_kind not in ADAPTABLE_KINDS:
+    if step.module_kind not in DISTILLABLE_KINDS:
         raise AdapterError(f"step kind {step.module_kind!r} is not adaptable")
     if not isinstance(step.receiver, ScenePatch):
         raise AdapterError("adaptable steps take a single patch receiver")

@@ -5,19 +5,17 @@ Five module kinds exist. find/exists are always served by the fixed detector
 are served by a ground-truth oracle (the teacher), by systematically corrupted
 students, or by count-table students trained on pseudo-labels.
 
-predict() is safe under concurrent reads. Table students are single-writer
-during training; freezing a student (done when a registry is assembled for
-evaluation) makes further update() calls raise, which is how the pipeline
-enforces the train/evaluate phase separation.
+Table students are single-writer during training; freezing a student (done
+when a registry is assembled for evaluation) makes further update() calls
+raise, which is how the pipeline enforces the train/evaluate phase
+separation.
 
 Every sub-module call is a pure function of its backend and inputs, so
 ModuleRegistry.dispatch memoizes its coerced output per (backend, kind,
 receiver, args). replace() hands the same memo to the registry it returns:
 one memo serves a registry family (a base and every combination built from
 it), and it is freed with them. Calls to a trainable backend that is not yet
-frozen are never memoized. The memo takes no lock: threads sharing a registry
-family may compute one entry twice, and both store the same value. It is not
-pickled, so each process-pool worker starts with an empty one.
+frozen are never memoized.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .interpreter import answer_to_text, execute
-from .dsl import parse
+from .dsl import MODULE_KINDS, parse
 from .questions import (DISTILLABLE_KINDS, ParsedQuery, QAPair,
                         QuestionParser, TemplateQuery, answer_support,
                         evaluate_template, query_key)
@@ -36,8 +34,6 @@ from .util import stable_hash, stable_unit
 from .worlds import (ChooseOption, PatchList, SceneGraph, ScenePatch,
                      UNKNOWN, VerifyAttribute, WorldConfig, WorldStore, crop,
                      oracle_answer)
-
-MODULE_KINDS = ("find", "exists") + DISTILLABLE_KINDS
 
 
 class BackendError(RuntimeError):
@@ -410,10 +406,6 @@ class ModuleRegistry:
                 raise RegistryError(f"{kind} must be bound to the detector")
         self._bindings = dict(bindings)
         self._memo = {} if memo is None else memo
-
-    def __getstate__(self) -> dict:
-        # Pool workers rebuild the memo themselves; shipping it costs pickling.
-        return {**self.__dict__, "_memo": {}}
 
     def backend(self, kind: str):
         return self._bindings[kind]

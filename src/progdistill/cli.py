@@ -32,8 +32,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for execution stages")
     parser.add_argument("--out-dir", default="run", help="run directory")
 
 
@@ -113,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             stage_run_programs(run, cfg, args.split, args.registry,
                                program_source=args.program_source,
                                service_client=client,
-                               on_service_error=args.on_service_error,
-                               workers=args.workers)
+                               on_service_error=args.on_service_error)
         elif command == "harvest":
             count = stage_harvest(run, cfg)
             print(f"harvested {count} triples")
@@ -125,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             report = stage_evaluate(run, cfg, args.registry)
             print(report.to_text(), end="")
         elif command == "ablate":
-            stage_ablate(run, cfg, args.axis, workers=args.workers)
+            stage_ablate(run, cfg, args.axis)
         elif command == "ground-eval":
             result = stage_ground_eval(
                 run, cfg, tuple(args.registries.split(",")))
@@ -134,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         elif command == "report":
             print(stage_report(run, cfg), end="")
         elif command == "recipe":
-            run_full_recipe(args.out_dir, cfg, workers=args.workers)
+            run_full_recipe(args.out_dir, cfg)
             print(f"recipe complete; see {run.report_md}")
         else:  # pragma: no cover - argparse enforces choices
             raise ConfigError(f"unknown command {command!r}")

@@ -42,10 +42,6 @@ class BalanceResult:
     phase_two_count: int
 
 
-def balance(pool: Sequence[QAPair], spec: SplitSpec, seed: int) -> list[QAPair]:
-    return balance_detailed(pool, spec, seed).selected
-
-
 def balance_detailed(pool: Sequence[QAPair], spec: SplitSpec,
                      seed: int) -> BalanceResult:
     """Phase one caps each question type at K; phase two adds 1-2 questions for

@@ -5,8 +5,8 @@ Accounting follows the All / No-NaN convention: NaN predictions always count
 wrong in acc_all and are excluded from the acc_no_nan denominator. Answer
 comparison is exact match after case folding and whitespace trimming.
 
-Evaluation is read-only over the registry and scenes and embarrassingly
-parallel over questions; report merging is associative.
+Evaluation is read-only over the registry and scenes, and runs every
+question's program in turn, in input order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .backends import (CorruptionProfile, ModuleRegistry, OracleBackend,
                        SubTaskInput, TableStudent, baseline_registry,
                        consistency_verifier, distilled_registry,
-                       fresh_students, oracle_registry)
+                       fresh_students)
 from .dsl import Call, ParseError, parse
 from .distill import DistillConfig, Triple, train
 from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
@@ -126,37 +126,13 @@ def question_correct(qa: QAPair, trace: ExecutionTrace) -> tuple[bool, bool]:
 # Program execution over an eval set
 # ---------------------------------------------------------------------------
 
-# Per-worker state for process pools; shipped once via the pool initializer.
-_POOL_STORE: WorldStore | None = None
-_POOL_REGISTRY: ModuleRegistry | None = None
-
-
-def _pool_init(store: WorldStore, registry: ModuleRegistry) -> None:
-    global _POOL_STORE, _POOL_REGISTRY
-    _POOL_STORE = store
-    _POOL_REGISTRY = registry
-
-
-def _pool_run(qa: QAPair) -> ExecutionTrace:
-    return run_with_fallback(qa.program, qa.question,
-                             _POOL_STORE.get(qa.scene_id), _POOL_REGISTRY,
-                             qa.question_id)
-
-
 def run_programs(qapairs: Sequence[QAPair], store: WorldStore,
-                 registry: ModuleRegistry, workers: int = 1) -> list[ExecutionTrace]:
+                 registry: ModuleRegistry) -> list[ExecutionTrace]:
     """Execute every question's program (with parse-error fallback), in input
-    order. Pool results are merged in submission order, so parallel runs stay
-    seed-deterministic."""
-    if workers <= 1 or len(qapairs) < 2:
-        return [run_with_fallback(qa.program, qa.question,
-                                  store.get(qa.scene_id), registry,
-                                  qa.question_id)
-                for qa in qapairs]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(store, registry)) as pool:
-        return list(pool.map(_pool_run, qapairs, chunksize=64))
+    order."""
+    return [run_with_fallback(qa.program, qa.question, store.get(qa.scene_id),
+                              registry, qa.question_id)
+            for qa in qapairs]
 
 
 def score(qapairs: Sequence[QAPair], traces: Sequence[ExecutionTrace],
@@ -234,15 +210,14 @@ def validate_coarse_programs(qapairs: Sequence[QAPair]) -> None:
 
 
 def evaluate(config: FrameworkConfig, eval_set: Sequence[QAPair],
-             store: WorldStore, workers: int = 1,
-             with_taxonomy: bool = True,
+             store: WorldStore, with_taxonomy: bool = True,
              world: WorldConfig | None = None,
              metadata: Mapping | None = None) -> EvalReport:
     """Run the eval set under a framework configuration and account results."""
     config.validate()
     if config.framework == "coarse":
         validate_coarse_programs(eval_set)
-    traces = run_programs(eval_set, store, config.registry, workers=workers)
+    traces = run_programs(eval_set, store, config.registry)
     taxonomy = None
     if with_taxonomy and world is not None:
         failures = [(qa, tr) for qa, tr in zip(eval_set, traces)
@@ -321,18 +296,6 @@ def error_taxonomy(failures: Sequence[tuple[QAPair, ExecutionTrace]],
 # Experiments
 # ---------------------------------------------------------------------------
 
-def teacher_replacement(eval_set: Sequence[QAPair], store: WorldStore,
-                        world: WorldConfig, miss_rate: float = 0.05,
-                        detector_seed: int = 11, workers: int = 1) -> EvalReport:
-    """Distillable bindings point at the teacher directly; find stays the
-    detector."""
-    registry = oracle_registry(store, world, miss_rate=miss_rate,
-                               detector_seed=detector_seed)
-    config = FrameworkConfig("fine", registry)
-    return evaluate(config, eval_set, store, workers=workers, world=world,
-                    metadata={"mode": "teacher_replacement"})
-
-
 def _combo_registry(base: ModuleRegistry, students: Mapping[str, TableStudent],
                     combo: Sequence[str]) -> ModuleRegistry:
     registry = base
@@ -344,7 +307,7 @@ def _combo_registry(base: ModuleRegistry, students: Mapping[str, TableStudent],
 def ablate_distilled_count(base: ModuleRegistry,
                            students: Mapping[str, TableStudent],
                            eval_set: Sequence[QAPair], store: WorldStore,
-                           world: WorldConfig, workers: int = 1) -> dict:
+                           world: WorldConfig) -> dict:
     """Four rows for 0/1/2/3 distilled modules. Rows 1 and 2 average the three
     single- and pair-substitution runs."""
     for student in students.values():
@@ -364,7 +327,7 @@ def ablate_distilled_count(base: ModuleRegistry,
         for combo in combos[count]:
             registry = _combo_registry(base, students, combo)
             report = evaluate(FrameworkConfig("fine", registry), eval_set,
-                              store, workers=workers, with_taxonomy=False)
+                              store, with_taxonomy=False)
             label = "+".join(combo) if combo else "none"
             runs[f"dp{count}:{label}"] = {"acc_all": report.acc_all,
                                           "acc_no_nan": report.acc_no_nan}
@@ -390,8 +353,7 @@ def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],
                          base: ModuleRegistry, store: WorldStore,
                          world: WorldConfig, profile: CorruptionProfile,
                          eval_set: Sequence[QAPair], tau: int = 3,
-                         alpha: float = 1.0, seed: int = 0,
-                         workers: int = 1) -> dict:
+                         alpha: float = 1.0, seed: int = 0) -> dict:
     """Nested training subsets (each smaller set contained in every larger
     one); one distillation plus evaluation per size."""
     import random as _random
@@ -405,31 +367,28 @@ def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],
         train(students, subset, DistillConfig(seed=seed), store)
         registry = distilled_registry(base, students)
         report = evaluate(FrameworkConfig("fine", registry), eval_set, store,
-                          workers=workers, with_taxonomy=False)
+                          with_taxonomy=False)
         curve.append({"size": size, "acc_all": report.acc_all,
                       "acc_no_nan": report.acc_no_nan})
     return {"curve": curve}
 
 
-def cross_framework(student_path, coarse_eval: Sequence[QAPair],
-                    store: WorldStore, world: WorldConfig,
-                    profile: CorruptionProfile, miss_rate: float = 0.05,
-                    detector_seed: int = 11, workers: int = 1) -> dict:
-    """Coarse framework, baseline vs a transplanted distilled simple_query
-    student loaded from serialized state (not retrained)."""
+def cross_framework(base: ModuleRegistry, student_path,
+                    coarse_eval: Sequence[QAPair], store: WorldStore,
+                    world: WorldConfig) -> dict:
+    """Coarse framework, the baseline registry `base` vs `base` with a
+    transplanted distilled simple_query student loaded from serialized state
+    (not retrained)."""
     student = TableStudent.load(student_path, store, world)
     if student.module_kind != "simple_query":
         raise ValueError("cross-framework transplant expects the simple_query student")
     student.freeze()
-    base = baseline_registry(store, world, profile, miss_rate=miss_rate,
-                             detector_seed=detector_seed)
     transplanted = base.replace("simple_query", student)
     baseline_report = evaluate(FrameworkConfig("coarse", base), coarse_eval,
-                               store, workers=workers, world=world,
+                               store, world=world,
                                metadata={"mode": "coarse_baseline"})
     transplant_report = evaluate(FrameworkConfig("coarse", transplanted),
-                                 coarse_eval, store, workers=workers,
-                                 world=world,
+                                 coarse_eval, store, world=world,
                                  metadata={"mode": "coarse_transplanted"})
     return {"baseline": baseline_report, "transplanted": transplant_report}
 

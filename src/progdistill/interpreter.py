@@ -8,8 +8,6 @@ them through run_with_fallback(), which substitutes the fixed one-call
 fallback program.
 
 The interpreter is single-threaded per program; traces have one writer each.
-Many programs may execute concurrently as long as the registry's predict path
-is read-only.
 """
 
 from __future__ import annotations

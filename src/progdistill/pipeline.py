@@ -149,6 +149,7 @@ class PipelineConfig:
             grounding = d.get("grounding", {})
             cfg.grounding_per_scene = tuple(grounding.get(
                 "per_scene", cfg.grounding_per_scene))
+            ground_lo, ground_hi = cfg.grounding_per_scene
             vp = d.get("vp_probe", {})
             cfg.vp_probe_scenes = int(vp.get("scenes", cfg.vp_probe_scenes))
             cfg.vp_probe_ambiguity = float(vp.get("ambiguity_rate",
@@ -180,6 +181,15 @@ class PipelineConfig:
             raise ConfigError("tau/epochs/per_type_cap out of range")
         if not 0.0 <= cfg.val_scene_share <= 1.0:
             raise ConfigError("val_scene_share outside [0, 1]")
+        if ground_lo < 0 or ground_hi < ground_lo:
+            raise ConfigError("grounding per_scene range invalid")
+        if not cfg.trainset_ratios or min(cfg.trainset_ratios) < 1:
+            raise ConfigError("ablation trainset_ratios must be non-empty "
+                              "and each >= 1")
+        if cfg.alpha <= 0.0:
+            raise ConfigError("students alpha must be > 0")
+        if cfg.service_timeout <= 0.0:
+            raise ConfigError("service timeout must be > 0")
         return cfg
 
     def digest(self) -> str:
@@ -408,6 +418,15 @@ def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
     return manifest
 
 
+def _load_students(run: RunPaths, cfg: PipelineConfig,
+                  store: WorldStore) -> dict[str, TableStudent]:
+    """The students the distill stage saved, after checking their checksums."""
+    require_artifacts(run, "distill",
+                      [f"student_{k}" for k in DISTILLABLE_KINDS])
+    return {kind: TableStudent.load(run.student_file(kind), store, cfg.world)
+            for kind in DISTILLABLE_KINDS}
+
+
 def build_registry(name: str, run: RunPaths, cfg: PipelineConfig,
                    store: WorldStore):
     if name == "baseline":
@@ -415,14 +434,8 @@ def build_registry(name: str, run: RunPaths, cfg: PipelineConfig,
                                  miss_rate=cfg.miss_rate,
                                  detector_seed=cfg.detector_seed)
     if name == "distilled":
-        require_artifacts(run, "distill",
-                          [f"student_{k}" for k in DISTILLABLE_KINDS])
-        students = {kind: TableStudent.load(run.student_file(kind), store, cfg.world)
-                    for kind in DISTILLABLE_KINDS}
-        base = baseline_registry(store, cfg.world, cfg.profile,
-                                 miss_rate=cfg.miss_rate,
-                                 detector_seed=cfg.detector_seed)
-        return distilled_registry(base, students)
+        return distilled_registry(build_registry("baseline", run, cfg, store),
+                                  _load_students(run, cfg, store))
     if name == "teacher-replacement":
         return oracle_registry(store, cfg.world, miss_rate=cfg.miss_rate,
                                detector_seed=cfg.detector_seed)
@@ -435,8 +448,7 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
                        registry_name: str = "baseline",
                        program_source: str = "templates",
                        service_client: ProgramServiceClient | None = None,
-                       on_service_error: str = "fail",
-                       workers: int = 1) -> None:
+                       on_service_error: str = "fail") -> None:
     require_artifacts(run, "build-dataset", [f"split_{split}"])
     require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
     _, _, store = load_world_stores(run)
@@ -461,7 +473,7 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
         raise ConfigError(f"unknown program source {program_source!r}")
 
     registry = build_registry(registry_name, run, cfg, store)
-    traces = run_programs(qapairs, store, registry, workers=workers)
+    traces = run_programs(qapairs, store, registry)
     path = run.traces_file(split, registry_name)
     write_jsonl(path, (trace_to_record(t) for t in traces))
     write_stage_manifest(run, f"run-programs:{split}:{registry_name}", cfg,
@@ -550,8 +562,7 @@ def _write_eval_outputs(run: RunPaths, registry_name: str,
                                                    encoding="utf-8")
 
 
-def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str,
-                 workers: int = 1) -> dict:
+def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
     if axis not in ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}")
     require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
@@ -559,31 +570,20 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str,
     if axis != "visual-pointer":
         _, eval_store, store = load_world_stores(run)
         test_set = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
+        base = build_registry("baseline", run, cfg, store)
 
     if axis == "distilled-count":
-        require_artifacts(run, "distill",
-                          [f"student_{k}" for k in DISTILLABLE_KINDS])
-        students = {kind: TableStudent.load(run.student_file(kind), store,
-                                            cfg.world)
-                    for kind in DISTILLABLE_KINDS}
-        base = baseline_registry(store, cfg.world, cfg.profile,
-                                 miss_rate=cfg.miss_rate,
-                                 detector_seed=cfg.detector_seed)
-        result = ablate_distilled_count(base, students, test_set, store,
-                                        cfg.world, workers=workers)
+        result = ablate_distilled_count(base, _load_students(run, cfg, store),
+                                        test_set, store, cfg.world)
     elif axis == "trainset-size":
         require_artifacts(run, "harvest", ["triples"])
         triples = load_triples(run.triples)
         total = len(triples)
         hi = max(cfg.trainset_ratios)
         sizes = [max(1, total * r // hi) for r in cfg.trainset_ratios]
-        base = baseline_registry(store, cfg.world, cfg.profile,
-                                 miss_rate=cfg.miss_rate,
-                                 detector_seed=cfg.detector_seed)
         result = ablate_trainset_size(sizes, triples, base, store, cfg.world,
                                       cfg.profile, test_set, tau=cfg.tau,
-                                      alpha=cfg.alpha, seed=cfg.seed,
-                                      workers=workers)
+                                      alpha=cfg.alpha, seed=cfg.seed)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["size", "acc_all", "acc_no_nan"])
@@ -594,11 +594,8 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str,
     elif axis == "cross-framework":
         require_artifacts(run, "distill", ["student_simple_query"])
         coarse_test = _coarse_counterparts(run, cfg, eval_store, test_set)
-        reports = cross_framework(run.student_file("simple_query"), coarse_test,
-                                  store, cfg.world, cfg.profile,
-                                  miss_rate=cfg.miss_rate,
-                                  detector_seed=cfg.detector_seed,
-                                  workers=workers)
+        reports = cross_framework(base, run.student_file("simple_query"),
+                                  coarse_test, store, cfg.world)
         result = {name: rep.to_dict() for name, rep in reports.items()}
     else:
         probe_world = replace_world(cfg.world, ambiguity_rate=cfg.vp_probe_ambiguity)
@@ -831,24 +828,23 @@ def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
 # Full recipe
 # ---------------------------------------------------------------------------
 
-def run_full_recipe(base_dir: str | Path, cfg: PipelineConfig,
-                    workers: int = 1) -> RunPaths:
+def run_full_recipe(base_dir: str | Path, cfg: PipelineConfig) -> RunPaths:
     """Every stage end to end; byte-identical reports for identical
     (seed, config)."""
     run = RunPaths(base_dir)
     stage_gen_world(run, cfg)
     stage_gen_qa(run, cfg)
     stage_build_dataset(run, cfg)
-    stage_run_programs(run, cfg, "train", "baseline", workers=workers)
+    stage_run_programs(run, cfg, "train", "baseline")
     stage_harvest(run, cfg)
     stage_distill(run, cfg)
     for registry_name in REGISTRY_NAMES:
-        stage_run_programs(run, cfg, "test", registry_name, workers=workers)
+        stage_run_programs(run, cfg, "test", registry_name)
         stage_evaluate(run, cfg, registry_name)
-    stage_ablate(run, cfg, "distilled-count", workers=workers)
-    stage_ablate(run, cfg, "trainset-size", workers=workers)
-    stage_ablate(run, cfg, "cross-framework", workers=workers)
-    stage_ablate(run, cfg, "visual-pointer", workers=workers)
+    stage_ablate(run, cfg, "distilled-count")
+    stage_ablate(run, cfg, "trainset-size")
+    stage_ablate(run, cfg, "cross-framework")
+    stage_ablate(run, cfg, "visual-pointer")
     stage_ground_eval(run, cfg)
     stage_report(run, cfg)
     return run

@@ -70,9 +70,11 @@ def query_key(query: ParsedQuery | None, raw_text: str = "") -> str:
 # Small text helpers
 # ---------------------------------------------------------------------------
 
-_PLURAL_IRREGULAR = {"men", "women", "children", "people", "feet", "teeth",
-                     "geese", "mice", "sheep", "scissors", "glasses"}
-_SINGULAR_WITH_S = {"glass", "grass", "bus", "dress", "class", "gas", "lens"}
+PLURAL_IRREGULAR = frozenset({"men", "women", "children", "people", "feet",
+                              "teeth", "geese", "mice", "sheep", "scissors",
+                              "glasses"})
+SINGULAR_WITH_S = frozenset({"glass", "grass", "bus", "dress", "class", "gas",
+                             "lens"})
 _PLURAL_TO_SINGULAR = {"men": "man", "women": "woman", "children": "child",
                        "people": "person", "feet": "foot", "teeth": "tooth",
                        "geese": "goose", "mice": "mouse"}
@@ -83,13 +85,13 @@ def article(word: str) -> str:
 
 
 def pluralize(word: str) -> str:
-    return word if word in _PLURAL_IRREGULAR else word + "s"
+    return word if word in PLURAL_IRREGULAR else word + "s"
 
 
 def depluralize(word: str) -> str:
     if word in _PLURAL_TO_SINGULAR:
         return _PLURAL_TO_SINGULAR[word]
-    if word.endswith("s") and word not in _SINGULAR_WITH_S:
+    if word.endswith("s") and word not in SINGULAR_WITH_S:
         return word[:-1]
     return word
 
@@ -867,25 +869,3 @@ def generate_grounding(scene: SceneGraph, world: WorldConfig, seed: int,
                                        f"the {attr} {name}", program,
                                        target_obj.bbox, "discriminated"))
     return cases
-
-
-def grounding_to_record(case: GroundingCase) -> dict:
-    return {
-        "case_id": case.case_id,
-        "scene_id": case.scene_id,
-        "expression": case.expression,
-        "program": case.program,
-        "target_bbox": list(case.target_bbox),
-        "kind": case.kind,
-    }
-
-
-def grounding_from_record(record: dict) -> GroundingCase:
-    return GroundingCase(
-        case_id=record["case_id"],
-        scene_id=record["scene_id"],
-        expression=record["expression"],
-        program=record["program"],
-        target_bbox=tuple(record["target_bbox"]),
-        kind=record["kind"],
-    )

@@ -15,7 +15,6 @@ fall back to template generation instead).
 from __future__ import annotations
 
 import json
-import os
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -57,17 +56,3 @@ class ProgramServiceClient:
             raise ServiceError("program service response missing 'program_text'")
         return program
 
-
-def llm_generate(question: str, prompt_profile: str,
-                 client: ProgramServiceClient) -> str:
-    """Fetch a generated program for `question`; the text is returned verbatim
-    and must be routed through run_with_fallback by the caller."""
-    return client.generate(question, prompt_profile)
-
-
-def client_from_env(timeout: float = 5.0) -> ProgramServiceClient:
-    endpoint = os.environ.get(ENDPOINT_ENV_VAR, "")
-    if not endpoint:
-        raise ServiceError(
-            f"no program service configured (set {ENDPOINT_ENV_VAR})")
-    return ProgramServiceClient(endpoint=endpoint, timeout=timeout)

@@ -27,11 +27,6 @@ def stable_unit(*parts: object) -> float:
     return stable_hash(*parts) / 2.0**64
 
 
-def derive_seed(base_seed: int, *scope: object) -> int:
-    """Derive an independent RNG seed for a named pipeline stage."""
-    return stable_hash("seed", base_seed, *scope) % 2**31
-
-
 def canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

@@ -7,7 +7,7 @@ geometry. The oracle answers structured queries exactly from the ground truth,
 which is what makes it usable as a teacher.
 
 All types are immutable after construction; generation and the oracle are pure
-functions, so scenes and patches can be shared freely across parallel workers.
+functions, so scenes and patches can be shared freely.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .util import read_jsonl, write_jsonl
 
@@ -170,6 +170,9 @@ class WorldConfig:
             raise WorldConfigError("objects_per_scene range invalid")
         if not 0.0 <= self.ambiguity_rate <= 1.0:
             raise WorldConfigError("ambiguity_rate outside [0, 1]")
+        # generate_world places boxes up to 20 units on a side.
+        if len(self.canvas) != 2 or min(self.canvas) < 20:
+            raise WorldConfigError("canvas needs two sides of at least 20")
 
     def all_attributes(self) -> set[str]:
         out: set[str] = set()
@@ -484,10 +487,3 @@ class WorldStore:
         for record in read_jsonl(path):
             store.add(loader(record))
         return store
-
-
-def generate_worlds(seeds: Iterable[int], config: WorldConfig) -> WorldStore:
-    store = WorldStore()
-    for seed in seeds:
-        store.add(generate_world(seed, config))
-    return store

@@ -5,11 +5,11 @@ import pytest
 from progdistill.adapter import (AdapterError, TeacherInput,
                                  adapt_best_text_match, adapt_simple_query,
                                  adapt_step, adapt_verify_property,
-                                 indefinite_article, is_plural)
+                                 is_plural)
 from progdistill.backends import perfect_registry
 from progdistill.dsl import parse
 from progdistill.interpreter import StepRecord, execute
-from progdistill.questions import GenConfig, generate_qa
+from progdistill.questions import GenConfig, article, generate_qa
 from progdistill.worlds import ScenePatch, crop
 
 from conftest import store_for
@@ -106,8 +106,8 @@ class TestPluralityAndArticles:
         assert is_plural(word) is plural
 
     def test_article(self):
-        assert indefinite_article("apple") == "an"
-        assert indefinite_article("bread") == "a"
+        assert article("apple") == "an"
+        assert article("bread") == "a"
 
 
 class TestAdaptStep:

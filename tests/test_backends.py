@@ -1,5 +1,4 @@
 import math
-import pickle
 import random
 
 import pytest
@@ -457,16 +456,6 @@ class TestDispatchMemo:
         for _ in range(3):
             student.update(inp, "yes")
         assert registry.dispatch("verify_property", patch, args) is True
-
-    def test_pickled_registry_has_empty_memo(self, flower_scene, world):
-        registry = perfect_registry(store_for(flower_scene), world)
-        patch = full_patch(flower_scene)
-        registry.dispatch("simple_query", patch, self.QUESTION)
-        assert registry._memo
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone._memo == {}
-        assert registry._memo
-        assert clone.dispatch("simple_query", patch, self.QUESTION) == "red"
 
     def test_ablation_with_shared_memo_matches_fresh_bases(self, world,
                                                            small_store,

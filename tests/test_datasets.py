@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from progdistill.datasets import (SplitError, SplitSpec, balance,
-                                  balance_detailed, make_splits, stats,
-                                  verify_disjoint)
+from progdistill.datasets import (SplitError, SplitSpec, balance_detailed,
+                                  make_splits, stats, verify_disjoint)
 from progdistill.distill import Triple
 from progdistill.questions import QAPair
 
@@ -36,7 +35,8 @@ class TestBalance:
 
     def test_cap_larger_than_pool_takes_everything(self):
         pool = _pool({"attr_query": 40, "exist": 10})
-        out = balance(pool, SplitSpec("train", per_type_cap=160), seed=0)
+        out = balance_detailed(pool, SplitSpec("train", per_type_cap=160),
+                               seed=0).selected
         assert len(out) == 50
 
     def test_unrepresented_scene_gets_one_or_two_questions(self):
@@ -54,8 +54,10 @@ class TestBalance:
     def test_deterministic_under_seed(self):
         pool = _pool({"attr_query": 300, "exist": 80}, scenes=40)
         spec = SplitSpec("train", per_type_cap=60)
-        assert balance(pool, spec, 5) == balance(pool, spec, 5)
-        assert balance(pool, spec, 5) != balance(pool, spec, 6)
+        def select(seed):
+            return balance_detailed(pool, spec, seed).selected
+        assert select(5) == select(5)
+        assert select(5) != select(6)
 
     def test_cap_respected_over_random_pools(self):
         rng = random.Random("cap")
@@ -72,7 +74,7 @@ class TestBalance:
                 by_type[qa.question_type] = by_type.get(qa.question_type, 0) + 1
 
     def test_empty_pool(self):
-        assert balance([], SplitSpec("train"), 0) == []
+        assert balance_detailed([], SplitSpec("train"), 0).selected == []
 
 
 class TestMakeSplits:

@@ -263,15 +263,15 @@ class TestCoarseValidation:
 class TestTeacherReplacement:
     def test_teacher_replacement_beats_baseline(self, eval_world, eval_store,
                                                 eval_set):
-        from progdistill.evaluation import teacher_replacement
-        tr = teacher_replacement(eval_set, eval_store, eval_world,
-                                 miss_rate=0.05)
+        tr = evaluate(
+            FrameworkConfig("fine", oracle_registry(eval_store, eval_world,
+                                                    miss_rate=0.05)),
+            eval_set, eval_store, with_taxonomy=False)
         base = evaluate(
             FrameworkConfig("fine", baseline_registry(
                 eval_store, eval_world, CorruptionProfile(98, 0.3))),
             eval_set, eval_store, with_taxonomy=False)
         assert tr.acc_all > base.acc_all
-        assert tr.metadata["mode"] == "teacher_replacement"
         # find stays the detector: misses still cost accuracy
         assert tr.acc_all < 1.0
 
@@ -288,21 +288,6 @@ class TestCaseReport:
         assert "[baseline" in doc and "[distilled" in doc
         assert "branches=" in doc
         assert "verdict:" in doc
-
-
-class TestWorkers:
-    def test_parallel_run_matches_serial(self, eval_world, eval_store, eval_set):
-        registry = baseline_registry(eval_store, eval_world,
-                                     CorruptionProfile(98, 0.3))
-        subset = eval_set[:80]
-        serial = run_programs(subset, eval_store, registry, workers=1)
-        try:
-            parallel = run_programs(subset, eval_store, registry, workers=2)
-        except (OSError, PermissionError) as exc:  # sandboxed environments
-            pytest.skip(f"process pools unavailable: {exc}")
-        from progdistill.interpreter import trace_to_record
-        assert [trace_to_record(t) for t in parallel] == \
-            [trace_to_record(t) for t in serial]
 
 
 class TestVisualPointerProbe:

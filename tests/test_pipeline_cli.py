@@ -52,6 +52,12 @@ class TestConfig:
                    "relations": ["near"]}},
         {"questions": {"per_scene": [1, 2, 3]}},
         [{"seed": 1}],
+        {"world": {"nouns": ["dog"], "attribute_families": {"color": ["red"]},
+                   "relations": ["near"], "canvas": [10, 10]}},
+        {"ablation": {"trainset_ratios": []}},
+        {"grounding": {"per_scene": [3, 1]}},
+        {"students": {"alpha": -1}},
+        {"service": {"timeout": -1}},
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"

@@ -9,9 +9,8 @@ from progdistill.questions import (ALL_TEMPLATE_IDS, GenConfig, QuestionParser,
                                    TEMPLATES, TemplateQuery, answer_support,
                                    corrupt_program, depluralize,
                                    evaluate_template, generate_grounding,
-                                   generate_qa, grounding_from_record,
-                                   grounding_to_record, qa_from_record,
-                                   qa_to_record, query_key)
+                                   generate_qa, qa_from_record, qa_to_record,
+                                   query_key)
 from progdistill.worlds import (AskAttributeFamily, AskName, ChooseOption,
                                 Exists, VerifyAttribute, full_patch,
                                 generate_world)
@@ -288,8 +287,3 @@ class TestGrounding:
             for case in generate_grounding(scene, world, 1):
                 trace = execute(parse(case.program), scene, registry, case.case_id)
                 assert trace.answer.region == case.target_bbox
-
-    def test_record_round_trip(self, world, small_store):
-        scene = small_store.get(small_store.ids()[0])
-        for case in generate_grounding(scene, world, 0):
-            assert grounding_from_record(grounding_to_record(case)) == case

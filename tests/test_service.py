@@ -4,8 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from progdistill.service import (ENDPOINT_ENV_VAR, ProgramServiceClient,
-                                 ServiceError, client_from_env, llm_generate)
+from progdistill.service import ProgramServiceClient, ServiceError
 
 CANNED_PROGRAM = 'ps = image.find("flower")\nreturn ps[0].simple_query("What is this?")\n'
 
@@ -50,7 +49,7 @@ def stub_server():
 class TestClient:
     def test_canned_program_round_trip(self, stub_server):
         client = ProgramServiceClient(stub_server, timeout=2.0)
-        program = llm_generate("What color is the flower?", "pointer", client)
+        program = client.generate("What color is the flower?", "pointer")
         assert program == CANNED_PROGRAM
 
     def test_request_carries_question_and_profile(self, stub_server):
@@ -81,11 +80,3 @@ class TestClient:
         client = ProgramServiceClient(stub_server, timeout=2.0)
         with pytest.raises(ServiceError):
             client.generate("q?", "pointer")
-
-    def test_client_from_env(self, monkeypatch, stub_server):
-        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
-        with pytest.raises(ServiceError):
-            client_from_env()
-        monkeypatch.setenv(ENDPOINT_ENV_VAR, stub_server)
-        client = client_from_env(timeout=2.0)
-        assert client.generate("q?", "pointer") == CANNED_PROGRAM
