@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="templates")
     p.add_argument("--service-endpoint", default=None,
                    help=f"program service URL (default: ${ENDPOINT_ENV_VAR})")
-    p.add_argument("--service-timeout", type=float, default=None)
     p.add_argument("--on-service-error", choices=("fail", "templates"),
                    default="fail",
                    help="fall back to stored template programs on service errors")
@@ -105,9 +104,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise ConfigError(
                         f"--program-source service needs --service-endpoint "
                         f"or ${ENDPOINT_ENV_VAR}")
-                timeout = (args.service_timeout if args.service_timeout
-                           is not None else cfg.service_timeout)
-                client = ProgramServiceClient(endpoint, timeout=timeout)
+                client = ProgramServiceClient(endpoint,
+                                              timeout=cfg.service_timeout)
             stage_run_programs(run, cfg, args.split, args.registry,
                                program_source=args.program_source,
                                service_client=client,

@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .backends import (CorruptionProfile, OracleBackend, TableStudent,
                        baseline_registry, consistency_verifier,
@@ -30,7 +31,8 @@ from .evaluation import (EvalReport, ablate_distilled_count,
 from .interpreter import trace_from_record, trace_to_record
 from .questions import (DISTILLABLE_KINDS, GenConfig, generate_grounding,
                         generate_qa, qa_from_record, qa_to_record)
-from .service import ProgramServiceClient, ServiceError
+from .service import (PROFILE_PLAIN, PROFILE_POINTER, ProgramServiceClient,
+                      ServiceError)
 from .util import (config_digest, iter_jsonl, read_jsonl, sha256_file,
                    write_jsonl)
 from .worlds import WorldConfig, WorldStore, default_world_config, generate_world
@@ -88,108 +90,49 @@ class PipelineConfig:
     service_timeout: float = 5.0
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "world": self.world.to_dict(),
-            "scenes": {"train": self.train_scenes, "eval": self.eval_scenes},
-            "questions": {
-                "per_scene": list(self.questions_per_scene),
-                "fault_rate": self.fault_rate,
-                "visual_pointer": self.visual_pointer,
-                "framework": self.framework,
-            },
-            "detector": {"miss_rate": self.miss_rate, "seed": self.detector_seed},
-            "corruption": {"seed": self.corruption_seed, "rho": self.rho},
-            "students": {"tau": self.tau, "alpha": self.alpha},
-            "distill": {"epochs": self.epochs},
-            "dataset": {"per_type_cap": self.per_type_cap,
-                        "val_scene_share": self.val_scene_share},
-            "grounding": {"per_scene": list(self.grounding_per_scene)},
-            "vp_probe": {"scenes": self.vp_probe_scenes,
-                         "ambiguity_rate": self.vp_probe_ambiguity},
-            "ablation": {"trainset_ratios": list(self.trainset_ratios)},
-            "service": {"timeout": self.service_timeout},
-        }
+        out: dict = {}
+        for entry in CONFIG_SCHEMA:
+            section, _, leaf = entry.key.rpartition(".")
+            value = getattr(self, entry.field)
+            if isinstance(value, WorldConfig):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            (out.setdefault(section, {}) if section else out)[leaf] = value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        """Read every key present in `d` through its schema entry; a bad
+        section, value or range raises ConfigError naming the dotted key."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        try:
-            cfg = cls()
-            if "seed" in d:
-                cfg.seed = int(d["seed"])
-            if "world" in d:
-                cfg.world = WorldConfig.from_dict(d["world"])
-            scenes = d.get("scenes", {})
-            cfg.train_scenes = int(scenes.get("train", cfg.train_scenes))
-            cfg.eval_scenes = int(scenes.get("eval", cfg.eval_scenes))
-            questions = d.get("questions", {})
-            cfg.questions_per_scene = tuple(
-                questions.get("per_scene", cfg.questions_per_scene))
-            lo, hi = cfg.questions_per_scene
-            cfg.fault_rate = float(questions.get("fault_rate", cfg.fault_rate))
-            cfg.visual_pointer = bool(questions.get("visual_pointer",
-                                                    cfg.visual_pointer))
-            cfg.framework = str(questions.get("framework", cfg.framework))
-            detector = d.get("detector", {})
-            cfg.miss_rate = float(detector.get("miss_rate", cfg.miss_rate))
-            cfg.detector_seed = int(detector.get("seed", cfg.detector_seed))
-            corruption = d.get("corruption", {})
-            cfg.corruption_seed = int(corruption.get("seed", cfg.corruption_seed))
-            cfg.rho = float(corruption.get("rho", cfg.rho))
-            students = d.get("students", {})
-            cfg.tau = int(students.get("tau", cfg.tau))
-            cfg.alpha = float(students.get("alpha", cfg.alpha))
-            cfg.epochs = int(d.get("distill", {}).get("epochs", cfg.epochs))
-            dataset = d.get("dataset", {})
-            cfg.per_type_cap = int(dataset.get("per_type_cap", cfg.per_type_cap))
-            cfg.val_scene_share = float(dataset.get("val_scene_share",
-                                                    cfg.val_scene_share))
-            grounding = d.get("grounding", {})
-            cfg.grounding_per_scene = tuple(grounding.get(
-                "per_scene", cfg.grounding_per_scene))
-            ground_lo, ground_hi = cfg.grounding_per_scene
-            vp = d.get("vp_probe", {})
-            cfg.vp_probe_scenes = int(vp.get("scenes", cfg.vp_probe_scenes))
-            cfg.vp_probe_ambiguity = float(vp.get("ambiguity_rate",
-                                                  cfg.vp_probe_ambiguity))
-            ablation = d.get("ablation", {})
-            cfg.trainset_ratios = tuple(ablation.get("trainset_ratios",
-                                                     cfg.trainset_ratios))
-            cfg.service_timeout = float(d.get("service", {}).get(
-                "timeout", cfg.service_timeout))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        values = {}
+        for entry in CONFIG_SCHEMA:
+            section_name, _, leaf = entry.key.rpartition(".")
+            section = d.get(section_name, {}) if section_name else d
+            if not isinstance(section, dict):
+                raise ConfigError(
+                    f"config key {section_name!r} must be a JSON object")
+            if leaf not in section:
+                continue
+            raw = section[leaf]
+            try:
+                value = entry.coerce(raw)
+                ok = entry.check is None or entry.check[0](value)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ConfigError(
+                    f"bad config value for {entry.key!r}: {detail}") from exc
+            if not ok:
+                raise ConfigError(f"config key {entry.key!r} must be "
+                                  f"{entry.check[1]}, got {raw!r}")
+            values[entry.field] = value
+        cfg = cls(**values)
         try:
             cfg.world.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if cfg.framework not in ("fine", "coarse"):
-            raise ConfigError(f"unknown framework {cfg.framework!r}")
-        if not 0.0 <= cfg.fault_rate <= 1.0:
-            raise ConfigError("fault_rate outside [0, 1]")
-        if cfg.train_scenes < 1 or cfg.eval_scenes < 1:
-            raise ConfigError("scene counts must be >= 1")
-        if lo < 1 or hi < lo:
-            raise ConfigError("questions per_scene range invalid")
-        if not 0.0 <= cfg.rho <= 1.0:
-            raise ConfigError("corruption rho outside [0, 1]")
-        if not 0.0 <= cfg.miss_rate <= 1.0:
-            raise ConfigError("detector miss_rate outside [0, 1]")
-        if cfg.tau < 1 or cfg.epochs < 0 or cfg.per_type_cap < 1:
-            raise ConfigError("tau/epochs/per_type_cap out of range")
-        if not 0.0 <= cfg.val_scene_share <= 1.0:
-            raise ConfigError("val_scene_share outside [0, 1]")
-        if ground_lo < 0 or ground_hi < ground_lo:
-            raise ConfigError("grounding per_scene range invalid")
-        if not cfg.trainset_ratios or min(cfg.trainset_ratios) < 1:
-            raise ConfigError("ablation trainset_ratios must be non-empty "
-                              "and each >= 1")
-        if cfg.alpha <= 0.0:
-            raise ConfigError("students alpha must be > 0")
-        if cfg.service_timeout <= 0.0:
-            raise ConfigError("service timeout must be > 0")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value for 'world': {exc}") from exc
         return cfg
 
     def digest(self) -> str:
@@ -224,6 +167,67 @@ def load_config(path: str | Path | None, seed: int | None = None) -> PipelineCon
     if seed is not None:
         cfg.seed = seed
     return cfg
+
+
+def _strict_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _int_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {value!r}")
+    return tuple(int(x) for x in value)
+
+
+def _span_from(n: int) -> tuple:
+    return (lambda v: len(v) == 2 and n <= v[0] <= v[1],
+            f"a [lo, hi] pair with {n} <= lo <= hi")
+
+
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+
+
+class SchemaEntry(NamedTuple):
+    """One PipelineConfig field's place, reading and range in the file."""
+    field: str          # PipelineConfig attribute
+    key: str            # dotted path in the JSON config file
+    coerce: Callable    # raw JSON value -> field value
+    check: tuple[Callable, str] | None = None  # (test, what value must be)
+
+
+CONFIG_SCHEMA: tuple[SchemaEntry, ...] = (
+    SchemaEntry("seed", "seed", int),
+    SchemaEntry("world", "world", WorldConfig.from_dict),
+    SchemaEntry("train_scenes", "scenes.train", int, _AT_LEAST_1),
+    SchemaEntry("eval_scenes", "scenes.eval", int, _AT_LEAST_1),
+    SchemaEntry("questions_per_scene", "questions.per_scene", _int_list,
+                _span_from(1)),
+    SchemaEntry("fault_rate", "questions.fault_rate", float, _UNIT),
+    SchemaEntry("visual_pointer", "questions.visual_pointer", _strict_bool),
+    SchemaEntry("framework", "questions.framework", str,
+                (lambda v: v in ("fine", "coarse"), "'fine' or 'coarse'")),
+    SchemaEntry("miss_rate", "detector.miss_rate", float, _UNIT),
+    SchemaEntry("detector_seed", "detector.seed", int),
+    SchemaEntry("corruption_seed", "corruption.seed", int),
+    SchemaEntry("rho", "corruption.rho", float, _UNIT),
+    SchemaEntry("tau", "students.tau", int, _AT_LEAST_1),
+    SchemaEntry("alpha", "students.alpha", float, _POSITIVE),
+    SchemaEntry("epochs", "distill.epochs", int, (lambda v: v >= 0, ">= 0")),
+    SchemaEntry("per_type_cap", "dataset.per_type_cap", int, _AT_LEAST_1),
+    SchemaEntry("val_scene_share", "dataset.val_scene_share", float, _UNIT),
+    SchemaEntry("grounding_per_scene", "grounding.per_scene", _int_list,
+                _span_from(0)),
+    SchemaEntry("vp_probe_scenes", "vp_probe.scenes", int),
+    SchemaEntry("vp_probe_ambiguity", "vp_probe.ambiguity_rate", float, _UNIT),
+    SchemaEntry("trainset_ratios", "ablation.trainset_ratios", _int_list,
+                (lambda v: len(v) > 0 and min(v) >= 1,
+                 "a non-empty list of values >= 1")),
+    SchemaEntry("service_timeout", "service.timeout", float, _POSITIVE),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +461,7 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
     if program_source == "service":
         if service_client is None:
             raise ConfigError("program source 'service' needs an endpoint")
-        profile_name = "pointer" if cfg.visual_pointer else "plain"
+        profile_name = PROFILE_POINTER if cfg.visual_pointer else PROFILE_PLAIN
         regenerated = []
         for qa in qapairs:
             try:
@@ -598,7 +602,8 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
                                   coarse_test, store, cfg.world)
         result = {name: rep.to_dict() for name, rep in reports.items()}
     else:
-        probe_world = replace_world(cfg.world, ambiguity_rate=cfg.vp_probe_ambiguity)
+        probe_world = replace(cfg.world,
+                              ambiguity_rate=cfg.vp_probe_ambiguity)
         probe_store = WorldStore()
         for i in range(cfg.vp_probe_scenes):
             probe_store.add(generate_world(
@@ -614,13 +619,6 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
                     encoding="utf-8")
     write_stage_manifest(run, f"ablate:{axis}", cfg, {}, {"ablation": path})
     return result
-
-
-def replace_world(world: WorldConfig, **kwargs) -> WorldConfig:
-    data = world.to_dict()
-    data.update({k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in kwargs.items()})
-    return WorldConfig.from_dict(data)
 
 
 def _coarse_counterparts(run: RunPaths, cfg: PipelineConfig,

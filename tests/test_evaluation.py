@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from progdistill.backends import (CorruptionProfile, OracleBackend, Prediction,
@@ -292,8 +294,7 @@ class TestCaseReport:
 
 class TestVisualPointerProbe:
     def test_pointer_never_hurts_on_ambiguous_subset(self, eval_world):
-        from progdistill.pipeline import replace_world
-        probe_world = replace_world(eval_world, ambiguity_rate=0.4)
+        probe_world = replace(eval_world, ambiguity_rate=0.4)
         store = WorldStore()
         for seed in range(30):
             store.add(generate_world(800000 + seed, probe_world))

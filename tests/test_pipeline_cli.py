@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
                              EXIT_MISSING_ARTIFACT, EXIT_OK, main)
-from progdistill.pipeline import PipelineConfig, RunPaths, load_config
+from progdistill.pipeline import (CONFIG_SCHEMA, PipelineConfig, RunPaths,
+                                  load_config)
 from progdistill.util import read_jsonl
 
 
@@ -21,6 +23,16 @@ def tiny_config_file(tmp_path_factory):
         "questions": {"per_scene": [6, 8]},
         "dataset": {"per_type_cap": 40},
     }))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def short_timeout_config_file(tmp_path_factory, tiny_config_file):
+    """The tiny configuration with a 0.3 s program-service timeout."""
+    data = json.loads(Path(tiny_config_file).read_text())
+    data["service"] = {"timeout": 0.3}
+    path = tmp_path_factory.mktemp("cfg") / "config.json"
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -58,6 +70,13 @@ class TestConfig:
         {"grounding": {"per_scene": [3, 1]}},
         {"students": {"alpha": -1}},
         {"service": {"timeout": -1}},
+        {"ablation": {"trainset_ratios": ["a"]}},
+        {"questions": {"per_scene": [1, "a"]}},
+        {"scenes": None},
+        {"detector": []},
+        {"questions": {"visual_pointer": "false"}},
+        {"questions": {"per_scene": "12"}},
+        {"vp_probe": {"ambiguity_rate": 2.0}},
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
@@ -214,36 +233,34 @@ class TestProgramService:
         assert all(t["source"] == CANNED for t in traces)
 
     def test_service_error_can_fall_back_to_templates(self, tmp_path,
-                                                      tiny_config_file):
+                                                      short_timeout_config_file):
         out = str(tmp_path / "run")
         for step in (["gen-world"], ["gen-qa"], ["build-dataset"]):
-            assert _run(step + ["--config", tiny_config_file,
+            assert _run(step + ["--config", short_timeout_config_file,
                                 "--out-dir", out]) == EXIT_OK
         code = _run(["run-programs", "--split", "test",
                      "--registry", "baseline",
                      "--program-source", "service",
                      "--service-endpoint", "http://127.0.0.1:1/gone",
-                     "--service-timeout", "0.3",
                      "--on-service-error", "templates",
-                     "--config", tiny_config_file, "--out-dir", out])
+                     "--config", short_timeout_config_file, "--out-dir", out])
         assert code == EXIT_OK
         run = RunPaths(out)
         traces = read_jsonl(run.traces_file("test", "baseline"))
         assert traces  # stored template programs ran instead
 
     def test_service_error_without_fallback_fails(self, tmp_path,
-                                                  tiny_config_file):
+                                                  short_timeout_config_file):
         from progdistill.cli import EXIT_SERVICE
         out = str(tmp_path / "run")
         for step in (["gen-world"], ["gen-qa"], ["build-dataset"]):
-            assert _run(step + ["--config", tiny_config_file,
+            assert _run(step + ["--config", short_timeout_config_file,
                                 "--out-dir", out]) == EXIT_OK
         code = _run(["run-programs", "--split", "test",
                      "--registry", "baseline",
                      "--program-source", "service",
                      "--service-endpoint", "http://127.0.0.1:1/gone",
-                     "--service-timeout", "0.3",
-                     "--config", tiny_config_file, "--out-dir", out])
+                     "--config", short_timeout_config_file, "--out-dir", out])
         assert code == EXIT_SERVICE
 
     def test_service_source_without_endpoint_is_config_error(self, tmp_path,
@@ -265,6 +282,45 @@ class TestDefaults:
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
         assert again.digest() == cfg.digest()
+
+    def test_every_field_has_exactly_one_schema_entry(self):
+        names = [entry.field for entry in CONFIG_SCHEMA]
+        assert sorted(names) == sorted(f.name for f in fields(PipelineConfig))
+        assert len(set(entry.key for entry in CONFIG_SCHEMA)) == len(names)
+
+    def test_non_default_config_round_trips(self):
+        """Every key off its default: a mistyped key path leaves its field at
+        the default, so the file would not come back unchanged."""
+        data = {
+            "seed": 7,
+            "world": {"nouns": ["dog", "cat"],
+                      "attribute_families": {"color": ["red", "blue"]},
+                      "relations": ["near"], "objects_per_scene": [2, 5],
+                      "ambiguity_rate": 0.5, "canvas": [60, 80]},
+            "scenes": {"train": 9, "eval": 8},
+            "questions": {"per_scene": [3, 4], "fault_rate": 0.1,
+                          "visual_pointer": False, "framework": "coarse"},
+            "detector": {"miss_rate": 0.2, "seed": 12},
+            "corruption": {"seed": 13, "rho": 0.4},
+            "students": {"tau": 5, "alpha": 0.5},
+            "distill": {"epochs": 2},
+            "dataset": {"per_type_cap": 17, "val_scene_share": 0.3},
+            "grounding": {"per_scene": [0, 3]},
+            "vp_probe": {"scenes": 19, "ambiguity_rate": 0.6},
+            "ablation": {"trainset_ratios": [2, 3]},
+            "service": {"timeout": 0.7},
+        }
+        cfg = PipelineConfig.from_dict(data)
+        defaults = PipelineConfig()
+        assert [f.name for f in fields(PipelineConfig)
+                if getattr(cfg, f.name) == getattr(defaults, f.name)] == []
+        assert cfg.to_dict() == data
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_default_digest_is_stable(self):
+        # Every eval_*.json embeds this digest; a changed key path or
+        # serialization of any field shows here.
+        assert PipelineConfig().digest() == "a9e4cdb08abddeb7"
 
     def test_digest_tracks_changes(self):
         cfg = PipelineConfig()
