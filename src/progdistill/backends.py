@@ -532,14 +532,11 @@ def perfect_registry(store: WorldStore, world: WorldConfig) -> ModuleRegistry:
 
 
 def distilled_registry(base: ModuleRegistry,
-                       students: Mapping[str, TableStudent],
-                       freeze: bool = True) -> ModuleRegistry:
+                       students: Mapping[str, TableStudent]) -> ModuleRegistry:
     registry = base
     for kind in sorted(students):
-        student = students[kind]
-        if freeze:
-            student.freeze()
-        registry = registry.replace(kind, student)
+        students[kind].freeze()
+        registry = registry.replace(kind, students[kind])
     return registry
 
 

@@ -46,8 +46,6 @@ class DistillConfig:
     epochs: int = 1
     seed: int = 0
     enabled_kinds: tuple[str, ...] = DISTILLABLE_KINDS
-    tau: int | None = None
-    alpha: float | None = None
 
     def validate(self) -> None:
         if not self.enabled_kinds:
@@ -190,11 +188,6 @@ def train(students: Mapping[str, TableStudent], triples: Sequence[Triple],
     config.validate()
     report = TrainingReport()
     enabled = {k: students[k] for k in config.enabled_kinds if k in students}
-    for student in enabled.values():
-        if config.tau is not None:
-            student.tau = config.tau
-        if config.alpha is not None:
-            student.alpha = config.alpha
 
     usable: list[Triple] = []
     for triple in triples:

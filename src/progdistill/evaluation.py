@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .backends import (CorruptionProfile, ModuleRegistry, OracleBackend,
-                       SubTaskInput, TableStudent, baseline_registry,
-                       consistency_verifier, distilled_registry,
-                       fresh_students)
+from .backends import (CorruptionProfile, ModuleRegistry, TableStudent,
+                       baseline_registry, consistency_verifier,
+                       distilled_registry, fresh_students, perfect_registry)
 from .dsl import Call, ParseError, parse
 from .distill import DistillConfig, Triple, train
 from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
@@ -103,7 +102,7 @@ class EvalReport:
                 lines.append(f"  {qtype:<22} {100.0 * entry['acc']:6.2f}%"
                              f"  ({entry['correct']}/{entry['total']})")
         if self.error_taxonomy:
-            lines.append("error taxonomy (sampled failures):")
+            lines.append("error taxonomy (all failures):")
             for key in TAXONOMY_KEYS:
                 if key in self.error_taxonomy:
                     lines.append(f"  {key:<24} {self.error_taxonomy[key]}")
@@ -234,46 +233,17 @@ def evaluate(config: FrameworkConfig, eval_set: Sequence[QAPair],
 # Error taxonomy
 # ---------------------------------------------------------------------------
 
-def _expected_step_output(step, store: WorldStore, world: WorldConfig,
-                          oracle: OracleBackend):
-    if step.module_kind == "find":
-        scene = store.get(step.receiver.scene_id)
-        name = step.args[0]
-        expected = sorted(scene.object_by_id(oid).bbox
-                          for oid in step.receiver.visible_objects
-                          if scene.object_by_id(oid).name == name)
-        actual = sorted(p.region for p in step.output)
-        return expected, actual
-    if step.module_kind == "exists":
-        receiver = step.receiver
-        expected = len(receiver) > 0 if isinstance(receiver, PatchList) else True
-        return expected, step.output
-    inp = SubTaskInput(
-        module_kind=step.module_kind,
-        patch=step.receiver,
-        object_name=step.args[0] if step.module_kind == "verify_property" else None,
-        attribute=step.args[1] if step.module_kind == "verify_property" else None,
-        options=tuple(step.args[0]) if step.module_kind == "best_text_match" else None,
-        question=step.args[0] if step.module_kind == "simple_query" else None,
-        center_word=step.center_word,
-    )
-    answer = oracle.predict(inp).answer
-    if step.module_kind == "verify_property":
-        expected = answer == "yes" if isinstance(answer, str) else bool(answer)
-    else:
-        expected = str(answer)
-    return expected, step.output
-
-
 def error_taxonomy(failures: Sequence[tuple[QAPair, ExecutionTrace]],
                    store: WorldStore, world: WorldConfig) -> dict[str, int]:
     """Attribute each failed question to its first step that diverges from the
     oracle on the same (patch, structured query); fallback runs count as
     parse_fallback, and failures with no divergence as program logic errors.
 
-    Replay is deterministic given the trace and scene.
+    Each step is replayed through the all-oracle registry; find outputs are
+    compared by their sorted patch regions. Replay is deterministic given the
+    trace and scene.
     """
-    oracle = OracleBackend(store, world)
+    oracle = perfect_registry(store, world)
     counts = {key: 0 for key in TAXONOMY_KEYS}
     for qa, trace in failures:
         if trace.fallback or trace.status == STATUS_FALLBACK:
@@ -281,7 +251,11 @@ def error_taxonomy(failures: Sequence[tuple[QAPair, ExecutionTrace]],
             continue
         attributed = None
         for step in trace.steps:
-            expected, actual = _expected_step_output(step, store, world, oracle)
+            expected = oracle.dispatch(step.module_kind, step.receiver, step.args)
+            actual = step.output
+            if step.module_kind == "find":
+                expected = sorted(p.region for p in expected)
+                actual = sorted(p.region for p in actual)
             if expected != actual:
                 if step.module_kind in ("find", "exists"):
                     attributed = "find_error"
@@ -485,8 +459,6 @@ def _touches_ambiguous_patch(trace: ExecutionTrace) -> bool:
         if (isinstance(receiver, ScenePatch) and receiver.origin_label is not None
                 and len(receiver.visible_objects) >= 2):
             return True
-        if isinstance(receiver, PatchList):
-            continue
     return False
 
 

@@ -29,8 +29,9 @@ from .evaluation import (EvalReport, ablate_distilled_count,
                          error_taxonomy, grounding_eval, question_correct,
                          run_programs, score, visual_pointer_effect)
 from .interpreter import trace_from_record, trace_to_record
-from .questions import (DISTILLABLE_KINDS, GenConfig, generate_grounding,
-                        generate_qa, qa_from_record, qa_to_record)
+from .questions import (DISTILLABLE_KINDS, GenConfig, QAPair,
+                        generate_grounding, generate_qa, qa_from_record,
+                        qa_to_record)
 from .service import (PROFILE_PLAIN, PROFILE_POINTER, ProgramServiceClient,
                       ServiceError)
 from .util import (config_digest, iter_jsonl, read_jsonl, sha256_file,
@@ -175,10 +176,18 @@ def _strict_bool(value) -> bool:
     return value
 
 
+def _strict_int(value) -> int:
+    """An integral JSON number: 3 and 3.0 read as 3; 3.7, true and "3" fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _int_list(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, got {value!r}")
-    return tuple(int(x) for x in value)
+    return tuple(_strict_int(x) for x in value)
 
 
 def _span_from(n: int) -> tuple:
@@ -200,10 +209,10 @@ class SchemaEntry(NamedTuple):
 
 
 CONFIG_SCHEMA: tuple[SchemaEntry, ...] = (
-    SchemaEntry("seed", "seed", int),
+    SchemaEntry("seed", "seed", _strict_int),
     SchemaEntry("world", "world", WorldConfig.from_dict),
-    SchemaEntry("train_scenes", "scenes.train", int, _AT_LEAST_1),
-    SchemaEntry("eval_scenes", "scenes.eval", int, _AT_LEAST_1),
+    SchemaEntry("train_scenes", "scenes.train", _strict_int, _AT_LEAST_1),
+    SchemaEntry("eval_scenes", "scenes.eval", _strict_int, _AT_LEAST_1),
     SchemaEntry("questions_per_scene", "questions.per_scene", _int_list,
                 _span_from(1)),
     SchemaEntry("fault_rate", "questions.fault_rate", float, _UNIT),
@@ -211,17 +220,19 @@ CONFIG_SCHEMA: tuple[SchemaEntry, ...] = (
     SchemaEntry("framework", "questions.framework", str,
                 (lambda v: v in ("fine", "coarse"), "'fine' or 'coarse'")),
     SchemaEntry("miss_rate", "detector.miss_rate", float, _UNIT),
-    SchemaEntry("detector_seed", "detector.seed", int),
-    SchemaEntry("corruption_seed", "corruption.seed", int),
+    SchemaEntry("detector_seed", "detector.seed", _strict_int),
+    SchemaEntry("corruption_seed", "corruption.seed", _strict_int),
     SchemaEntry("rho", "corruption.rho", float, _UNIT),
-    SchemaEntry("tau", "students.tau", int, _AT_LEAST_1),
+    SchemaEntry("tau", "students.tau", _strict_int, _AT_LEAST_1),
     SchemaEntry("alpha", "students.alpha", float, _POSITIVE),
-    SchemaEntry("epochs", "distill.epochs", int, (lambda v: v >= 0, ">= 0")),
-    SchemaEntry("per_type_cap", "dataset.per_type_cap", int, _AT_LEAST_1),
+    SchemaEntry("epochs", "distill.epochs", _strict_int,
+                (lambda v: v >= 0, ">= 0")),
+    SchemaEntry("per_type_cap", "dataset.per_type_cap", _strict_int,
+                _AT_LEAST_1),
     SchemaEntry("val_scene_share", "dataset.val_scene_share", float, _UNIT),
     SchemaEntry("grounding_per_scene", "grounding.per_scene", _int_list,
                 _span_from(0)),
-    SchemaEntry("vp_probe_scenes", "vp_probe.scenes", int),
+    SchemaEntry("vp_probe_scenes", "vp_probe.scenes", _strict_int),
     SchemaEntry("vp_probe_ambiguity", "vp_probe.ambiguity_rate", float, _UNIT),
     SchemaEntry("trainset_ratios", "ablation.trainset_ratios", _int_list,
                 (lambda v: len(v) > 0 and min(v) >= 1,
@@ -237,6 +248,9 @@ CONFIG_SCHEMA: tuple[SchemaEntry, ...] = (
 class RunPaths:
     def __init__(self, base: str | Path):
         self.base = Path(base)
+        # Artifacts the running stage has verified: run-relative path ->
+        # sha256. The stage's manifest records them as its inputs.
+        self.verified: dict[str, str] = {}
 
     # artifacts
     @property
@@ -289,22 +303,21 @@ class RunPaths:
         return self.manifests_dir / f"{safe}.json"
 
 
-def _artifact_entry(run: RunPaths, path: Path) -> dict:
-    return {"path": str(path.relative_to(run.base)),
-            "sha256": sha256_file(path)}
-
-
 def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
-                         inputs: dict[str, Path],
                          outputs: dict[str, Path]) -> None:
+    """Record the stage's outputs with their checksums, and as its inputs
+    the artifacts it verified (then forget those)."""
     manifest = {
         "command": stage,
         "config_digest": cfg.digest(),
         "seed": cfg.seed,
-        "inputs": {name: _artifact_entry(run, p) for name, p in sorted(inputs.items())},
-        "outputs": {name: _artifact_entry(run, p) for name, p in sorted(outputs.items())},
+        "inputs": dict(sorted(run.verified.items())),
+        "outputs": {name: {"path": str(p.relative_to(run.base)),
+                           "sha256": sha256_file(p)}
+                    for name, p in sorted(outputs.items())},
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
+    run.verified.clear()
     path = run.manifest_file(stage)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
@@ -314,7 +327,8 @@ def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
 def require_artifacts(run: RunPaths, producer_stage: str,
                       names: list[str]) -> None:
     """Check that a producing stage ran and its recorded output checksums
-    still match the files on disk."""
+    still match the files on disk; the only way a stage reads an upstream
+    artifact. Each verified file is noted on `run` for the stage manifest."""
     manifest_path = run.manifest_file(producer_stage)
     if not manifest_path.exists():
         raise MissingArtifactError(
@@ -335,6 +349,7 @@ def require_artifacts(run: RunPaths, producer_stage: str,
             raise ChecksumError(
                 f"artifact {name!r} changed since {producer_stage!r} ran "
                 f"({actual[:12]} != {entry['sha256'][:12]})")
+        run.verified[entry["path"]] = actual
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +373,16 @@ def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
         eval_store.add(generate_world(_scene_seed(cfg, "eval", i), cfg.world))
     train_store.save_jsonl(run.worlds_train)
     eval_store.save_jsonl(run.worlds_eval)
-    write_stage_manifest(run, "gen-world", cfg, {}, {
+    write_stage_manifest(run, "gen-world", cfg, {
         "worlds_train": run.worlds_train,
         "worlds_eval": run.worlds_eval,
     })
 
 
 def load_world_stores(run: RunPaths) -> tuple[WorldStore, WorldStore, WorldStore]:
-    """(train, eval, combined) stores; scene ids are globally unique."""
+    """(train, eval, combined) stores, after checking the gen-world
+    checksums; scene ids are globally unique."""
+    require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
     train_store = WorldStore.load_jsonl(run.worlds_train)
     eval_store = WorldStore.load_jsonl(run.worlds_eval)
     combined = WorldStore()
@@ -374,8 +391,14 @@ def load_world_stores(run: RunPaths) -> tuple[WorldStore, WorldStore, WorldStore
     return train_store, eval_store, combined
 
 
+def read_split(run: RunPaths, name: str) -> list[QAPair]:
+    """The questions of one split, after checking the build-dataset
+    checksum."""
+    require_artifacts(run, "build-dataset", [f"split_{name}"])
+    return [qa_from_record(r) for r in read_jsonl(run.split_file(name))]
+
+
 def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
-    require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
     train_store, eval_store, _ = load_world_stores(run)
     gen = cfg.gen_config()
     for store, path in ((train_store, run.qa_train), (eval_store, run.qa_eval)):
@@ -384,8 +407,6 @@ def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
                            for qa in generate_qa(store.get(scene_id), gen,
                                                  cfg.seed, verifier=verifier)))
     write_stage_manifest(run, "gen-qa", cfg,
-                         {"worlds_train": run.worlds_train,
-                          "worlds_eval": run.worlds_eval},
                          {"qa_train": run.qa_train, "qa_eval": run.qa_eval})
 
 
@@ -416,9 +437,7 @@ def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
     run.split_manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True),
                                   encoding="utf-8")
     outputs["split_manifest"] = run.split_manifest
-    write_stage_manifest(run, "build-dataset", cfg,
-                         {"qa_train": run.qa_train, "qa_eval": run.qa_eval},
-                         outputs)
+    write_stage_manifest(run, "build-dataset", cfg, outputs)
     return manifest
 
 
@@ -453,10 +472,8 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
                        program_source: str = "templates",
                        service_client: ProgramServiceClient | None = None,
                        on_service_error: str = "fail") -> None:
-    require_artifacts(run, "build-dataset", [f"split_{split}"])
-    require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
+    qapairs = read_split(run, split)
     _, _, store = load_world_stores(run)
-    qapairs = [qa_from_record(r) for r in read_jsonl(run.split_file(split))]
 
     if program_source == "service":
         if service_client is None:
@@ -481,16 +498,15 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
     path = run.traces_file(split, registry_name)
     write_jsonl(path, (trace_to_record(t) for t in traces))
     write_stage_manifest(run, f"run-programs:{split}:{registry_name}", cfg,
-                         {f"split_{split}": run.split_file(split)},
                          {"traces": path})
 
 
 def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
     require_artifacts(run, "run-programs:train:baseline", ["traces"])
-    train_store, _, store = load_world_stores(run)
+    _, _, store = load_world_stores(run)
     traces = [trace_from_record(r)
               for r in iter_jsonl(run.traces_file("train", "baseline"))]
-    qapairs = [qa_from_record(r) for r in read_jsonl(run.split_file("train"))]
+    qapairs = read_split(run, "train")
     question_types = {qa.question_id: qa.question_type for qa in qapairs}
     teacher = OracleBackend(store, cfg.world)
     audit: list[dict] = []
@@ -500,7 +516,6 @@ def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
     audit_path = run.base / "adapter_audit.jsonl"
     write_jsonl(audit_path, audit)
     write_stage_manifest(run, "harvest", cfg,
-                         {"traces": run.traces_file("train", "baseline")},
                          {"triples": run.triples, "adapter_audit": audit_path})
     return len(triples)
 
@@ -521,17 +536,16 @@ def stage_distill(run: RunPaths, cfg: PipelineConfig) -> dict:
     run.training_report.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
     outputs["training_report"] = run.training_report
-    write_stage_manifest(run, "distill", cfg, {"triples": run.triples}, outputs)
+    write_stage_manifest(run, "distill", cfg, outputs)
     return report.to_dict()
 
 
 def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
                    registry_name: str) -> EvalReport:
     """Accounting over traces stored by run-programs for the test split."""
-    stage = f"run-programs:test:{registry_name}"
-    require_artifacts(run, stage, ["traces"])
+    require_artifacts(run, f"run-programs:test:{registry_name}", ["traces"])
     _, _, store = load_world_stores(run)
-    qapairs = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
+    qapairs = read_split(run, "test")
     traces = [trace_from_record(r)
               for r in iter_jsonl(run.traces_file("test", registry_name))]
     by_id = {t.question_id: t for t in traces}
@@ -546,35 +560,31 @@ def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
     report = score(qapairs, ordered, taxonomy=taxonomy,
                    metadata={"registry": registry_name, "split": "test",
                              "config_digest": cfg.digest(), "seed": cfg.seed})
-    _write_eval_outputs(run, registry_name, report)
-    write_stage_manifest(run, f"evaluate:{registry_name}", cfg,
-                         {"traces": run.traces_file("test", registry_name)},
-                         {"eval_json": run.eval_file(registry_name)})
-    return report
-
-
-def _write_eval_outputs(run: RunPaths, registry_name: str,
-                        report: EvalReport) -> None:
-    run.eval_file(registry_name).write_text(
+    outputs = {"eval_json": run.eval_file(registry_name),
+               "eval_csv": run.eval_file(registry_name, "csv"),
+               "eval_txt": run.eval_file(registry_name, "txt")}
+    outputs["eval_json"].write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(report.to_csv_rows())
-    run.eval_file(registry_name, "csv").write_text(buf.getvalue(),
-                                                   encoding="utf-8")
-    run.eval_file(registry_name, "txt").write_text(report.to_text(),
-                                                   encoding="utf-8")
+    csv.writer(buf, lineterminator="\n").writerows(report.to_csv_rows())
+    outputs["eval_csv"].write_text(buf.getvalue(), encoding="utf-8")
+    outputs["eval_txt"].write_text(report.to_text(), encoding="utf-8")
+    write_stage_manifest(run, f"evaluate:{registry_name}", cfg, outputs)
+    return report
 
 
 def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
     if axis not in ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}")
-    require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
-    require_artifacts(run, "build-dataset", ["split_test"])
-    if axis != "visual-pointer":
+    if axis == "visual-pointer":
+        # The probe makes its own scenes, but like every ablation it runs
+        # over a built dataset.
+        require_artifacts(run, "build-dataset", ["split_test"])
+    else:
         _, eval_store, store = load_world_stores(run)
-        test_set = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
+        test_set = read_split(run, "test")
         base = build_registry("baseline", run, cfg, store)
+    outputs = {"ablation": run.ablation_file(axis)}
 
     if axis == "distilled-count":
         result = ablate_distilled_count(base, _load_students(run, cfg, store),
@@ -595,6 +605,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
             writer.writerow([point["size"], f"{point['acc_all']:.6f}",
                              f"{point['acc_no_nan']:.6f}"])
         run.curve_csv.write_text(buf.getvalue(), encoding="utf-8")
+        outputs["curve_csv"] = run.curve_csv
     elif axis == "cross-framework":
         require_artifacts(run, "distill", ["student_simple_query"])
         coarse_test = _coarse_counterparts(run, cfg, eval_store, test_set)
@@ -614,10 +625,9 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
                                        gen, cfg.seed, miss_rate=cfg.miss_rate,
                                        detector_seed=cfg.detector_seed)
 
-    path = run.ablation_file(axis)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True),
-                    encoding="utf-8")
-    write_stage_manifest(run, f"ablate:{axis}", cfg, {}, {"ablation": path})
+    outputs["ablation"].write_text(json.dumps(result, indent=2, sort_keys=True),
+                                   encoding="utf-8")
+    write_stage_manifest(run, f"ablate:{axis}", cfg, outputs)
     return result
 
 
@@ -636,7 +646,6 @@ def _coarse_counterparts(run: RunPaths, cfg: PipelineConfig,
 
 def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,
                       registries: tuple[str, ...] = ("baseline", "distilled")) -> dict:
-    require_artifacts(run, "gen-world", ["worlds_eval"])
     _, eval_store, store = load_world_stores(run)
     cases = []
     for scene_id in eval_store.ids():
@@ -651,7 +660,7 @@ def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,
     path = run.grounding_file()
     path.write_text(json.dumps(result, indent=2, sort_keys=True),
                     encoding="utf-8")
-    write_stage_manifest(run, "ground-eval", cfg, {}, {"grounding": path})
+    write_stage_manifest(run, "ground-eval", cfg, {"grounding": path})
     return result
 
 
@@ -661,6 +670,15 @@ def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,
 
 def _fmt_pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
+
+
+def _stored_json(run: RunPaths, path: Path, stage: str, name: str):
+    """The JSON artifact `name` of `stage` after checking its checksum, or
+    None when the file is not there."""
+    if not path.exists():
+        return None
+    require_artifacts(run, stage, [name])
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
@@ -674,8 +692,13 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     ]
     csv_rows: list[list] = [["table", "row", "acc_all", "acc_no_nan"]]
 
-    available = [name for name in REGISTRY_NAMES
-                 if run.eval_file(name).exists()]
+    def ablation(axis: str):
+        return _stored_json(run, run.ablation_file(axis), f"ablate:{axis}",
+                            "ablation")
+
+    evals = {name: _stored_json(run, run.eval_file(name), f"evaluate:{name}",
+                                "eval_json") for name in REGISTRY_NAMES}
+    available = [name for name in REGISTRY_NAMES if evals[name] is not None]
     if not available:
         raise MissingArtifactError("no eval_*.json artifacts; run `evaluate` first")
 
@@ -684,17 +707,15 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     sections.append("| configuration | acc All (%) | acc No-NaN (%) | NaN |")
     sections.append("|---|---|---|---|")
     for name in available:
-        report = EvalReport.from_dict(
-            json.loads(run.eval_file(name).read_text(encoding="utf-8")))
+        report = EvalReport.from_dict(evals[name])
         sections.append(f"| {name} | {_fmt_pct(report.acc_all)} | "
                         f"{_fmt_pct(report.acc_no_nan)} | {report.nan_count} |")
         csv_rows.append(["composite", name, f"{report.acc_all:.6f}",
                          f"{report.acc_no_nan:.6f}"])
     sections.append("")
 
-    dp_path = run.ablation_file("distilled-count")
-    if dp_path.exists():
-        data = json.loads(dp_path.read_text(encoding="utf-8"))
+    data = ablation("distilled-count")
+    if data is not None:
         sections.append("## Distilled sub-module count")
         sections.append("")
         sections.append("| distilled modules | acc All (%) | acc No-NaN (%) |")
@@ -707,9 +728,8 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
                              f"{row['acc_all']:.6f}", f"{row['acc_no_nan']:.6f}"])
         sections.append("")
 
-    size_path = run.ablation_file("trainset-size")
-    if size_path.exists():
-        data = json.loads(size_path.read_text(encoding="utf-8"))
+    data = ablation("trainset-size")
+    if data is not None:
         sections.append("## Train-set size curve")
         sections.append("")
         sections.append("| triples | acc All (%) | acc No-NaN (%) |")
@@ -722,9 +742,8 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
                              f"{point['acc_no_nan']:.6f}"])
         sections.append("")
 
-    cf_path = run.ablation_file("cross-framework")
-    if cf_path.exists():
-        data = json.loads(cf_path.read_text(encoding="utf-8"))
+    data = ablation("cross-framework")
+    if data is not None:
         sections.append("## Cross-framework transfer (coarse framework)")
         sections.append("")
         sections.append("| configuration | acc All (%) | acc No-NaN (%) |")
@@ -738,9 +757,8 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
                              f"{entry['acc_no_nan']:.6f}"])
         sections.append("")
 
-    vp_path = run.ablation_file("visual-pointer")
-    if vp_path.exists():
-        data = json.loads(vp_path.read_text(encoding="utf-8"))
+    data = ablation("visual-pointer")
+    if data is not None:
         sections.append("## Visual pointer probe (ambiguous patches)")
         sections.append("")
         sections.append(f"- paired questions: {data['paired_questions']} "
@@ -753,9 +771,8 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
         csv_rows.append(["visual_pointer", "pointer_off",
                          f"{data['acc_plain_ambiguous']:.6f}", ""])
 
-    ground_path = run.grounding_file()
-    if ground_path.exists():
-        data = json.loads(ground_path.read_text(encoding="utf-8"))
+    data = _stored_json(run, run.grounding_file(), "ground-eval", "grounding")
+    if data is not None:
         sections.append("## Grounding (mean IoU)")
         sections.append("")
         for name in sorted(k for k in data if k != "cases"):
@@ -779,7 +796,7 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(csv_rows)
     run.report_csv.write_text(buf.getvalue(), encoding="utf-8")
-    write_stage_manifest(run, "report", cfg, {},
+    write_stage_manifest(run, "report", cfg,
                          {"report_md": run.report_md,
                           "report_csv": run.report_csv})
     return text
@@ -795,7 +812,10 @@ def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
               run.traces_file("test", "distilled"), run.split_file("test")]
     if not all(p.exists() for p in needed):
         return []
-    qapairs = [qa_from_record(r) for r in read_jsonl(run.split_file("test"))]
+    for name in ("baseline", "distilled"):
+        require_artifacts(run, f"run-programs:test:{name}", ["traces"])
+    qapairs = read_split(run, "test")
+    _, _, store = load_world_stores(run)
     by_id = {qa.question_id: qa for qa in qapairs}
 
     def verdicts(name: str, among) -> dict[str, bool]:
@@ -814,7 +834,6 @@ def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
     fixed = [qa for qa in qapairs if qa.question_id in fixed_ids][:limit]
     if not fixed:
         return []
-    _, _, store = load_world_stores(run)
     before = build_registry("baseline", run, cfg, store)
     after = build_registry("distilled", run, cfg, store)
     return [case_report(qa, before, after, store,

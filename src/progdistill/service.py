@@ -26,7 +26,7 @@ PROFILE_PLAIN = "plain"
 
 
 class ServiceError(RuntimeError):
-    pass
+    exit_code = 5
 
 
 @dataclass

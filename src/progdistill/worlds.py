@@ -199,13 +199,20 @@ class WorldConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "WorldConfig":
         return cls(
-            nouns=tuple(d["nouns"]),
-            attribute_families={k: tuple(v) for k, v in d["attribute_families"].items()},
-            relations=tuple(d["relations"]),
+            nouns=_words(d["nouns"]),
+            attribute_families={k: _words(v) for k, v in d["attribute_families"].items()},
+            relations=_words(d["relations"]),
             objects_per_scene=tuple(d.get("objects_per_scene", (3, 8))),
             ambiguity_rate=float(d.get("ambiguity_rate", 0.25)),
             canvas=tuple(d.get("canvas", (100, 100))),
         )
+
+
+def _words(value) -> tuple[str, ...]:
+    """A JSON array of strings as a tuple; a bare string is not split."""
+    if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
+        raise TypeError(f"expected a JSON array of strings, got {value!r}")
+    return tuple(value)
 
 
 def default_world_config() -> WorldConfig:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import shutil
 import threading
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -7,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
-                             EXIT_MISSING_ARTIFACT, EXIT_OK, main)
+                             EXIT_MISSING_ARTIFACT, EXIT_OK, build_parser,
+                             main)
 from progdistill.pipeline import (CONFIG_SCHEMA, PipelineConfig, RunPaths,
                                   load_config)
-from progdistill.util import read_jsonl
+from progdistill.util import read_jsonl, sha256_file
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,45 @@ def short_timeout_config_file(tmp_path_factory, tiny_config_file):
 
 def _run(args):
     return main(args)
+
+
+FULL_SEQUENCE = [
+    ["gen-world"],
+    ["gen-qa"],
+    ["build-dataset"],
+    ["run-programs", "--split", "train", "--registry", "baseline"],
+    ["harvest"],
+    ["distill"],
+    ["run-programs", "--split", "test", "--registry", "baseline"],
+    ["evaluate", "--registry", "baseline"],
+    ["run-programs", "--split", "test", "--registry", "distilled"],
+    ["evaluate", "--registry", "distilled"],
+    ["ablate", "--axis", "distilled-count"],
+    ["ablate", "--axis", "trainset-size"],
+    ["ground-eval"],
+    ["report"],
+]
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory, tiny_config_file):
+    """A run directory after every step of FULL_SEQUENCE; tests that change
+    files work on a copy (`_copy_run`)."""
+    out = tmp_path_factory.mktemp("full") / "run"
+    for step in FULL_SEQUENCE:
+        code = _run(step + ["--config", tiny_config_file, "--out-dir", str(out)])
+        assert code == EXIT_OK, step
+    return out
+
+
+def _copy_run(full_run: Path, tmp_path: Path) -> Path:
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    return out
+
+
+def _append_newline(path: Path) -> None:
+    path.write_text(path.read_text() + "\n")
 
 
 class TestConfig:
@@ -77,12 +119,29 @@ class TestConfig:
         {"questions": {"visual_pointer": "false"}},
         {"questions": {"per_scene": "12"}},
         {"vp_probe": {"ambiguity_rate": 2.0}},
+        {"world": {"nouns": "dog", "attribute_families": {"color": ["red"]},
+                   "relations": ["near"]}},
+        {"world": {"nouns": ["dog"], "attribute_families": {"color": "red"},
+                   "relations": ["near"]}},
+        {"world": {"nouns": ["dog"], "attribute_families": {"color": ["red"]},
+                   "relations": "near"}},
+        {"scenes": {"train": 3.7}},
+        {"students": {"tau": 2.9}},
+        {"scenes": {"train": True}},
+        {"scenes": {"train": "5"}},
+        {"ablation": {"trainset_ratios": [1.5, 2]}},
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert _run(["gen-world", "--config", str(bad),
                      "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+
+    def test_integral_float_reads_as_int(self):
+        cfg = PipelineConfig.from_dict({"scenes": {"train": 3.0}})
+        assert cfg.train_scenes == 3 and isinstance(cfg.train_scenes, int)
+        assert cfg.digest() == PipelineConfig.from_dict(
+            {"scenes": {"train": 3}}).digest()
 
     def test_seed_flag_overrides_config(self, tmp_path, tiny_config_file):
         cfg = load_config(tiny_config_file, seed=42)
@@ -122,30 +181,72 @@ class TestStageOrderingAndChecksums:
         assert _run(["gen-qa", "--config", tiny_config_file,
                      "--out-dir", str(out)]) == EXIT_CHECKSUM
 
+    @pytest.mark.parametrize("command", [
+        ["harvest"], ["distill"], ["evaluate"], ["ground-eval"], ["report"]])
+    def test_changed_worlds_fail_checksum_downstream(self, full_run, tmp_path,
+                                                     tiny_config_file,
+                                                     command):
+        out = _copy_run(full_run, tmp_path)
+        _append_newline(out / "worlds_train.jsonl")
+        assert _run(command + ["--config", tiny_config_file,
+                               "--out-dir", str(out)]) == EXIT_CHECKSUM
+
+    @pytest.mark.parametrize("changed, command", [
+        ("split_test.jsonl", ["evaluate"]),
+        ("eval_baseline.json", ["report"]),
+    ])
+    def test_changed_input_fails_checksum(self, full_run, tmp_path,
+                                          tiny_config_file, changed, command):
+        out = _copy_run(full_run, tmp_path)
+        _append_newline(out / changed)
+        assert _run(command + ["--config", tiny_config_file,
+                               "--out-dir", str(out)]) == EXIT_CHECKSUM
+
+
+class TestManifests:
+    STUDENTS = {f"students/{kind}.json" for kind in
+                ("best_text_match", "simple_query", "verify_property")}
+    WORLDS = {"worlds_train.jsonl", "worlds_eval.jsonl"}
+
+    @pytest.mark.parametrize("stage, expected", [
+        ("ablate:distilled-count", WORLDS | STUDENTS | {"split_test.jsonl"}),
+        ("ablate:trainset-size", WORLDS | {"split_test.jsonl",
+                                           "triples.jsonl"}),
+        ("ground-eval", WORLDS | STUDENTS),
+        # no baseline-wrong, distilled-right question at this scale, so the
+        # report builds no registry and reads no students
+        ("report", WORLDS | {"split_test.jsonl", "eval_baseline.json",
+                             "eval_distilled.json",
+                             "ablate_distilled_count.json",
+                             "ablate_trainset_size.json", "grounding.json",
+                             "traces_test_baseline.jsonl",
+                             "traces_test_distilled.jsonl"}),
+        ("evaluate:baseline", WORLDS | {"split_test.jsonl",
+                                        "traces_test_baseline.jsonl"}),
+    ])
+    def test_inputs_are_the_verified_artifacts(self, full_run, stage,
+                                               expected):
+        run = RunPaths(full_run)
+        inputs = json.loads(run.manifest_file(stage).read_text())["inputs"]
+        assert set(inputs) == expected
+        for path, digest in inputs.items():
+            assert digest == sha256_file(full_run / path), path
+
+    @pytest.mark.parametrize("stage, expected", [
+        ("evaluate:baseline", {"eval_baseline.json", "eval_baseline.csv",
+                               "eval_baseline.txt"}),
+        ("ablate:trainset-size", {"ablate_trainset_size.json",
+                                  "trainset_curve.csv"}),
+    ])
+    def test_outputs_are_every_written_file(self, full_run, stage, expected):
+        run = RunPaths(full_run)
+        outputs = json.loads(run.manifest_file(stage).read_text())["outputs"]
+        assert {entry["path"] for entry in outputs.values()} == expected
+
 
 class TestEndToEnd:
-    def test_stage_sequence_produces_all_artifacts(self, tmp_path,
-                                                   tiny_config_file):
-        out = str(tmp_path / "run")
-        sequence = [
-            ["gen-world"],
-            ["gen-qa"],
-            ["build-dataset"],
-            ["run-programs", "--split", "train", "--registry", "baseline"],
-            ["harvest"],
-            ["distill"],
-            ["run-programs", "--split", "test", "--registry", "baseline"],
-            ["evaluate", "--registry", "baseline"],
-            ["run-programs", "--split", "test", "--registry", "distilled"],
-            ["evaluate", "--registry", "distilled"],
-            ["ablate", "--axis", "distilled-count"],
-            ["ground-eval"],
-            ["report"],
-        ]
-        for step in sequence:
-            code = _run(step + ["--config", tiny_config_file, "--out-dir", out])
-            assert code == EXIT_OK, step
-        run = RunPaths(out)
+    def test_stage_sequence_produces_all_artifacts(self, full_run):
+        run = RunPaths(full_run)
         for path in (run.worlds_train, run.qa_train, run.split_file("test"),
                      run.triples, run.student_file("simple_query"),
                      run.eval_file("baseline"), run.eval_file("distilled"),
@@ -274,6 +375,42 @@ class TestProgramService:
         code = _run(["run-programs", "--program-source", "service",
                      "--config", tiny_config_file, "--out-dir", out])
         assert code == EXIT_CONFIG
+
+
+REGISTRIES = ("baseline", "distilled", "teacher-replacement", "all-oracle")
+# (flag, choices, default, required, type) of every subcommand, as the CLI
+# has them; --config, --seed and --out-dir come first on each.
+COMMON_FLAGS = [("--config", None, None, False, None),
+                ("--seed", None, None, False, int),
+                ("--out-dir", None, "run", False, None)]
+CLI_FLAGS = [
+    ("gen-world", []), ("gen-qa", []), ("build-dataset", []), ("harvest", []),
+    ("distill", []), ("report", []),
+    ("run-programs", [
+        ("--split", ("train", "val", "test"), "test", False, None),
+        ("--registry", REGISTRIES, "baseline", False, None),
+        ("--program-source", ("templates", "service"), "templates", False,
+         None),
+        ("--service-endpoint", None, None, False, None),
+        ("--on-service-error", ("fail", "templates"), "fail", False, None)]),
+    ("evaluate", [("--registry", REGISTRIES, "baseline", False, None)]),
+    ("ablate", [("--axis", ("distilled-count", "trainset-size",
+                            "cross-framework", "visual-pointer"), None, True,
+                 None)]),
+    ("ground-eval", [("--registries", None, "baseline,distilled", False,
+                      None)]),
+    ("recipe", []),
+]
+
+
+def test_parser_matches_the_cli():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    shape = [(name, [(a.option_strings[0], a.choices and tuple(a.choices),
+                      a.default, a.required, a.type)
+                     for a in parser._actions if a.dest != "help"])
+             for name, parser in sub.choices.items()]
+    assert shape == [(name, COMMON_FLAGS + flags) for name, flags in CLI_FLAGS]
 
 
 class TestDefaults:
