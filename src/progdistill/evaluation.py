@@ -12,6 +12,7 @@ question's program in turn, in input order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .backends import (CorruptionProfile, ModuleRegistry, TableStudent,
@@ -290,7 +291,7 @@ def ablate_distilled_count(base: ModuleRegistry,
     combos: dict[int, list[tuple[str, ...]]] = {
         0: [()],
         1: [(k,) for k in kinds],
-        2: [tuple(c) for c in _pairs(kinds)],
+        2: list(combinations(kinds, 2)),
         3: [tuple(kinds)],
     }
     runs: dict[str, dict] = {}
@@ -313,14 +314,6 @@ def ablate_distilled_count(base: ModuleRegistry,
             "acc_no_nan": sum(accs_no_nan) / len(accs_no_nan),
         })
     return {"rows": rows, "runs": dict(sorted(runs.items()))}
-
-
-def _pairs(kinds: Sequence[str]) -> list[tuple[str, str]]:
-    out = []
-    for i in range(len(kinds)):
-        for j in range(i + 1, len(kinds)):
-            out.append((kinds[i], kinds[j]))
-    return out
 
 
 def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],

@@ -184,10 +184,38 @@ def _strict_int(value) -> int:
     return int(value)
 
 
+def _strict_float(value) -> float:
+    """A JSON number as a float: 1 reads as 1.0; true and "0.5" fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _int_list(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, got {value!r}")
     return tuple(_strict_int(x) for x in value)
+
+
+def _words(value) -> tuple[str, ...]:
+    """A JSON array of strings as a tuple; a bare string is not split."""
+    if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
+        raise TypeError(f"expected a JSON array of strings, got {value!r}")
+    return tuple(value)
+
+
+_WORLD_KEYS: dict[str, Callable] = {
+    "nouns": _words, "relations": _words,
+    "attribute_families": lambda d: {k: _words(v) for k, v in d.items()},
+    "objects_per_scene": _int_list, "canvas": _int_list,
+    "ambiguity_rate": _strict_float,
+}
+
+
+def _world(d: dict) -> WorldConfig:
+    """The `world` section; optional keys it leaves out keep their defaults."""
+    return WorldConfig(**{key: coerce(d[key]) for key, coerce in
+                          _WORLD_KEYS.items() if key in d})
 
 
 def _span_from(n: int) -> tuple:
@@ -210,34 +238,34 @@ class SchemaEntry(NamedTuple):
 
 CONFIG_SCHEMA: tuple[SchemaEntry, ...] = (
     SchemaEntry("seed", "seed", _strict_int),
-    SchemaEntry("world", "world", WorldConfig.from_dict),
+    SchemaEntry("world", "world", _world),
     SchemaEntry("train_scenes", "scenes.train", _strict_int, _AT_LEAST_1),
     SchemaEntry("eval_scenes", "scenes.eval", _strict_int, _AT_LEAST_1),
     SchemaEntry("questions_per_scene", "questions.per_scene", _int_list,
                 _span_from(1)),
-    SchemaEntry("fault_rate", "questions.fault_rate", float, _UNIT),
+    SchemaEntry("fault_rate", "questions.fault_rate", _strict_float, _UNIT),
     SchemaEntry("visual_pointer", "questions.visual_pointer", _strict_bool),
     SchemaEntry("framework", "questions.framework", str,
                 (lambda v: v in ("fine", "coarse"), "'fine' or 'coarse'")),
-    SchemaEntry("miss_rate", "detector.miss_rate", float, _UNIT),
+    SchemaEntry("miss_rate", "detector.miss_rate", _strict_float, _UNIT),
     SchemaEntry("detector_seed", "detector.seed", _strict_int),
     SchemaEntry("corruption_seed", "corruption.seed", _strict_int),
-    SchemaEntry("rho", "corruption.rho", float, _UNIT),
+    SchemaEntry("rho", "corruption.rho", _strict_float, _UNIT),
     SchemaEntry("tau", "students.tau", _strict_int, _AT_LEAST_1),
-    SchemaEntry("alpha", "students.alpha", float, _POSITIVE),
+    SchemaEntry("alpha", "students.alpha", _strict_float, _POSITIVE),
     SchemaEntry("epochs", "distill.epochs", _strict_int,
                 (lambda v: v >= 0, ">= 0")),
     SchemaEntry("per_type_cap", "dataset.per_type_cap", _strict_int,
                 _AT_LEAST_1),
-    SchemaEntry("val_scene_share", "dataset.val_scene_share", float, _UNIT),
+    SchemaEntry("val_scene_share", "dataset.val_scene_share", _strict_float, _UNIT),
     SchemaEntry("grounding_per_scene", "grounding.per_scene", _int_list,
                 _span_from(0)),
     SchemaEntry("vp_probe_scenes", "vp_probe.scenes", _strict_int),
-    SchemaEntry("vp_probe_ambiguity", "vp_probe.ambiguity_rate", float, _UNIT),
+    SchemaEntry("vp_probe_ambiguity", "vp_probe.ambiguity_rate", _strict_float, _UNIT),
     SchemaEntry("trainset_ratios", "ablation.trainset_ratios", _int_list,
                 (lambda v: len(v) > 0 and min(v) >= 1,
                  "a non-empty list of values >= 1")),
-    SchemaEntry("service_timeout", "service.timeout", float, _POSITIVE),
+    SchemaEntry("service_timeout", "service.timeout", _strict_float, _POSITIVE),
 )
 
 
@@ -540,6 +568,12 @@ def stage_distill(run: RunPaths, cfg: PipelineConfig) -> dict:
     return report.to_dict()
 
 
+def _write_csv(path: Path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
 def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
                    registry_name: str) -> EvalReport:
     """Accounting over traces stored by run-programs for the test split."""
@@ -565,9 +599,7 @@ def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
                "eval_txt": run.eval_file(registry_name, "txt")}
     outputs["eval_json"].write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(report.to_csv_rows())
-    outputs["eval_csv"].write_text(buf.getvalue(), encoding="utf-8")
+    _write_csv(outputs["eval_csv"], report.to_csv_rows())
     outputs["eval_txt"].write_text(report.to_text(), encoding="utf-8")
     write_stage_manifest(run, f"evaluate:{registry_name}", cfg, outputs)
     return report
@@ -598,13 +630,9 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         result = ablate_trainset_size(sizes, triples, base, store, cfg.world,
                                       cfg.profile, test_set, tau=cfg.tau,
                                       alpha=cfg.alpha, seed=cfg.seed)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["size", "acc_all", "acc_no_nan"])
-        for point in result["curve"]:
-            writer.writerow([point["size"], f"{point['acc_all']:.6f}",
-                             f"{point['acc_no_nan']:.6f}"])
-        run.curve_csv.write_text(buf.getvalue(), encoding="utf-8")
+        _write_csv(run.curve_csv, [["size", "acc_all", "acc_no_nan"]] + [
+            [point["size"], f"{point['acc_all']:.6f}",
+             f"{point['acc_no_nan']:.6f}"] for point in result["curve"]])
         outputs["curve_csv"] = run.curve_csv
     elif axis == "cross-framework":
         require_artifacts(run, "distill", ["student_simple_query"])
@@ -702,60 +730,41 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     if not available:
         raise MissingArtifactError("no eval_*.json artifacts; run `evaluate` first")
 
-    sections.append("## Composite-task accuracy (test split)")
-    sections.append("")
-    sections.append("| configuration | acc All (%) | acc No-NaN (%) | NaN |")
-    sections.append("|---|---|---|---|")
-    for name in available:
-        report = EvalReport.from_dict(evals[name])
-        sections.append(f"| {name} | {_fmt_pct(report.acc_all)} | "
-                        f"{_fmt_pct(report.acc_no_nan)} | {report.nan_count} |")
-        csv_rows.append(["composite", name, f"{report.acc_all:.6f}",
-                         f"{report.acc_no_nan:.6f}"])
-    sections.append("")
-
-    data = ablation("distilled-count")
-    if data is not None:
-        sections.append("## Distilled sub-module count")
-        sections.append("")
-        sections.append("| distilled modules | acc All (%) | acc No-NaN (%) |")
-        sections.append("|---|---|---|")
-        for row in data["rows"]:
-            sections.append(f"| {row['distilled_count']} | "
-                            f"{_fmt_pct(row['acc_all'])} | "
-                            f"{_fmt_pct(row['acc_no_nan'])} |")
-            csv_rows.append(["distilled_count", str(row["distilled_count"]),
-                             f"{row['acc_all']:.6f}", f"{row['acc_no_nan']:.6f}"])
-        sections.append("")
-
-    data = ablation("trainset-size")
-    if data is not None:
-        sections.append("## Train-set size curve")
-        sections.append("")
-        sections.append("| triples | acc All (%) | acc No-NaN (%) |")
-        sections.append("|---|---|---|")
-        for point in data["curve"]:
-            sections.append(f"| {point['size']} | {_fmt_pct(point['acc_all'])} |"
-                            f" {_fmt_pct(point['acc_no_nan'])} |")
-            csv_rows.append(["trainset_size", str(point["size"]),
-                             f"{point['acc_all']:.6f}",
-                             f"{point['acc_no_nan']:.6f}"])
-        sections.append("")
-
-    data = ablation("cross-framework")
-    if data is not None:
-        sections.append("## Cross-framework transfer (coarse framework)")
-        sections.append("")
-        sections.append("| configuration | acc All (%) | acc No-NaN (%) |")
-        sections.append("|---|---|---|")
-        for name in ("baseline", "transplanted"):
-            entry = data[name]
-            sections.append(f"| coarse {name} | {_fmt_pct(entry['acc_all'])} | "
-                            f"{_fmt_pct(entry['acc_no_nan'])} |")
-            csv_rows.append(["cross_framework", name,
-                             f"{entry['acc_all']:.6f}",
+    def table(title: str, csv_table: str, head: str, rows,
+              prefix: str = "", nan: bool = False) -> None:
+        """An accuracy table under `title`, and one `csv_table` CSV row per
+        table row. `rows` yields (label, entry): the table shows `prefix` +
+        label, the CSV the bare label. Each entry holds acc_all, acc_no_nan
+        and, with `nan`, nan_count."""
+        columns = [head, "acc All (%)", "acc No-NaN (%)"] + (["NaN"] if nan else [])
+        sections.extend([f"## {title}", "", f"| {' | '.join(columns)} |",
+                         "|" + "---|" * len(columns)])
+        for label, entry in rows:
+            cells = [f"{prefix}{label}", _fmt_pct(entry["acc_all"]),
+                     _fmt_pct(entry["acc_no_nan"])]
+            cells += [str(entry["nan_count"])] if nan else []
+            sections.append(f"| {' | '.join(cells)} |")
+            csv_rows.append([csv_table, label, f"{entry['acc_all']:.6f}",
                              f"{entry['acc_no_nan']:.6f}"])
         sections.append("")
+
+    table("Composite-task accuracy (test split)", "composite", "configuration",
+          [(name, evals[name]) for name in available], nan=True)
+    data = ablation("distilled-count")
+    if data is not None:
+        table("Distilled sub-module count", "distilled_count",
+              "distilled modules",
+              [(row["distilled_count"], row) for row in data["rows"]])
+    data = ablation("trainset-size")
+    if data is not None:
+        table("Train-set size curve", "trainset_size", "triples",
+              [(point["size"], point) for point in data["curve"]])
+    data = ablation("cross-framework")
+    if data is not None:
+        table("Cross-framework transfer (coarse framework)", "cross_framework",
+              "configuration", [(name, data[name])
+                                for name in ("baseline", "transplanted")],
+              prefix="coarse ")
 
     data = ablation("visual-pointer")
     if data is not None:
@@ -792,10 +801,7 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
 
     text = "\n".join(sections).rstrip() + "\n"
     run.report_md.write_text(text, encoding="utf-8")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(csv_rows)
-    run.report_csv.write_text(buf.getvalue(), encoding="utf-8")
+    _write_csv(run.report_csv, csv_rows)
     write_stage_manifest(run, "report", cfg,
                          {"report_md": run.report_md,
                           "report_csv": run.report_csv})

@@ -156,6 +156,7 @@ class MadeQuestion:
 @dataclass(frozen=True)
 class TemplateSpec:
     template_id: str
+    weight: float  # relative sampling weight in generate_qa
     make: Callable[[SceneGraph, random.Random, "GenConfig"], MadeQuestion | None]
     evaluate: Callable[[SceneGraph, Sequence[str], TemplateQuery, WorldConfig], str] | None = None
     support: Callable[[TemplateQuery, WorldConfig], tuple[str, ...]] | None = None
@@ -516,45 +517,28 @@ def _attr_none_support(tq, world):
 
 COUNT_SUPPORT = tuple(str(i) for i in range(16))
 
-TEMPLATES: dict[str, TemplateSpec] = {
-    "attr_query": TemplateSpec("attr_query", _make_attr_query),
-    "attr_query_guarded": TemplateSpec("attr_query_guarded", _make_attr_query_guarded),
-    "direct_query": TemplateSpec("direct_query", _make_direct_query),
-    "exist": TemplateSpec("exist", _make_exist),
-    "verify_attr": TemplateSpec("verify_attr", _make_verify_attr),
-    "btm_noun": TemplateSpec("btm_noun", _make_btm_noun),
-    "btm_attr": TemplateSpec("btm_attr", _make_btm_attr),
-    "two_hop_verify_query": TemplateSpec("two_hop_verify_query", _make_two_hop,
-                                         _eval_two_hop, _attr_none_support),
-    "both_exist": TemplateSpec("both_exist", _make_pair_exist("and"),
-                               _eval_both_exist, _yes_no_support),
-    "either_exist": TemplateSpec("either_exist", _make_pair_exist("or"),
-                                 _eval_either_exist, _yes_no_support),
-    "compare_attr": TemplateSpec("compare_attr", _make_compare,
-                                 _eval_compare, _yes_no_support),
-    "count": TemplateSpec("count", _make_count, _eval_count,
-                          lambda tq, world: COUNT_SUPPORT),
-}
-
-ALL_TEMPLATE_IDS = tuple(TEMPLATES)
-
 # Sampling weights skew toward attribute/verification questions, the way
 # compositional QA corpora are dominated by attribute and relation queries
 # over bare existence checks. Higher weight = more module-call exposure.
-TEMPLATE_WEIGHTS: dict[str, float] = {
-    "attr_query": 1.75,
-    "attr_query_guarded": 1.75,
-    "direct_query": 1.0,
-    "exist": 0.5,
-    "verify_attr": 1.5,
-    "btm_noun": 0.75,
-    "btm_attr": 1.0,
-    "two_hop_verify_query": 1.75,
-    "both_exist": 0.5,
-    "either_exist": 0.5,
-    "compare_attr": 2.0,
-    "count": 0.5,
-}
+TEMPLATES: dict[str, TemplateSpec] = {spec.template_id: spec for spec in (
+    TemplateSpec("attr_query", 1.75, _make_attr_query),
+    TemplateSpec("attr_query_guarded", 1.75, _make_attr_query_guarded),
+    TemplateSpec("direct_query", 1.0, _make_direct_query),
+    TemplateSpec("exist", 0.5, _make_exist),
+    TemplateSpec("verify_attr", 1.5, _make_verify_attr),
+    TemplateSpec("btm_noun", 0.75, _make_btm_noun),
+    TemplateSpec("btm_attr", 1.0, _make_btm_attr),
+    TemplateSpec("two_hop_verify_query", 1.75, _make_two_hop, _eval_two_hop,
+                 _attr_none_support),
+    TemplateSpec("both_exist", 0.5, _make_pair_exist("and"), _eval_both_exist,
+                 _yes_no_support),
+    TemplateSpec("either_exist", 0.5, _make_pair_exist("or"),
+                 _eval_either_exist, _yes_no_support),
+    TemplateSpec("compare_attr", 2.0, _make_compare, _eval_compare, _yes_no_support),
+    TemplateSpec("count", 0.5, _make_count, _eval_count, lambda tq, world: COUNT_SUPPORT),
+)}
+
+ALL_TEMPLATE_IDS = tuple(TEMPLATES)
 
 
 def evaluate_template(scene: SceneGraph, visible_ids: Sequence[str],
@@ -754,7 +738,7 @@ def generate_qa(scene: SceneGraph, config: GenConfig, seed: int,
     rng = random.Random(f"qa:{seed}:{scene.scene_id}")
     lo, hi = config.questions_per_scene
     target = rng.randint(lo, hi)
-    weights = [TEMPLATE_WEIGHTS.get(t, 1.0) for t in config.templates]
+    weights = [TEMPLATES[t].weight for t in config.templates]
     out: list[QAPair] = []
     for attempt in range(target * 4):
         if len(out) >= target:

@@ -79,7 +79,6 @@ class SceneObject:
     name: str
     attributes: frozenset[str]
     bbox: Rect
-    relations: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,7 @@ class PatchList:
 class WorldConfig:
     nouns: tuple[str, ...]
     attribute_families: dict[str, tuple[str, ...]]
+    # Kept in the config and its digest; scenes carry no relations.
     relations: tuple[str, ...]
     objects_per_scene: tuple[int, int] = (3, 8)
     ambiguity_rate: float = 0.25
@@ -195,24 +195,6 @@ class WorldConfig:
             "ambiguity_rate": self.ambiguity_rate,
             "canvas": list(self.canvas),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldConfig":
-        return cls(
-            nouns=_words(d["nouns"]),
-            attribute_families={k: _words(v) for k, v in d["attribute_families"].items()},
-            relations=_words(d["relations"]),
-            objects_per_scene=tuple(d.get("objects_per_scene", (3, 8))),
-            ambiguity_rate=float(d.get("ambiguity_rate", 0.25)),
-            canvas=tuple(d.get("canvas", (100, 100))),
-        )
-
-
-def _words(value) -> tuple[str, ...]:
-    """A JSON array of strings as a tuple; a bare string is not split."""
-    if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
-        raise TypeError(f"expected a JSON array of strings, got {value!r}")
-    return tuple(value)
 
 
 def default_world_config() -> WorldConfig:
@@ -279,16 +261,10 @@ def generate_world(seed: int, config: WorldConfig) -> SceneGraph:
     # objects nested inside them).
     ids = [f"o{idx:02d}" for idx in range(count)]
     rng.shuffle(ids)
-    objects = []
-    for idx, (name, attrs, bbox) in enumerate(placed):
-        relations: tuple[tuple[str, str], ...] = ()
-        others = [oid for oid in ids if oid != ids[idx]]
-        if others and rng.random() < 0.3:
-            relations = ((rng.choice(config.relations), rng.choice(others)),)
-        objects.append(SceneObject(id=ids[idx], name=name, attributes=attrs,
-                                   bbox=bbox, relations=relations))
+    objects = tuple(SceneObject(id=oid, name=name, attributes=attrs, bbox=bbox)
+                    for oid, (name, attrs, bbox) in zip(ids, placed))
     return SceneGraph(scene_id=f"s{seed:07d}", canvas=config.canvas,
-                      objects=tuple(objects), seed=seed)
+                      objects=objects, seed=seed)
 
 
 def crop(scene: SceneGraph, region: Rect,
@@ -417,7 +393,6 @@ def scene_to_record(scene: SceneGraph) -> dict:
                 "name": o.name,
                 "attributes": sorted(o.attributes),
                 "bbox": list(o.bbox),
-                "relations": [[rel, target] for rel, target in o.relations],
             }
             for o in scene.objects
         ],
@@ -431,7 +406,6 @@ def scene_from_record(record: dict) -> SceneGraph:
             name=od["name"],
             attributes=frozenset(od.get("attributes", ())),
             bbox=tuple(od["bbox"]),
-            relations=tuple((rel, target) for rel, target in od.get("relations", ())),
         )
         for od in record["objects"]
     )
@@ -441,22 +415,18 @@ def scene_from_record(record: dict) -> SceneGraph:
 
 def scene_from_gqa_record(record: dict) -> SceneGraph:
     """Load a GQA-shaped scene-graph record: objects keyed by id, each with
-    name/attributes/x/y/w/h (and optional relations [{name, object}])."""
+    name/attributes/x/y/w/h. Relations, when present, are ignored."""
     scene_id = str(record.get("scene_id") or record.get("image_id") or "gqa")
     width = int(record.get("width", 100))
     height = int(record.get("height", 100))
     objects = []
     for oid in sorted(record["objects"]):
         od = record["objects"][oid]
-        relations = tuple(
-            (rd["name"], str(rd["object"])) for rd in od.get("relations", ())
-        )
         objects.append(SceneObject(
             id=str(oid),
             name=od["name"],
             attributes=frozenset(od.get("attributes", ())),
             bbox=(int(od["x"]), int(od["y"]), int(od["w"]), int(od["h"])),
-            relations=relations,
         ))
     return SceneGraph(scene_id=scene_id, canvas=(width, height),
                       objects=tuple(objects), seed=-1)

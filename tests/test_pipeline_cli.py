@@ -43,6 +43,11 @@ def _run(args):
     return main(args)
 
 
+# The smallest valid `world` section.
+TINY_WORLD = {"nouns": ["dog"], "attribute_families": {"color": ["red"]},
+              "relations": ["near"]}
+
+
 FULL_SEQUENCE = [
     ["gen-world"],
     ["gen-qa"],
@@ -130,6 +135,14 @@ class TestConfig:
         {"scenes": {"train": True}},
         {"scenes": {"train": "5"}},
         {"ablation": {"trainset_ratios": [1.5, 2]}},
+        {"questions": {"fault_rate": True}},
+        {"corruption": {"rho": "0.5"}},
+        {"service": {"timeout": True}},
+        {"students": {"alpha": "2"}},
+        {"world": {**TINY_WORLD, "ambiguity_rate": True}},
+        {"world": {**TINY_WORLD, "ambiguity_rate": "0.5"}},
+        {"world": {**TINY_WORLD, "objects_per_scene": [2.5, 4]}},
+        {"world": {**TINY_WORLD, "canvas": [50.5, 60]}},
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
@@ -142,6 +155,12 @@ class TestConfig:
         assert cfg.train_scenes == 3 and isinstance(cfg.train_scenes, int)
         assert cfg.digest() == PipelineConfig.from_dict(
             {"scenes": {"train": 3}}).digest()
+
+    def test_integer_reads_as_float(self):
+        cfg = PipelineConfig.from_dict({"students": {"alpha": 2}})
+        assert cfg.alpha == 2.0 and isinstance(cfg.alpha, float)
+        assert cfg.digest() == PipelineConfig.from_dict(
+            {"students": {"alpha": 2.0}}).digest()
 
     def test_seed_flag_overrides_config(self, tmp_path, tiny_config_file):
         cfg = load_config(tiny_config_file, seed=42)
@@ -263,6 +282,15 @@ class TestEndToEnd:
         # manifests exist for each stage
         assert run.manifest_file("gen-world").exists()
         assert run.manifest_file("run-programs:test:baseline").exists()
+
+    def test_partial_report_is_pinned(self, full_run):
+        """A report without cross-framework or visual-pointer sections; any
+        change to the table or CSV rendering shows here."""
+        run = RunPaths(full_run)
+        assert sha256_file(run.report_md) == (
+            "83e2147514f4946067409efb9333cc1dca00628cb7b18ad9c84f0055624b0b16")
+        assert sha256_file(run.report_csv) == (
+            "62125d1bc73764837488baeed00c0ef42f3ad1d3bfa608ccd683b26fb5ce8925")
 
     def test_deleting_downstream_artifacts_leaves_upstream_intact(
             self, tmp_path, tiny_config_file):
