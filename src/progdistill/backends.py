@@ -542,11 +542,10 @@ def distilled_registry(base: ModuleRegistry,
 
 def fresh_students(store: WorldStore, world: WorldConfig,
                    profile: CorruptionProfile, tau: int = 3,
-                   alpha: float = 1.0,
-                   kinds: Sequence[str] = DISTILLABLE_KINDS) -> dict[str, TableStudent]:
+                   alpha: float = 1.0) -> dict[str, TableStudent]:
     parser = QuestionParser(world)
     out = {}
-    for kind in kinds:
+    for kind in DISTILLABLE_KINDS:
         base = CorruptedBackend(store, world, profile, parser)
         out[kind] = TableStudent(kind, base, tau=tau, alpha=alpha)
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .distill import Triple
 from .questions import QAPair
@@ -19,22 +19,6 @@ class SplitError(ValueError):
     """val/test overlap detected after construction; always a hard failure."""
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    name: str                       # train | val | test
-    per_type_cap: int = 160         # K: phase-one cap per question type
-    per_scene_range: tuple[int, int] = (1, 2)
-    source_pool: str = "train"
-    scene_share: float = 1.0        # fraction of the pool's scenes (val/test)
-
-    def validate(self) -> None:
-        if self.per_type_cap < 1:
-            raise ValueError("per_type_cap must be >= 1")
-        lo, hi = self.per_scene_range
-        if lo < 1 or hi < lo:
-            raise ValueError("per_scene_range invalid")
-
-
 @dataclass
 class BalanceResult:
     selected: list[QAPair]
@@ -42,14 +26,14 @@ class BalanceResult:
     phase_two_count: int
 
 
-def balance_detailed(pool: Sequence[QAPair], spec: SplitSpec,
+def balance_detailed(pool: Sequence[QAPair], name: str, per_type_cap: int,
                      seed: int) -> BalanceResult:
-    """Phase one caps each question type at K; phase two adds 1-2 questions for
-    every scene phase one left unrepresented. Deterministic under seed."""
-    spec.validate()
+    """Phase one caps each question type at `per_type_cap`; phase two adds 1-2
+    questions for every scene phase one left unrepresented. Deterministic
+    under (seed, split name)."""
     if not pool:
         return BalanceResult([], 0, 0)
-    rng = random.Random(f"balance:{seed}:{spec.name}")
+    rng = random.Random(f"balance:{seed}:{name}")
 
     by_type: dict[str, list[QAPair]] = {}
     for qa in sorted(pool, key=lambda q: q.question_id):
@@ -58,8 +42,8 @@ def balance_detailed(pool: Sequence[QAPair], spec: SplitSpec,
     selected: list[QAPair] = []
     for qtype in sorted(by_type):
         group = by_type[qtype]
-        if len(group) > spec.per_type_cap:
-            group = rng.sample(group, spec.per_type_cap)
+        if len(group) > per_type_cap:
+            group = rng.sample(group, per_type_cap)
         selected.extend(group)
     phase_one = len(selected)
 
@@ -72,8 +56,7 @@ def balance_detailed(pool: Sequence[QAPair], spec: SplitSpec,
         if scene_id in covered:
             continue
         group = by_scene[scene_id]
-        lo, hi = spec.per_scene_range
-        take = min(len(group), rng.randint(lo, hi))
+        take = min(len(group), rng.randint(1, 2))
         supplements.extend(rng.sample(group, take))
 
     out = sorted(selected + supplements, key=lambda q: q.question_id)
@@ -101,36 +84,28 @@ class SplitResult:
         }
 
 
-def make_splits(pools: Mapping[str, Sequence[QAPair]],
-                specs: Mapping[str, SplitSpec], seed: int) -> SplitResult:
-    """Build train/val/test. train comes from its own pool; val and test share
-    a pool split at scene level. Disjointness is verified, never assumed."""
-    for name in ("train", "val", "test"):
-        if name not in specs:
-            raise ValueError(f"missing spec for split {name!r}")
-
-    train_pool = list(pools[specs["train"].source_pool])
-    shared_name = specs["val"].source_pool
-    if specs["test"].source_pool != shared_name:
-        raise ValueError("val and test must draw from a common pool")
-    shared_pool = list(pools[shared_name])
-
+def make_splits(train_pool: Sequence[QAPair], eval_pool: Sequence[QAPair],
+                seed: int, per_type_cap: int,
+                val_scene_share: float) -> SplitResult:
+    """Build train/val/test. train comes from its own pool; val and test split
+    the eval pool at scene level, `val_scene_share` of its scenes going to
+    val. Disjointness is verified, never assumed."""
     rng = random.Random(f"splits:{seed}")
-    scene_ids = sorted({qa.scene_id for qa in shared_pool})
+    scene_ids = sorted({qa.scene_id for qa in eval_pool})
     rng.shuffle(scene_ids)
-    val_count = int(round(len(scene_ids) * specs["val"].scene_share))
+    val_count = int(round(len(scene_ids) * val_scene_share))
     val_count = max(0, min(len(scene_ids), val_count))
     val_scenes = set(scene_ids[:val_count])
     test_scenes = set(scene_ids[val_count:])
 
-    val_pool = [qa for qa in shared_pool if qa.scene_id in val_scenes]
-    test_pool = [qa for qa in shared_pool if qa.scene_id in test_scenes]
+    val_pool = [qa for qa in eval_pool if qa.scene_id in val_scenes]
+    test_pool = [qa for qa in eval_pool if qa.scene_id in test_scenes]
 
     splits: dict[str, list[QAPair]] = {}
     phases: dict[str, dict[str, int]] = {}
     for name, pool in (("train", train_pool), ("val", val_pool),
                        ("test", test_pool)):
-        result = balance_detailed(pool, specs[name], seed)
+        result = balance_detailed(pool, name, per_type_cap, seed)
         splits[name] = result.selected
         phases[name] = {"phase_one": result.phase_one_count,
                         "phase_two": result.phase_two_count}

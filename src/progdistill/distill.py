@@ -42,22 +42,6 @@ class Triple:
 
 
 @dataclass
-class DistillConfig:
-    epochs: int = 1
-    seed: int = 0
-    enabled_kinds: tuple[str, ...] = DISTILLABLE_KINDS
-
-    def validate(self) -> None:
-        if not self.enabled_kinds:
-            raise ValueError("at least one module kind must be enabled")
-        unknown = [k for k in self.enabled_kinds if k not in DISTILLABLE_KINDS]
-        if unknown:
-            raise ValueError(f"not distillable: {unknown}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-
-
-@dataclass
 class TrainingReport:
     triples_per_kind: dict[str, int] = field(default_factory=dict)
     skipped_unknown_kind: int = 0
@@ -181,37 +165,33 @@ def _mean_training_loss(students: Mapping[str, TableStudent],
 # ---------------------------------------------------------------------------
 
 def train(students: Mapping[str, TableStudent], triples: Sequence[Triple],
-          config: DistillConfig,
-          store: WorldStore) -> tuple[Mapping[str, TableStudent], TrainingReport]:
-    """Apply every matching triple via update() exactly `epochs` times,
-    shuffled per epoch by seed. Disabled kinds are left untouched."""
-    config.validate()
+          store: WorldStore, epochs: int = 1,
+          seed: int = 0) -> tuple[Mapping[str, TableStudent], TrainingReport]:
+    """Apply every triple whose kind has a student via update() exactly
+    `epochs` times, shuffled per epoch by seed; to train fewer kinds, pass
+    fewer students."""
     report = TrainingReport()
-    enabled = {k: students[k] for k in config.enabled_kinds if k in students}
-
     usable: list[Triple] = []
     for triple in triples:
         if triple.module_kind not in DISTILLABLE_KINDS:
             report.skipped_unknown_kind += 1
-            continue
-        if triple.module_kind not in enabled:
-            continue
-        usable.append(triple)
-        report.triples_per_kind[triple.module_kind] = (
-            report.triples_per_kind.get(triple.module_kind, 0) + 1)
+        elif triple.module_kind in students:
+            usable.append(triple)
+            report.triples_per_kind[triple.module_kind] = (
+                report.triples_per_kind.get(triple.module_kind, 0) + 1)
 
     inputs = [triple_input(t, store) for t in usable]
     order = list(range(len(usable)))
-    for epoch in range(config.epochs):
-        rng = random.Random(f"train:{config.seed}:{epoch}")
+    for epoch in range(epochs):
+        rng = random.Random(f"train:{seed}:{epoch}")
         rng.shuffle(order)
         for idx in order:
             triple = usable[idx]
-            enabled[triple.module_kind].update(inputs[idx], triple.pseudo_label)
+            students[triple.module_kind].update(inputs[idx], triple.pseudo_label)
         report.epoch_mean_sample_loss.append(
-            _mean_training_loss(enabled, usable, inputs))
+            _mean_training_loss(students, usable, inputs))
 
-    for kind, student in sorted(enabled.items()):
+    for kind, student in sorted(students.items()):
         report.table_sizes[kind] = len(student.table)
         report.keys_at_threshold[kind] = student.keys_at_threshold()
     return students, report

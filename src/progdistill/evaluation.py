@@ -19,7 +19,7 @@ from .backends import (CorruptionProfile, ModuleRegistry, TableStudent,
                        baseline_registry, consistency_verifier,
                        distilled_registry, fresh_students, perfect_registry)
 from .dsl import Call, ParseError, parse
-from .distill import DistillConfig, Triple, train
+from .distill import Triple, train
 from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
                           answer_to_text, run_with_fallback)
 from .questions import (DISTILLABLE_KINDS, GenConfig, GroundingCase, QAPair,
@@ -28,19 +28,6 @@ from .worlds import PatchList, ScenePatch, WorldConfig, WorldStore, rect_iou
 
 TAXONOMY_KEYS = ("find_error", "verify_property_error", "best_text_match_error",
                  "simple_query_error", "program_logic_error", "parse_fallback")
-
-
-@dataclass
-class FrameworkConfig:
-    """A framework under evaluation: fine-grained decompositions or the
-    coarse find+simple_query variant, plus its registry bindings."""
-    framework: str  # "fine" | "coarse"
-    registry: ModuleRegistry
-    visual_pointer: bool = True
-
-    def validate(self) -> None:
-        if self.framework not in ("fine", "coarse"):
-            raise ValueError(f"unknown framework {self.framework!r}")
 
 
 @dataclass
@@ -136,9 +123,11 @@ def run_programs(qapairs: Sequence[QAPair], store: WorldStore,
 
 
 def score(qapairs: Sequence[QAPair], traces: Sequence[ExecutionTrace],
-          metadata: Mapping | None = None,
-          taxonomy: Mapping[str, int] | None = None) -> EvalReport:
-    """Accounting over paired (question, trace) lists.
+          metadata: Mapping | None = None, store: WorldStore | None = None,
+          world: WorldConfig | None = None) -> EvalReport:
+    """Accounting over paired (question, trace) lists; with `world` (and the
+    `store` the traces ran over) it also attributes every failure through
+    error_taxonomy.
 
     Identity maintained exactly: correct + wrong_non_nan + nan == total.
     """
@@ -148,11 +137,14 @@ def score(qapairs: Sequence[QAPair], traces: Sequence[ExecutionTrace],
     correct = 0
     nan_count = 0
     per_type: dict[str, dict] = {}
+    failures = []
     for qa, trace in zip(qapairs, traces):
         ok, is_nan = question_correct(qa, trace)
         entry = per_type.setdefault(qa.question_type,
                                     {"total": 0, "correct": 0, "acc": 0.0})
         entry["total"] += 1
+        if not ok:
+            failures.append((qa, trace))
         if is_nan:
             nan_count += 1
         elif ok:
@@ -163,10 +155,10 @@ def score(qapairs: Sequence[QAPair], traces: Sequence[ExecutionTrace],
     acc_all = correct / total if total else 0.0
     denom = total - nan_count
     acc_no_nan = correct / denom if denom else 0.0
+    taxonomy = {} if world is None else error_taxonomy(failures, store, world)
     return EvalReport(total=total, correct=correct, nan_count=nan_count,
                       acc_all=acc_all, acc_no_nan=acc_no_nan,
-                      per_question_type=per_type,
-                      error_taxonomy=dict(taxonomy or {}),
+                      per_question_type=per_type, error_taxonomy=taxonomy,
                       metadata=dict(metadata or {}))
 
 
@@ -209,25 +201,19 @@ def validate_coarse_programs(qapairs: Sequence[QAPair]) -> None:
                 f"{qa.question_id}: coarse program calls a fine-grained module")
 
 
-def evaluate(config: FrameworkConfig, eval_set: Sequence[QAPair],
-             store: WorldStore, with_taxonomy: bool = True,
+def evaluate(registry: ModuleRegistry, eval_set: Sequence[QAPair],
+             store: WorldStore, coarse: bool = False,
              world: WorldConfig | None = None,
              metadata: Mapping | None = None) -> EvalReport:
-    """Run the eval set under a framework configuration and account results."""
-    config.validate()
-    if config.framework == "coarse":
+    """Run the eval set under `registry` and account results; the coarse
+    framework's programs must call no fine-grained module. The error
+    taxonomy runs when `world` is given."""
+    if coarse:
         validate_coarse_programs(eval_set)
-    traces = run_programs(eval_set, store, config.registry)
-    taxonomy = None
-    if with_taxonomy and world is not None:
-        failures = [(qa, tr) for qa, tr in zip(eval_set, traces)
-                    if not question_correct(qa, tr)[0]]
-        taxonomy = error_taxonomy(failures, store, world)
-    meta = {"framework": config.framework,
-            "visual_pointer": config.visual_pointer,
-            "bindings": config.registry.describe()}
-    meta.update(metadata or {})
-    return score(eval_set, traces, metadata=meta, taxonomy=taxonomy)
+    traces = run_programs(eval_set, store, registry)
+    meta = {"framework": "coarse" if coarse else "fine",
+            "bindings": registry.describe(), **(metadata or {})}
+    return score(eval_set, traces, metadata=meta, store=store, world=world)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +267,8 @@ def _combo_registry(base: ModuleRegistry, students: Mapping[str, TableStudent],
 
 def ablate_distilled_count(base: ModuleRegistry,
                            students: Mapping[str, TableStudent],
-                           eval_set: Sequence[QAPair], store: WorldStore,
-                           world: WorldConfig) -> dict:
+                           eval_set: Sequence[QAPair],
+                           store: WorldStore) -> dict:
     """Four rows for 0/1/2/3 distilled modules. Rows 1 and 2 average the three
     single- and pair-substitution runs."""
     for student in students.values():
@@ -301,8 +287,7 @@ def ablate_distilled_count(base: ModuleRegistry,
         accs_no_nan = []
         for combo in combos[count]:
             registry = _combo_registry(base, students, combo)
-            report = evaluate(FrameworkConfig("fine", registry), eval_set,
-                              store, with_taxonomy=False)
+            report = evaluate(registry, eval_set, store)
             label = "+".join(combo) if combo else "none"
             runs[f"dp{count}:{label}"] = {"acc_all": report.acc_all,
                                           "acc_no_nan": report.acc_no_nan}
@@ -331,10 +316,8 @@ def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],
         size = min(size, len(triples))
         subset = [triples[i] for i in order[:size]]
         students = fresh_students(store, world, profile, tau=tau, alpha=alpha)
-        train(students, subset, DistillConfig(seed=seed), store)
-        registry = distilled_registry(base, students)
-        report = evaluate(FrameworkConfig("fine", registry), eval_set, store,
-                          with_taxonomy=False)
+        train(students, subset, store, seed=seed)
+        report = evaluate(distilled_registry(base, students), eval_set, store)
         curve.append({"size": size, "acc_all": report.acc_all,
                       "acc_no_nan": report.acc_no_nan})
     return {"curve": curve}
@@ -342,22 +325,22 @@ def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],
 
 def cross_framework(base: ModuleRegistry, student_path,
                     coarse_eval: Sequence[QAPair], store: WorldStore,
-                    world: WorldConfig) -> dict:
+                    world: WorldConfig, visual_pointer: bool) -> dict:
     """Coarse framework, the baseline registry `base` vs `base` with a
     transplanted distilled simple_query student loaded from serialized state
-    (not retrained)."""
+    (not retrained). `visual_pointer` is the setting the questions were
+    generated under; both reports record it."""
     student = TableStudent.load(student_path, store, world)
     if student.module_kind != "simple_query":
         raise ValueError("cross-framework transplant expects the simple_query student")
     student.freeze()
-    transplanted = base.replace("simple_query", student)
-    baseline_report = evaluate(FrameworkConfig("coarse", base), coarse_eval,
-                               store, world=world,
-                               metadata={"mode": "coarse_baseline"})
-    transplant_report = evaluate(FrameworkConfig("coarse", transplanted),
-                                 coarse_eval, store, world=world,
-                                 metadata={"mode": "coarse_transplanted"})
-    return {"baseline": baseline_report, "transplanted": transplant_report}
+    registries = {"baseline": base,
+                  "transplanted": base.replace("simple_query", student)}
+    return {name: evaluate(registry, coarse_eval, store, coarse=True,
+                           world=world,
+                           metadata={"mode": f"coarse_{name}",
+                                     "visual_pointer": visual_pointer})
+            for name, registry in registries.items()}
 
 
 def grounding_eval(registry: ModuleRegistry, cases: Sequence[GroundingCase],

@@ -21,13 +21,12 @@ from .backends import (CorruptionProfile, OracleBackend, TableStudent,
                        baseline_registry, consistency_verifier,
                        distilled_registry, fresh_students, oracle_registry,
                        perfect_registry)
-from .datasets import SplitSpec, make_splits, stats
-from .distill import (DistillConfig, harvest, load_triples, save_triples,
-                      train)
+from .datasets import make_splits, stats
+from .distill import harvest, load_triples, save_triples, train
 from .evaluation import (EvalReport, ablate_distilled_count,
                          ablate_trainset_size, case_report, cross_framework,
-                         error_taxonomy, grounding_eval, question_correct,
-                         run_programs, score, visual_pointer_effect)
+                         grounding_eval, question_correct, run_programs, score,
+                         visual_pointer_effect)
 from .interpreter import trace_from_record, trace_to_record
 from .questions import (DISTILLABLE_KINDS, GenConfig, QAPair,
                         generate_grounding, generate_qa, qa_from_record,
@@ -104,10 +103,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Read every key present in `d` through its schema entry; a bad
-        section, value or range raises ConfigError naming the dotted key."""
+        """Read every key present in `d` through its schema entry; an unknown
+        key or a bad section, value or range raises ConfigError naming the
+        dotted key."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
+        present = [name for name in d if name not in _SECTIONS]
+        present += [f"{name}.{leaf}" for name in _SECTIONS
+                    if isinstance(d.get(name), dict) for leaf in d[name]]
+        _reject_unknown(present, {entry.key for entry in CONFIG_SCHEMA})
         values = {}
         for entry in CONFIG_SCHEMA:
             section_name, _, leaf = entry.key.rpartition(".")
@@ -143,13 +147,12 @@ class PipelineConfig:
     def profile(self) -> CorruptionProfile:
         return CorruptionProfile(seed=self.corruption_seed, rho=self.rho)
 
-    def gen_config(self, framework: str | None = None,
-                   visual_pointer: bool | None = None) -> GenConfig:
+    def gen_config(self, framework: str | None = None) -> GenConfig:
         return GenConfig(
             world=self.world,
             questions_per_scene=self.questions_per_scene,
             fault_rate=self.fault_rate,
-            visual_pointer=self.visual_pointer if visual_pointer is None else visual_pointer,
+            visual_pointer=self.visual_pointer,
             framework=framework or self.framework,
         )
 
@@ -212,8 +215,20 @@ _WORLD_KEYS: dict[str, Callable] = {
 }
 
 
+def _reject_unknown(keys, known) -> None:
+    """ConfigError naming every dotted key of `keys` not in `known`: a
+    mistyped key must not silently keep its default."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+
+
 def _world(d: dict) -> WorldConfig:
     """The `world` section; optional keys it leaves out keep their defaults."""
+    if not isinstance(d, dict):
+        raise TypeError(f"expected a JSON object, got {d!r}")
+    _reject_unknown((f"world.{key}" for key in d),
+                    (f"world.{key}" for key in _WORLD_KEYS))
     return WorldConfig(**{key: coerce(d[key]) for key, coerce in
                           _WORLD_KEYS.items() if key in d})
 
@@ -260,13 +275,14 @@ CONFIG_SCHEMA: tuple[SchemaEntry, ...] = (
     SchemaEntry("val_scene_share", "dataset.val_scene_share", _strict_float, _UNIT),
     SchemaEntry("grounding_per_scene", "grounding.per_scene", _int_list,
                 _span_from(0)),
-    SchemaEntry("vp_probe_scenes", "vp_probe.scenes", _strict_int),
+    SchemaEntry("vp_probe_scenes", "vp_probe.scenes", _strict_int, _AT_LEAST_1),
     SchemaEntry("vp_probe_ambiguity", "vp_probe.ambiguity_rate", _strict_float, _UNIT),
     SchemaEntry("trainset_ratios", "ablation.trainset_ratios", _int_list,
                 (lambda v: len(v) > 0 and min(v) >= 1,
                  "a non-empty list of values >= 1")),
     SchemaEntry("service_timeout", "service.timeout", _strict_float, _POSITIVE),
 )
+_SECTIONS = {entry.key.rpartition(".")[0] for entry in CONFIG_SCHEMA} - {""}
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +456,10 @@ def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
 
 def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
     require_artifacts(run, "gen-qa", ["qa_train", "qa_eval"])
-    pools = {
-        "train_pool": [qa_from_record(r) for r in read_jsonl(run.qa_train)],
-        "eval_pool": [qa_from_record(r) for r in read_jsonl(run.qa_eval)],
-    }
-    specs = {
-        "train": SplitSpec("train", per_type_cap=cfg.per_type_cap,
-                           source_pool="train_pool"),
-        "val": SplitSpec("val", per_type_cap=cfg.per_type_cap,
-                         source_pool="eval_pool",
-                         scene_share=cfg.val_scene_share),
-        "test": SplitSpec("test", per_type_cap=cfg.per_type_cap,
-                          source_pool="eval_pool"),
-    }
-    result = make_splits(pools, specs, cfg.seed)
+    train_pool, eval_pool = ([qa_from_record(r) for r in read_jsonl(path)]
+                             for path in (run.qa_train, run.qa_eval))
+    result = make_splits(train_pool, eval_pool, cfg.seed, cfg.per_type_cap,
+                         cfg.val_scene_share)
     outputs = {}
     for name, qas in result.splits.items():
         path = run.split_file(name)
@@ -554,8 +560,8 @@ def stage_distill(run: RunPaths, cfg: PipelineConfig) -> dict:
     triples = load_triples(run.triples)
     students = fresh_students(store, cfg.world, cfg.profile, tau=cfg.tau,
                               alpha=cfg.alpha)
-    _, report = train(students, triples,
-                      DistillConfig(epochs=cfg.epochs, seed=cfg.seed), store)
+    _, report = train(students, triples, store, epochs=cfg.epochs,
+                      seed=cfg.seed)
     outputs = {}
     for kind, student in sorted(students.items()):
         path = run.student_file(kind)
@@ -587,13 +593,10 @@ def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
     if missing:
         raise MissingArtifactError(
             f"traces missing for {len(missing)} question(s); re-run run-programs")
-    ordered = [by_id[qa.question_id] for qa in qapairs]
-    failures = [(qa, tr) for qa, tr in zip(qapairs, ordered)
-                if not question_correct(qa, tr)[0]]
-    taxonomy = error_taxonomy(failures, store, cfg.world)
-    report = score(qapairs, ordered, taxonomy=taxonomy,
+    report = score(qapairs, [by_id[qa.question_id] for qa in qapairs],
                    metadata={"registry": registry_name, "split": "test",
-                             "config_digest": cfg.digest(), "seed": cfg.seed})
+                             "config_digest": cfg.digest(), "seed": cfg.seed},
+                   store=store, world=cfg.world)
     outputs = {"eval_json": run.eval_file(registry_name),
                "eval_csv": run.eval_file(registry_name, "csv"),
                "eval_txt": run.eval_file(registry_name, "txt")}
@@ -620,7 +623,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
 
     if axis == "distilled-count":
         result = ablate_distilled_count(base, _load_students(run, cfg, store),
-                                        test_set, store, cfg.world)
+                                        test_set, store)
     elif axis == "trainset-size":
         require_artifacts(run, "harvest", ["triples"])
         triples = load_triples(run.triples)
@@ -638,7 +641,8 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         require_artifacts(run, "distill", ["student_simple_query"])
         coarse_test = _coarse_counterparts(run, cfg, eval_store, test_set)
         reports = cross_framework(base, run.student_file("simple_query"),
-                                  coarse_test, store, cfg.world)
+                                  coarse_test, store, cfg.world,
+                                  cfg.visual_pointer)
         result = {name: rep.to_dict() for name, rep in reports.items()}
     else:
         probe_world = replace(cfg.world,

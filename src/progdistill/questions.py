@@ -539,6 +539,7 @@ TEMPLATES: dict[str, TemplateSpec] = {spec.template_id: spec for spec in (
 )}
 
 ALL_TEMPLATE_IDS = tuple(TEMPLATES)
+_TEMPLATE_WEIGHTS = [spec.weight for spec in TEMPLATES.values()]
 
 
 def evaluate_template(scene: SceneGraph, visible_ids: Sequence[str],
@@ -674,7 +675,6 @@ class QAPair:
 @dataclass
 class GenConfig:
     world: WorldConfig
-    templates: tuple[str, ...] = ALL_TEMPLATE_IDS
     questions_per_scene: tuple[int, int] = (8, 12)
     fault_rate: float = 0.0
     visual_pointer: bool = True
@@ -689,11 +689,6 @@ class GenConfig:
             raise ValueError("fault_rate outside [0, 1]")
         if self.framework not in ("fine", "coarse"):
             raise ValueError(f"unknown framework {self.framework!r}")
-        if not self.templates:
-            raise ValueError("no templates enabled")
-        unknown = [t for t in self.templates if t not in TEMPLATES]
-        if unknown:
-            raise ValueError(f"unknown templates: {unknown}")
 
     @property
     def should_verify(self) -> bool:
@@ -738,12 +733,11 @@ def generate_qa(scene: SceneGraph, config: GenConfig, seed: int,
     rng = random.Random(f"qa:{seed}:{scene.scene_id}")
     lo, hi = config.questions_per_scene
     target = rng.randint(lo, hi)
-    weights = [TEMPLATES[t].weight for t in config.templates]
     out: list[QAPair] = []
     for attempt in range(target * 4):
         if len(out) >= target:
             break
-        template_id = rng.choices(config.templates, weights=weights, k=1)[0]
+        template_id = rng.choices(ALL_TEMPLATE_IDS, _TEMPLATE_WEIGHTS)[0]
         made = TEMPLATES[template_id].make(scene, rng, config)
         if made is None:
             continue

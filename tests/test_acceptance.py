@@ -16,7 +16,7 @@ from progdistill.adapter import (adapt_best_text_match, adapt_simple_query,
 from progdistill.backends import (CorruptedBackend, CorruptionProfile,
                                   OracleBackend, TableStudent,
                                   baseline_registry)
-from progdistill.datasets import SplitSpec, balance_detailed
+from progdistill.datasets import balance_detailed
 from progdistill.dsl import ParseError, parse
 from progdistill.evaluation import EvalReport
 from progdistill.interpreter import STATUS_FALLBACK, run_with_fallback
@@ -242,7 +242,7 @@ def test_c11_dataset_rules(recipe):
     # cap enforcement on a constructed pool: 300 of one type -> exactly 160
     pool = [QAPair(f"s{i % 50}:q{i:04d}", "q?", "a", 'return "a"\n',
                    "attr_query", f"s{i % 50}") for i in range(300)]
-    result = balance_detailed(pool, SplitSpec("train", per_type_cap=160), 0)
+    result = balance_detailed(pool, "train", 160, 0)
     assert result.phase_one_count == 160
     # the recipe's build reports the cap phases and proves disjointness
     manifest = json.loads(run.split_manifest.read_text())

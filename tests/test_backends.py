@@ -12,7 +12,7 @@ from progdistill.backends import (BackendError, CorruptedBackend,
                                   consistency_verifier, distilled_registry,
                                   fresh_students, oracle_registry,
                                   perfect_registry, resolve_query)
-from progdistill.distill import DistillConfig, harvest, train
+from progdistill.distill import harvest, train
 from progdistill.interpreter import ExecutionTrace, StepRecord
 from progdistill.questions import (GenConfig, QuestionParser, generate_qa,
                                    query_key)
@@ -470,11 +470,11 @@ class TestDispatchMemo:
             qas, small_store, baseline_registry(small_store, world, profile))
         triples = harvest(traces, OracleBackend(small_store, world), world)
         students = fresh_students(small_store, world, profile, tau=1)
-        train(students, triples, DistillConfig(), small_store)
+        train(students, triples, small_store)
 
         shared = evaluation.ablate_distilled_count(
             baseline_registry(small_store, world, profile), students,
-            qas, small_store, world)
+            qas, small_store)
         combo_registry = evaluation._combo_registry
         monkeypatch.setattr(
             evaluation, "_combo_registry",
@@ -482,7 +482,7 @@ class TestDispatchMemo:
                 baseline_registry(small_store, world, profile), students, combo))
         fresh = evaluation.ablate_distilled_count(
             baseline_registry(small_store, world, profile), students,
-            qas, small_store, world)
+            qas, small_store)
         assert shared == fresh
         rows = shared["rows"]
         assert rows[0]["acc_all"] != rows[3]["acc_all"]

@@ -7,7 +7,7 @@ from progdistill.backends import (CorruptedBackend, CorruptionProfile,
                                   OracleBackend, Prediction, TableStudent,
                                   baseline_registry, fresh_students,
                                   perfect_registry)
-from progdistill.distill import (DistillConfig, Triple, harvest, load_triples,
+from progdistill.distill import (Triple, harvest, load_triples,
                                  sample_loss, save_triples, train,
                                  triple_from_record, triple_input,
                                  triple_to_record)
@@ -147,13 +147,13 @@ class TestTrain:
 
     def test_epochs_zero_changes_nothing(self, flower_scene, world):
         store, students, triple = self._setup(flower_scene, world)
-        train(students, [triple], DistillConfig(epochs=0), store)
+        train(students, [triple], store, epochs=0)
         assert students["verify_property"].table == {}
 
     def test_single_triple_repeated_tau_epochs_crosses_threshold(self, flower_scene, world):
         store, students, triple = self._setup(flower_scene, world)
         tau = students["verify_property"].tau
-        _, report = train(students, [triple], DistillConfig(epochs=tau), store)
+        _, report = train(students, [triple], store, epochs=tau)
         student = students["verify_property"]
         inp = triple_input(triple, store)
         assert student.predict(inp).answer == "yes"  # was "no" via corruption
@@ -162,9 +162,9 @@ class TestTrain:
 
     def test_determinism(self, flower_scene, world):
         store, students_a, triple = self._setup(flower_scene, world)
-        _, rep_a = train(students_a, [triple] * 5, DistillConfig(seed=3), store)
+        _, rep_a = train(students_a, [triple] * 5, store, seed=3)
         _, students_b, _ = self._setup(flower_scene, world)
-        _, rep_b = train(students_b, [triple] * 5, DistillConfig(seed=3), store)
+        _, rep_b = train(students_b, [triple] * 5, store, seed=3)
         assert students_a["verify_property"].table == students_b["verify_property"].table
         assert rep_a.to_dict() == rep_b.to_dict()
 
@@ -173,8 +173,8 @@ class TestTrain:
         sq_triple = Triple(flower_scene.scene_id, flower_scene.objects[0].bbox,
                            "What color is this flower?", "red", "simple_query",
                            "q1", "attr_query")
-        config = DistillConfig(enabled_kinds=("verify_property",))
-        _, report = train(students, [triple, sq_triple], config, store)
+        only_verify = {"verify_property": students["verify_property"]}
+        _, report = train(only_verify, [triple, sq_triple], store)
         assert students["simple_query"].table == {}
         assert students["verify_property"].table
         assert "simple_query" not in report.triples_per_kind
@@ -182,7 +182,7 @@ class TestTrain:
     def test_unknown_kind_counted_and_skipped(self, flower_scene, world):
         store, students, triple = self._setup(flower_scene, world)
         bogus = Triple("hand", (0, 0, 5, 5), "?", "x", "teleport", "q9", "t")
-        _, report = train(students, [triple, bogus], DistillConfig(), store)
+        _, report = train(students, [triple, bogus], store)
         assert report.skipped_unknown_kind == 1
 
     def test_loss_non_increasing_across_epochs(self, flower_scene, world):
@@ -190,8 +190,7 @@ class TestTrain:
         other = Triple(flower_scene.scene_id, flower_scene.objects[1].bbox,
                        "Is this table blue?", "yes", "verify_property",
                        "q1", "verify_attr")
-        _, report = train(students, [triple, other] * 3,
-                          DistillConfig(epochs=4), store)
+        _, report = train(students, [triple, other] * 3, store, epochs=4)
         losses = report.epoch_mean_sample_loss
         assert len(losses) == 4
         assert all(x >= 0 and math.isfinite(x) for x in losses)
@@ -215,7 +214,7 @@ class TestTrain:
         keys = {}
         for name, subset in (("small", small), ("large", large)):
             students = fresh_students(small_store, world, profile)
-            train(students, subset, DistillConfig(), small_store)
+            train(students, subset, small_store)
             keys[name] = {
                 kind: {k for k, counts in students[kind].table.items()
                        if sum(counts.values()) >= students[kind].tau}
@@ -226,19 +225,11 @@ class TestTrain:
 
     def test_teacher_fidelity_on_consistent_keys(self, flower_scene, world):
         store, students, triple = self._setup(flower_scene, world)
-        train(students, [triple] * 7, DistillConfig(), store)
+        train(students, [triple] * 7, store)
         student = students["verify_property"]
         teacher = OracleBackend(store, world)
         inp = triple_input(triple, store)
         assert student.predict(inp).answer == teacher.predict(inp).answer
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            DistillConfig(enabled_kinds=()).validate()
-        with pytest.raises(ValueError):
-            DistillConfig(enabled_kinds=("find",)).validate()
-        with pytest.raises(ValueError):
-            DistillConfig(epochs=-1).validate()
 
 
 class TestTripleFiles:

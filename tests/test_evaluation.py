@@ -6,8 +6,7 @@ from progdistill.backends import (CorruptionProfile, OracleBackend, Prediction,
                                   baseline_registry, consistency_verifier,
                                   distilled_registry, fresh_students,
                                   oracle_registry, perfect_registry)
-from progdistill.distill import DistillConfig, harvest, train
-from progdistill.evaluation import (EvalReport, FrameworkConfig, TAXONOMY_KEYS,
+from progdistill.evaluation import (EvalReport, TAXONOMY_KEYS,
                                     case_report, error_taxonomy, evaluate,
                                     grounding_eval, question_correct,
                                     run_programs, score,
@@ -87,13 +86,12 @@ class TestScore:
             def predict(self, inp):
                 return Prediction("", {"": 1.0})
 
-        gen = GenConfig(world=eval_world,
-                        templates=("attr_query", "attr_query_guarded",
-                                   "direct_query", "exist", "count",
-                                   "both_exist", "either_exist"))
-        qas = []
-        for sid in eval_store.ids()[:15]:
-            qas.extend(generate_qa(eval_store.get(sid), gen, 0))
+        types = {"attr_query", "attr_query_guarded", "direct_query", "exist",
+                 "count", "both_exist", "either_exist"}
+        gen = GenConfig(world=eval_world)
+        qas = [qa for sid in eval_store.ids()[:15]
+               for qa in generate_qa(eval_store.get(sid), gen, 0)
+               if qa.question_type in types]
         registry = perfect_registry(eval_store, eval_world).replace(
             "simple_query", EmptyAnswer())
         traces = run_programs(qas, eval_store, registry)
@@ -107,8 +105,8 @@ class TestScore:
                                               eval_set):
         registry = baseline_registry(eval_store, eval_world,
                                      CorruptionProfile(98, 0.3))
-        report = evaluate(FrameworkConfig("fine", registry), eval_set[:200],
-                          eval_store, world=eval_world)
+        report = evaluate(registry, eval_set[:200], eval_store,
+                          world=eval_world)
         again = EvalReport.from_dict(report.to_dict())
         assert again.to_dict() == report.to_dict()
         assert "acc (All)" in report.to_text()
@@ -265,14 +263,11 @@ class TestCoarseValidation:
 class TestTeacherReplacement:
     def test_teacher_replacement_beats_baseline(self, eval_world, eval_store,
                                                 eval_set):
-        tr = evaluate(
-            FrameworkConfig("fine", oracle_registry(eval_store, eval_world,
-                                                    miss_rate=0.05)),
-            eval_set, eval_store, with_taxonomy=False)
-        base = evaluate(
-            FrameworkConfig("fine", baseline_registry(
-                eval_store, eval_world, CorruptionProfile(98, 0.3))),
-            eval_set, eval_store, with_taxonomy=False)
+        tr = evaluate(oracle_registry(eval_store, eval_world, miss_rate=0.05),
+                      eval_set, eval_store)
+        base = evaluate(baseline_registry(eval_store, eval_world,
+                                          CorruptionProfile(98, 0.3)),
+                        eval_set, eval_store)
         assert tr.acc_all > base.acc_all
         # find stays the detector: misses still cost accuracy
         assert tr.acc_all < 1.0

@@ -11,8 +11,8 @@ import pytest
 from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
                              EXIT_MISSING_ARTIFACT, EXIT_OK, build_parser,
                              main)
-from progdistill.pipeline import (CONFIG_SCHEMA, PipelineConfig, RunPaths,
-                                  load_config)
+from progdistill.pipeline import (CONFIG_SCHEMA, ConfigError, PipelineConfig,
+                                  RunPaths, load_config)
 from progdistill.util import read_jsonl, sha256_file
 
 
@@ -143,12 +143,27 @@ class TestConfig:
         {"world": {**TINY_WORLD, "ambiguity_rate": "0.5"}},
         {"world": {**TINY_WORLD, "objects_per_scene": [2.5, 4]}},
         {"world": {**TINY_WORLD, "canvas": [50.5, 60]}},
+        {"distill": {"epochs": -1}},
+        {"scenes": {"trian": 5}},
+        {"bogus": 1},
+        {"world": {**TINY_WORLD, "canvs": [60, 60]}},
+        {"vp_probe": {"scenes": 0}},
+        {"vp_probe": {"scenes": -5}},
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert _run(["gen-world", "--config", str(bad),
                      "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"scenes": {"trian": 5}}, "scenes.trian"),
+        ({"bogus": 1, "seed": 2}, "bogus"),
+        ({"world": {**TINY_WORLD, "canvs": [60, 60]}}, "world.canvs"),
+    ])
+    def test_unknown_key_is_named(self, payload, key):
+        with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
+            PipelineConfig.from_dict(payload)
 
     def test_integral_float_reads_as_int(self):
         cfg = PipelineConfig.from_dict({"scenes": {"train": 3.0}})
@@ -310,6 +325,22 @@ class TestEndToEnd:
         assert _run(["evaluate", "--config", tiny_config_file,
                      "--out-dir", str(out)]) == EXIT_OK
         assert run.worlds_train.read_bytes() == worlds_before
+
+    def test_cross_framework_records_the_pointer_setting(self, tmp_path,
+                                                         tiny_config_file):
+        data = json.loads(Path(tiny_config_file).read_text())
+        data["questions"]["visual_pointer"] = False
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = str(tmp_path / "run")
+        for step in FULL_SEQUENCE[:6] + [["ablate", "--axis",
+                                          "cross-framework"]]:
+            assert _run(step + ["--config", str(config),
+                                "--out-dir", out]) == EXIT_OK, step
+        result = json.loads(RunPaths(out).ablation_file(
+            "cross-framework").read_text())
+        assert [result[name]["metadata"]["visual_pointer"]
+                for name in ("baseline", "transplanted")] == [False, False]
 
     def test_distilled_run_requires_students(self, tmp_path, tiny_config_file):
         out = str(tmp_path / "run")

@@ -146,8 +146,6 @@ class TestGeneration:
             GenConfig(world=world, fault_rate=1.5).validate()
         with pytest.raises(ValueError):
             GenConfig(world=world, framework="medium").validate()
-        with pytest.raises(ValueError):
-            GenConfig(world=world, templates=("nope",)).validate()
 
     def test_record_round_trip(self, world, small_store):
         scene = small_store.get(small_store.ids()[0])
