@@ -5,23 +5,24 @@ Five module kinds exist. find/exists are always served by the fixed detector
 are served by a ground-truth oracle (the teacher), by systematically corrupted
 students, or by count-table students trained on pseudo-labels.
 
-Table students are single-writer during training; freezing a student (done
-when a registry is assembled for evaluation) makes further update() calls
-raise, which is how the pipeline enforces the train/evaluate phase
-separation.
+Every backend's predict() returns the answer itself: a PatchList (find), a
+bool (exists) or the answer text. Table students are single-writer during
+training; freezing a student (done when a registry is assembled for
+evaluation) makes further update() calls raise, which is how the pipeline
+enforces the train/evaluate phase separation.
 
 Every sub-module call is a pure function of its backend and inputs, so
 ModuleRegistry.dispatch memoizes its coerced output per (backend, kind,
 receiver, args). replace() hands the same memo to the registry it returns:
 one memo serves a registry family (a base and every combination built from
-it), and it is freed with them. Calls to a trainable backend that is not yet
-frozen are never memoized.
+it), and it is freed with them. Calls to a student that is not yet frozen
+are never memoized.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -56,13 +57,6 @@ class SubTaskInput:
     object_name: str | None = None
     attribute: str | None = None
     options: tuple[str, ...] | None = None
-    center_word: str | None = None
-
-
-@dataclass(slots=True)
-class Prediction:
-    answer: object
-    distribution: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +76,7 @@ def resolve_query(inp: SubTaskInput, parser: QuestionParser) -> ParsedQuery | No
         return VerifyAttribute(inp.object_name, inp.attribute or "")
     if inp.module_kind == "best_text_match" and inp.options is not None:
         adjective = all(o in parser.attributes for o in inp.options)
-        center = inp.center_word if adjective else None
+        center = inp.patch.origin_label if adjective else None
         return ChooseOption(tuple(inp.options), center)
     if inp.question is not None:
         return parser.parse(inp.question)
@@ -109,8 +103,6 @@ class DetectorBackend:
     agree. Returned patches never violate the visibility overlap rule.
     """
 
-    trainable = False
-
     def __init__(self, store: WorldStore, miss_rate: float = 0.0, seed: int = 0):
         self.store = store
         self.miss_rate = miss_rate
@@ -122,7 +114,7 @@ class DetectorBackend:
             return False
         return stable_unit("miss", self.seed, scene_id, object_id) < self.miss_rate
 
-    def predict(self, inp: SubTaskInput) -> Prediction:
+    def predict(self, inp: SubTaskInput) -> PatchList | bool:
         if inp.module_kind == "find":
             receiver = inp.patch
             if not isinstance(receiver, ScenePatch):
@@ -135,17 +127,14 @@ class DetectorBackend:
                 if obj.name != name or self._missed(scene.scene_id, oid):
                     continue
                 patches.append(crop(scene, obj.bbox, origin_label=name))
-            result = PatchList(tuple(patches), origin_label=name)
-            return Prediction(result)
+            return PatchList(tuple(patches), origin_label=name)
         if inp.module_kind == "exists":
             receiver = inp.patch
             if isinstance(receiver, PatchList):
-                answer = len(receiver) > 0
-            elif isinstance(receiver, ScenePatch):
-                answer = True
-            else:
-                raise BackendError("exists expects a patch or patch list")
-            return Prediction(answer, {"yes" if answer else "no": 1.0})
+                return len(receiver) > 0
+            if isinstance(receiver, ScenePatch):
+                return True
+            raise BackendError("exists expects a patch or patch list")
         raise BackendError(f"detector cannot serve {inp.module_kind}")
 
 
@@ -158,8 +147,6 @@ class OracleBackend:
     teacher. Accepts structured arguments (registry dispatch) or bare
     sub-question text (teacher queries during harvesting)."""
 
-    trainable = False
-
     def __init__(self, store: WorldStore, world: WorldConfig,
                  parser: QuestionParser | None = None):
         self.store = store
@@ -167,14 +154,13 @@ class OracleBackend:
         self.parser = parser or QuestionParser(world)
         self.name = "oracle"
 
-    def predict(self, inp: SubTaskInput) -> Prediction:
+    def predict(self, inp: SubTaskInput) -> str:
         patch = inp.patch
         if not isinstance(patch, ScenePatch):
             raise BackendError(f"{inp.module_kind} expects a single patch")
         scene = self.store.get(patch.scene_id)
         query = resolve_query(inp, self.parser)
-        answer = answer_query(scene, patch, query, self.world)
-        return Prediction(answer, {answer: 1.0})
+        return answer_query(scene, patch, query, self.world)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +209,6 @@ class CorruptedBackend:
     clean keys, deterministically wrong on corrupted ones. Corruption affects
     labels, never geometry."""
 
-    trainable = False
-
     def __init__(self, store: WorldStore, world: WorldConfig,
                  profile: CorruptionProfile,
                  parser: QuestionParser | None = None):
@@ -263,7 +247,7 @@ class CorruptedBackend:
     def student_key(self, inp: SubTaskInput) -> str:
         return f"{inp.module_kind}|{self.question_key(inp)}|{self.perceived_signature(inp)}"
 
-    def predict(self, inp: SubTaskInput) -> Prediction:
+    def predict(self, inp: SubTaskInput) -> str:
         patch = inp.patch
         if not isinstance(patch, ScenePatch):
             raise BackendError(f"{inp.module_kind} expects a single patch")
@@ -272,7 +256,7 @@ class CorruptedBackend:
         answer = answer_query(scene, patch, query, self.world)
         if self.profile.corrupts(query_key(query, raw_text=inp.question or "")):
             answer = self.profile.permute(answer, answer_support(query, self.world))
-        return Prediction(answer, {answer: 1.0})
+        return answer
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +272,6 @@ class TableStudent:
     that. Ties break lexicographically; probabilities are add-alpha smoothed.
     """
 
-    trainable = True
-
     def __init__(self, module_kind: str, base: CorruptedBackend,
                  tau: int = 3, alpha: float = 1.0):
         if module_kind not in DISTILLABLE_KINDS:
@@ -304,13 +286,12 @@ class TableStudent:
 
     # -- training -----------------------------------------------------------
 
-    def update(self, inp: SubTaskInput, pseudo_label: str,
-               weight: float = 1.0) -> None:
+    def update(self, inp: SubTaskInput, pseudo_label: str) -> None:
         if self.frozen:
             raise PhaseError("student is frozen for evaluation")
         key = self.base.student_key(inp)
         counts = self.table.setdefault(key, {})
-        counts[pseudo_label] = counts.get(pseudo_label, 0.0) + weight
+        counts[pseudo_label] = counts.get(pseudo_label, 0.0) + 1.0
 
     def freeze(self) -> None:
         self.frozen = True
@@ -319,13 +300,9 @@ class TableStudent:
 
     def smoothed_distribution(self, inp: SubTaskInput,
                               extra_label: str | None = None) -> dict[str, float]:
-        counts = self.table.get(self.base.student_key(inp), {})
-        return self._smoothed(inp, counts, extra_label)
-
-    def _smoothed(self, inp: SubTaskInput, counts: Mapping[str, float],
-                  extra_label: str | None = None) -> dict[str, float]:
         """Add-alpha distribution over the counted labels, the query's answer
         support and `extra_label`, in label order."""
+        counts = self.table.get(self.base.student_key(inp), {})
         query = resolve_query(inp, self.base.parser)
         support = set(counts) | set(answer_support(query, self.base.world))
         if extra_label is not None:
@@ -341,11 +318,10 @@ class TableStudent:
         dist = self.smoothed_distribution(inp, extra_label=label)
         return dist.get(label, 0.0)
 
-    def predict(self, inp: SubTaskInput) -> Prediction:
+    def predict(self, inp: SubTaskInput) -> str:
         counts = self.table.get(self.base.student_key(inp))
         if counts and sum(counts.values()) >= self.tau:
-            best = min(counts, key=lambda label: (-counts[label], label))
-            return Prediction(best, self._smoothed(inp, counts))
+            return min(counts, key=lambda label: (-counts[label], label))
         return self.base.predict(inp)
 
     # -- stats / persistence --------------------------------------------------
@@ -439,15 +415,13 @@ class ModuleRegistry:
     def _dispatch(self, kind: str, receiver, args: tuple):
         if kind not in self._bindings:
             raise BackendError(f"unknown module kind {kind!r}")
-        center = receiver.origin_label if isinstance(
-            receiver, (ScenePatch, PatchList)) else None
         if kind == "find":
             if not isinstance(receiver, ScenePatch):
                 raise BackendError("find expects a patch receiver")
             if len(args) != 1 or not isinstance(args[0], str):
                 raise BackendError("find expects one string argument")
             inp = SubTaskInput("find", receiver, object_name=args[0])
-            answer = self._bindings[kind].predict(inp).answer
+            answer = self._bindings[kind].predict(inp)
             if not isinstance(answer, PatchList):
                 raise BackendError("find backend returned a non patch list")
             return answer
@@ -455,7 +429,7 @@ class ModuleRegistry:
             if not isinstance(receiver, (ScenePatch, PatchList)):
                 raise BackendError("exists expects a patch or patch list")
             inp = SubTaskInput("exists", receiver)
-            return bool(self._bindings[kind].predict(inp).answer)
+            return bool(self._bindings[kind].predict(inp))
         if kind == "verify_property":
             if not isinstance(receiver, ScenePatch):
                 raise BackendError("verify_property expects a patch receiver")
@@ -463,8 +437,8 @@ class ModuleRegistry:
                     or not isinstance(args[1], str)):
                 raise BackendError("verify_property expects two string arguments")
             inp = SubTaskInput("verify_property", receiver, object_name=args[0],
-                               attribute=args[1], center_word=center)
-            answer = self._bindings[kind].predict(inp).answer
+                               attribute=args[1])
+            answer = self._bindings[kind].predict(inp)
             if isinstance(answer, bool):
                 return answer
             return answer == "yes"
@@ -476,16 +450,15 @@ class ModuleRegistry:
                     or not all(isinstance(o, str) for o in args[0])):
                 raise BackendError("best_text_match expects a list of strings")
             inp = SubTaskInput("best_text_match", receiver,
-                               options=tuple(args[0]), center_word=center)
-            return str(self._bindings[kind].predict(inp).answer)
+                               options=tuple(args[0]))
+            return str(self._bindings[kind].predict(inp))
         if kind == "simple_query":
             if not isinstance(receiver, ScenePatch):
                 raise BackendError("simple_query expects a patch receiver")
             if len(args) != 1 or not isinstance(args[0], str):
                 raise BackendError("simple_query expects one string argument")
-            inp = SubTaskInput("simple_query", receiver, question=args[0],
-                               center_word=center)
-            return str(self._bindings[kind].predict(inp).answer)
+            inp = SubTaskInput("simple_query", receiver, question=args[0])
+            return str(self._bindings[kind].predict(inp))
         raise BackendError(f"unknown module kind {kind!r}")
 
 

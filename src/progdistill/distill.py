@@ -7,8 +7,7 @@ flow, not the outcome.
 
 Training is single-writer per student; the per-sample loss (mean over a
 sample's steps of -log p_student(pseudo_label), smoothed) is a reporting
-metric for count students and the contract any gradient-based backend must
-honor through update weights.
+metric for count students.
 """
 
 from __future__ import annotations
@@ -16,11 +15,11 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .adapter import AdapterError, adapt_step
-from .backends import Prediction, SubTaskInput, TableStudent
+from .backends import SubTaskInput, TableStudent
 from .interpreter import ExecutionTrace
 from .questions import DISTILLABLE_KINDS
 from .util import iter_jsonl, write_jsonl
@@ -50,13 +49,7 @@ class TrainingReport:
     keys_at_threshold: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "triples_per_kind": dict(sorted(self.triples_per_kind.items())),
-            "skipped_unknown_kind": self.skipped_unknown_kind,
-            "epoch_mean_sample_loss": list(self.epoch_mean_sample_loss),
-            "table_sizes": dict(sorted(self.table_sizes.items())),
-            "keys_at_threshold": dict(sorted(self.keys_at_threshold.items())),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +77,11 @@ def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
                 logger.warning("harvest: skipped step %s/%d: %s",
                                trace.question_id, step.step_index, exc)
                 continue
-            prediction: Prediction = teacher.predict(SubTaskInput(
+            label = teacher.predict(SubTaskInput(
                 module_kind=step.module_kind,
                 patch=teacher_input.sub_image,
                 question=teacher_input.sub_question,
             ))
-            label = prediction.answer
             if isinstance(label, bool):
                 label = "yes" if label else "no"
             triples.append(Triple(
@@ -122,22 +114,16 @@ def triple_input(triple: Triple, store: WorldStore) -> SubTaskInput:
 # Loss
 # ---------------------------------------------------------------------------
 
-def sample_loss(trace_triples: Sequence[Triple],
-                predictions: Sequence[Prediction]) -> float:
-    """Mean over the sample's steps of -log p(pseudo_label).
-
-    Probabilities come from each prediction's distribution; a missing or zero
-    probability yields an infinite step loss rather than a silent clamp.
-    """
-    if not trace_triples:
-        raise ValueError("sample_loss needs at least one triple")
-    if len(trace_triples) != len(predictions):
-        raise ValueError("one prediction per triple required")
+def sample_loss(probabilities: Sequence[float]) -> float:
+    """Mean over a sample's steps of -log p(pseudo_label), given each step's
+    probability; a zero probability yields an infinite step loss rather than
+    a silent clamp."""
+    if not probabilities:
+        raise ValueError("sample_loss needs at least one step")
     total = 0.0
-    for triple, prediction in zip(trace_triples, predictions):
-        p = prediction.distribution.get(triple.pseudo_label, 0.0)
+    for p in probabilities:
         total += -math.log(p) if p > 0.0 else math.inf
-    return total / len(trace_triples)
+    return total / len(probabilities)
 
 
 def _mean_training_loss(students: Mapping[str, TableStudent],
@@ -151,12 +137,11 @@ def _mean_training_loss(students: Mapping[str, TableStudent],
         student = students.get(triple.module_kind)
         if student is None:
             continue
-        p = student.label_probability(inp, triple.pseudo_label)
-        loss = -math.log(p) if p > 0.0 else math.inf
-        by_sample.setdefault(triple.source_qid, []).append(loss)
+        by_sample.setdefault(triple.source_qid, []).append(
+            student.label_probability(inp, triple.pseudo_label))
     if not by_sample:
         return 0.0
-    sample_means = [sum(vals) / len(vals) for vals in by_sample.values()]
+    sample_means = [sample_loss(probs) for probs in by_sample.values()]
     return sum(sample_means) / len(sample_means)
 
 

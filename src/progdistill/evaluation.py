@@ -11,7 +11,7 @@ question's program in turn, in input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -42,26 +42,11 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "nan_count": self.nan_count,
-            "acc_all": self.acc_all,
-            "acc_no_nan": self.acc_no_nan,
-            "per_question_type": {k: dict(v) for k, v in
-                                  sorted(self.per_question_type.items())},
-            "error_taxonomy": dict(sorted(self.error_taxonomy.items())),
-            "metadata": dict(sorted(self.metadata.items())),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(total=d["total"], correct=d["correct"],
-                   nan_count=d["nan_count"], acc_all=d["acc_all"],
-                   acc_no_nan=d["acc_no_nan"],
-                   per_question_type=d.get("per_question_type", {}),
-                   error_taxonomy=d.get("error_taxonomy", {}),
-                   metadata=d.get("metadata", {}))
+        return cls(**d)
 
     def to_csv_rows(self) -> list[list]:
         rows: list[list] = [["metric", "value"],
@@ -305,9 +290,10 @@ def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],
                          base: ModuleRegistry, store: WorldStore,
                          world: WorldConfig, profile: CorruptionProfile,
                          eval_set: Sequence[QAPair], tau: int = 3,
-                         alpha: float = 1.0, seed: int = 0) -> dict:
+                         alpha: float = 1.0, seed: int = 0,
+                         epochs: int = 1) -> dict:
     """Nested training subsets (each smaller set contained in every larger
-    one); one distillation plus evaluation per size."""
+    one); one distillation of `epochs` epochs plus evaluation per size."""
     import random as _random
     order = list(range(len(triples)))
     _random.Random(f"subset:{seed}").shuffle(order)
@@ -316,7 +302,7 @@ def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],
         size = min(size, len(triples))
         subset = [triples[i] for i in order[:size]]
         students = fresh_students(store, world, profile, tau=tau, alpha=alpha)
-        train(students, subset, store, seed=seed)
+        train(students, subset, store, epochs=epochs, seed=seed)
         report = evaluate(distilled_registry(base, students), eval_set, store)
         curve.append({"size": size, "acc_all": report.acc_all,
                       "acc_no_nan": report.acc_no_nan})
@@ -439,30 +425,30 @@ def _touches_ambiguous_patch(trace: ExecutionTrace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Case reports (before/after trace diff)
+# Case reports (stored-trace diff)
 # ---------------------------------------------------------------------------
 
-def case_report(qa: QAPair, before: ModuleRegistry, after: ModuleRegistry,
-                store: WorldStore, before_name: str = "before",
-                after_name: str = "after") -> str:
-    """Side-by-side step outputs, branch decisions, and final answers for one
-    question under two registries."""
-    scene = store.get(qa.scene_id)
-    trace_a = run_with_fallback(qa.program, qa.question, scene, before,
-                                qa.question_id)
-    trace_b = run_with_fallback(qa.program, qa.question, scene, after,
-                                qa.question_id)
+def case_report(qa: QAPair, traces: Mapping[str, ExecutionTrace]) -> str:
+    """Side-by-side step outputs, branch decisions, and final answers of
+    stored traces of one question, keyed by the framework that ran them. The
+    first trace's program is listed; another trace's program is listed too
+    when it differs."""
+    (_, first), *others = traces.items()
+    listings = [("program", first.source)] + [
+        (f"program ({name})", trace.source) for name, trace in others
+        if trace.source != first.source]
     lines = [
         f"question {qa.question_id} [{qa.question_type}]",
         f"  text:         {qa.question}",
         f"  ground truth: {qa.ground_truth}",
-        "  program:",
     ]
-    for src_line in qa.program.rstrip("\n").splitlines():
-        lines.append(f"    {src_line}")
+    for label, source in listings:
+        lines.append(f"  {label}:")
+        lines.extend(f"    {src_line}"
+                     for src_line in source.rstrip("\n").splitlines())
     lines.append("")
-    width = max(len(before_name), len(after_name))
-    for name, trace in ((before_name, trace_a), (after_name, trace_b)):
+    width = max(len(name) for name in traces)
+    for name, trace in traces.items():
         lines.append(f"  [{name:<{width}}] status={trace.status} "
                      f"branches={list(trace.branch_decisions)} "
                      f"answer={answer_to_text(trace.answer)!r}")
@@ -476,9 +462,7 @@ def case_report(qa: QAPair, before: ModuleRegistry, after: ModuleRegistry,
                 shown = repr(out)
             lines.append(f"      step {step.step_index}: {step.module_kind}"
                          f"({', '.join(repr(a) for a in step.args)}) -> {shown}")
-    verdicts = []
-    for name, trace in ((before_name, trace_a), (after_name, trace_b)):
-        ok, _ = question_correct(qa, trace)
-        verdicts.append(f"{name}: {'correct' if ok else 'wrong'}")
-    lines.append("  verdict: " + "; ".join(verdicts))
+    lines.append("  verdict: " + "; ".join(
+        f"{name}: {'correct' if question_correct(qa, trace)[0] else 'wrong'}"
+        for name, trace in traces.items()))
     return "\n".join(lines) + "\n"

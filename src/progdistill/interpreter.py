@@ -48,7 +48,11 @@ class StepRecord:
     receiver: ScenePatch | PatchList
     args: tuple
     output: object
-    center_word: str | None
+
+    @property
+    def center_word(self) -> str | None:
+        """The word the receiver was found by (None for the full image)."""
+        return self.receiver.origin_label
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,12 +68,6 @@ class ExecutionTrace:
 
 class _RuntimeFailure(Exception):
     pass
-
-
-def _provenance(value: object) -> str | None:
-    if isinstance(value, (ScenePatch, PatchList)):
-        return value.origin_label
-    return None
 
 
 class _Executor:
@@ -159,7 +157,6 @@ class _Executor:
     def _call(self, expr: Call) -> object:
         receiver = self._eval(expr.receiver)
         args = tuple(self._eval(a) for a in expr.args)
-        center = _provenance(receiver)
         try:
             output = self.registry.dispatch(expr.module_kind, receiver, args)
         except _RuntimeFailure:
@@ -172,7 +169,6 @@ class _Executor:
             receiver=receiver,
             args=args,
             output=output,
-            center_word=center,
         ))
         return output
 
@@ -309,7 +305,6 @@ def trace_to_record(trace: ExecutionTrace) -> dict:
                 "receiver": _value_to_json(s.receiver),
                 "args": [_value_to_json(a) for a in s.args],
                 "output": _value_to_json(s.output),
-                "center_word": s.center_word,
             }
             for s in trace.steps
         ],
@@ -324,7 +319,6 @@ def trace_from_record(record: dict) -> ExecutionTrace:
             receiver=_value_from_json(sd["receiver"]),
             args=tuple(_value_from_json(a) for a in sd["args"]),
             output=_value_from_json(sd["output"]),
-            center_word=sd["center_word"],
         )
         for sd in record["steps"]
     )

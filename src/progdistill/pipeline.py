@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .backends import (CorruptionProfile, OracleBackend, TableStudent,
                        baseline_registry, consistency_verifier,
@@ -27,7 +27,7 @@ from .evaluation import (EvalReport, ablate_distilled_count,
                          ablate_trainset_size, case_report, cross_framework,
                          grounding_eval, question_correct, run_programs, score,
                          visual_pointer_effect)
-from .interpreter import trace_from_record, trace_to_record
+from .interpreter import ExecutionTrace, trace_from_record, trace_to_record
 from .questions import (DISTILLABLE_KINDS, GenConfig, QAPair,
                         generate_grounding, generate_qa, qa_from_record,
                         qa_to_record)
@@ -442,11 +442,23 @@ def read_split(run: RunPaths, name: str) -> list[QAPair]:
     return [qa_from_record(r) for r in read_jsonl(run.split_file(name))]
 
 
+def read_traces(run: RunPaths, split: str,
+                registry_name: str) -> Iterator[ExecutionTrace]:
+    """The traces run-programs stored for one split and registry, after
+    checking their checksum; streamed one record at a time."""
+    require_artifacts(run, f"run-programs:{split}:{registry_name}", ["traces"])
+    return (trace_from_record(r)
+            for r in iter_jsonl(run.traces_file(split, registry_name)))
+
+
 def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
     train_store, eval_store, _ = load_world_stores(run)
     gen = cfg.gen_config()
     for store, path in ((train_store, run.qa_train), (eval_store, run.qa_eval)):
-        verifier = consistency_verifier(store, cfg.world) if gen.should_verify else None
+        # Pointer-less questions on ambiguous patches are unanswerable even by
+        # the oracle and must survive generation for the pointer comparison
+        # to mean anything, so only pointer runs are verified.
+        verifier = consistency_verifier(store, cfg.world) if cfg.visual_pointer else None
         write_jsonl(path, (qa_to_record(qa) for scene_id in store.ids()
                            for qa in generate_qa(store.get(scene_id), gen,
                                                  cfg.seed, verifier=verifier)))
@@ -536,10 +548,8 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
 
 
 def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
-    require_artifacts(run, "run-programs:train:baseline", ["traces"])
+    traces = read_traces(run, "train", "baseline")
     _, _, store = load_world_stores(run)
-    traces = [trace_from_record(r)
-              for r in iter_jsonl(run.traces_file("train", "baseline"))]
     qapairs = read_split(run, "train")
     question_types = {qa.question_id: qa.question_type for qa in qapairs}
     teacher = OracleBackend(store, cfg.world)
@@ -583,11 +593,9 @@ def _write_csv(path: Path, rows) -> None:
 def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
                    registry_name: str) -> EvalReport:
     """Accounting over traces stored by run-programs for the test split."""
-    require_artifacts(run, f"run-programs:test:{registry_name}", ["traces"])
+    traces = read_traces(run, "test", registry_name)
     _, _, store = load_world_stores(run)
     qapairs = read_split(run, "test")
-    traces = [trace_from_record(r)
-              for r in iter_jsonl(run.traces_file("test", registry_name))]
     by_id = {t.question_id: t for t in traces}
     missing = [qa.question_id for qa in qapairs if qa.question_id not in by_id]
     if missing:
@@ -632,7 +640,8 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         sizes = [max(1, total * r // hi) for r in cfg.trainset_ratios]
         result = ablate_trainset_size(sizes, triples, base, store, cfg.world,
                                       cfg.profile, test_set, tau=cfg.tau,
-                                      alpha=cfg.alpha, seed=cfg.seed)
+                                      alpha=cfg.alpha, seed=cfg.seed,
+                                      epochs=cfg.epochs)
         _write_csv(run.curve_csv, [["size", "acc_all", "acc_no_nan"]] + [
             [point["size"], f"{point['acc_all']:.6f}",
              f"{point['acc_no_nan']:.6f}"] for point in result["curve"]])
@@ -666,9 +675,9 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
 def _coarse_counterparts(run: RunPaths, cfg: PipelineConfig,
                          eval_store: WorldStore, test_set) -> list:
     """Regenerate the test questions under the coarse framework; question ids
-    pair with the fine-framework set by construction."""
+    pair with the fine-framework set by construction, and the ground truth
+    is shared with the fine counterpart, so nothing is verified."""
     gen = cfg.gen_config(framework="coarse")
-    gen.verify_consistency = False  # gt is shared with the fine counterpart
     pool = []
     for scene_id in eval_store.ids():
         pool.extend(generate_qa(eval_store.get(scene_id), gen, cfg.seed))
@@ -794,7 +803,7 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
                              f"{data[name]['mean_iou']:.6f}", ""])
         sections.append("")
 
-    case_docs = _example_case_reports(run, cfg)
+    case_docs = _example_case_reports(run)
     if case_docs:
         sections.append("## Example trace diffs (baseline vs distilled)")
         sections.append("")
@@ -812,43 +821,28 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     return text
 
 
-def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
-                          limit: int = 2) -> list[str]:
-    """Render trace diffs for the first questions, in split order, that the
-    baseline gets wrong and the distilled framework gets right; empty when the
-    needed artifacts are not there yet. Traces are streamed and only their
-    verdicts kept."""
+def _example_case_reports(run: RunPaths, limit: int = 2) -> list[str]:
+    """Render the stored baseline and distilled traces of the first
+    questions, in split order, that the baseline gets wrong and the
+    distilled framework gets right; empty when the needed artifacts are not
+    there yet. Traces are streamed; only the baseline's wrong ones and the
+    distilled framework's fixes of them are kept."""
     needed = [run.traces_file("test", "baseline"),
               run.traces_file("test", "distilled"), run.split_file("test")]
     if not all(p.exists() for p in needed):
         return []
-    for name in ("baseline", "distilled"):
-        require_artifacts(run, f"run-programs:test:{name}", ["traces"])
+    baseline = read_traces(run, "test", "baseline")
+    distilled = read_traces(run, "test", "distilled")
     qapairs = read_split(run, "test")
-    _, _, store = load_world_stores(run)
     by_id = {qa.question_id: qa for qa in qapairs}
-
-    def verdicts(name: str, among) -> dict[str, bool]:
-        out = {}
-        for record in iter_jsonl(run.traces_file("test", name)):
-            trace = trace_from_record(record)
-            if trace.question_id in among:
-                out[trace.question_id] = question_correct(
-                    by_id[trace.question_id], trace)[0]
-        return out
-
-    base_wrong = {qid for qid, ok in verdicts("baseline", by_id).items()
-                  if not ok}
-    fixed_ids = {qid for qid, ok in verdicts("distilled", base_wrong).items()
-                 if ok}
-    fixed = [qa for qa in qapairs if qa.question_id in fixed_ids][:limit]
-    if not fixed:
-        return []
-    before = build_registry("baseline", run, cfg, store)
-    after = build_registry("distilled", run, cfg, store)
-    return [case_report(qa, before, after, store,
-                        before_name="baseline", after_name="distilled")
-            for qa in fixed]
+    base_wrong = {t.question_id: t for t in baseline if t.question_id in by_id
+                  and not question_correct(by_id[t.question_id], t)[0]}
+    fixed = {t.question_id: t for t in distilled if t.question_id in base_wrong
+             and question_correct(by_id[t.question_id], t)[0]}
+    chosen = [qa for qa in qapairs if qa.question_id in fixed][:limit]
+    return [case_report(qa, {"baseline": base_wrong[qa.question_id],
+                             "distilled": fixed[qa.question_id]})
+            for qa in chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,6 @@ class MadeQuestion:
     ground_truth: str
     fine_program: str
     coarse_program: str
-    slots: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,6 @@ def _make_attr_query(scene, rng, config):
         ground_truth=_attr_of(obj, family, world),
         fine_program=program,
         coarse_program=program,
-        slots={"name": name, "family": family},
     )
 
 
@@ -204,7 +202,6 @@ def _make_attr_query_guarded(scene, rng, config):
         ground_truth=gt,
         fine_program=program,
         coarse_program=program,
-        slots={"name": name, "family": family},
     )
 
 
@@ -227,7 +224,6 @@ def _make_direct_query(scene, rng, config):
         ground_truth=_attr_of(obj, family, world),
         fine_program=fine,
         coarse_program=coarse,
-        slots={"name": name, "family": family},
     )
 
 
@@ -240,7 +236,6 @@ def _make_exist(scene, rng, config):
         ground_truth="yes" if scene.objects_named(name) else "no",
         fine_program=program,
         coarse_program=program,
-        slots={"name": name},
     )
 
 
@@ -289,7 +284,6 @@ def _make_verify_attr(scene, rng, config):
         ground_truth=gt,
         fine_program=fine,
         coarse_program=coarse,
-        slots={"name": name, "attribute": attr},
     )
 
 
@@ -319,7 +313,6 @@ def _make_btm_noun(scene, rng, config):
         ground_truth=name,
         fine_program=fine,
         coarse_program=coarse,
-        slots={"name": name, "options": "|".join(options)},
     )
 
 
@@ -349,7 +342,6 @@ def _make_btm_attr(scene, rng, config):
         ground_truth=true_attr,
         fine_program=fine,
         coarse_program=coarse,
-        slots={"name": name, "options": "|".join(options)},
     )
 
 
@@ -413,7 +405,6 @@ def _make_two_hop(scene, rng, config):
         ground_truth=gt,
         fine_program=fine,
         coarse_program=coarse,
-        slots={"name": name, "cond_attr": cond_attr, "family": ask_family},
     )
 
 
@@ -448,8 +439,7 @@ def _make_pair_exist(op: str):
                    f"b = image.find({_s(name_b)})\n"
                    f"ea = a.exists()\n"
                    f"eb = b.exists()\n" + combine)
-        return MadeQuestion(question, gt, program, program,
-                            {"name_a": name_a, "name_b": name_b})
+        return MadeQuestion(question, gt, program, program)
     return make
 
 
@@ -485,7 +475,6 @@ def _make_compare(scene, rng, config):
         ground_truth=gt,
         fine_program=program,
         coarse_program=program,
-        slots={"name_a": name_a, "name_b": name_b, "family": family},
     )
 
 
@@ -502,7 +491,6 @@ def _make_count(scene, rng, config):
         ground_truth=str(len(scene.objects_named(name))),
         fine_program=program,
         coarse_program=program,
-        slots={"name": name},
     )
 
 
@@ -679,22 +667,12 @@ class GenConfig:
     fault_rate: float = 0.0
     visual_pointer: bool = True
     framework: str = "fine"
-    # None means: verify exactly when visual_pointer is on. Pointer-less
-    # questions on ambiguous patches are unanswerable even by the oracle and
-    # must survive generation for the pointer comparison to mean anything.
-    verify_consistency: bool | None = None
 
     def validate(self) -> None:
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError("fault_rate outside [0, 1]")
         if self.framework not in ("fine", "coarse"):
             raise ValueError(f"unknown framework {self.framework!r}")
-
-    @property
-    def should_verify(self) -> bool:
-        if self.verify_consistency is None:
-            return self.visual_pointer
-        return self.verify_consistency
 
 
 def corrupt_program(source: str, rng: random.Random) -> str:
@@ -725,7 +703,8 @@ def generate_qa(scene: SceneGraph, config: GenConfig, seed: int,
 
     Question ids are keyed by generation attempt, and slot selection never
     consumes RNG differently across visual_pointer or framework settings, so
-    paired generations line up by question_id.
+    paired generations line up by question_id. A candidate is kept only if
+    `verifier`, when given, accepts it.
     """
     config.validate()
     if not scene.objects:
@@ -746,7 +725,7 @@ def generate_qa(scene: SceneGraph, config: GenConfig, seed: int,
         qa = QAPair(question_id=qid, question=made.question,
                     ground_truth=made.ground_truth, program=program,
                     question_type=template_id, scene_id=scene.scene_id)
-        if config.should_verify and verifier is not None and not verifier(qa):
+        if verifier is not None and not verifier(qa):
             continue
         if config.fault_rate > 0 and stable_unit("fault", seed, qid) < config.fault_rate:
             qa = replace(qa, program=corrupt_program(

@@ -443,12 +443,6 @@ class WorldStore:
     def get(self, scene_id: str) -> SceneGraph:
         return self.scenes[scene_id]
 
-    def __contains__(self, scene_id: str) -> bool:
-        return scene_id in self.scenes
-
-    def __len__(self) -> int:
-        return len(self.scenes)
-
     def ids(self) -> list[str]:
         return sorted(self.scenes)
 

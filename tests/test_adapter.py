@@ -117,22 +117,22 @@ class TestAdaptStep:
 
     def test_verify_step(self):
         step = StepRecord(2, "verify_property", self._patch(),
-                          ("flower", "red"), True, "flower")
+                          ("flower", "red"), True)
         out = adapt_step(step, attribute_vocab=ATTRS, question_id="q7")
         assert isinstance(out, TeacherInput)
         assert out.sub_question == "Is this flower red?"
         assert out.sub_image is step.receiver
         assert out.source == ("q7", 2, "verify_property")
 
-    def test_btm_step_center_and_plural_from_provenance(self):
+    def test_btm_step_center_and_plural_from_receiver(self):
         step = StepRecord(0, "best_text_match", self._patch(),
-                          (("red", "blue"),), "red", "flower")
+                          (("red", "blue"),), "red")
         out = adapt_step(step, attribute_vocab=ATTRS)
         assert out.sub_question == "Is this flower red or blue?"
 
     def test_simple_query_step(self):
         step = StepRecord(1, "simple_query", self._patch(),
-                          ("What color is this flower",), "red", "flower")
+                          ("What color is this flower",), "red")
         out = adapt_step(step, attribute_vocab=ATTRS)
         assert out.sub_question == "What color is this flower?"
 
@@ -146,12 +146,12 @@ class TestAdaptStep:
         assert out.sub_image.region == step.receiver.region
 
     def test_non_distillable_kind_rejected(self):
-        step = StepRecord(0, "find", self._patch(), ("flower",), None, None)
+        step = StepRecord(0, "find", self._patch(), ("flower",), None)
         with pytest.raises(AdapterError):
             adapt_step(step, attribute_vocab=ATTRS)
 
     def test_empty_question_step_rejected(self):
-        step = StepRecord(0, "simple_query", self._patch(), ("",), "x", None)
+        step = StepRecord(0, "simple_query", self._patch(), ("",), "x")
         with pytest.raises(AdapterError):
             adapt_step(step, attribute_vocab=ATTRS)
 

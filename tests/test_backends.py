@@ -7,7 +7,7 @@ from progdistill import evaluation
 from progdistill.backends import (BackendError, CorruptedBackend,
                                   CorruptionProfile, DetectorBackend,
                                   ModuleRegistry, OracleBackend, PhaseError,
-                                  Prediction, RegistryError, SubTaskInput,
+                                  RegistryError, SubTaskInput,
                                   TableStudent, baseline_registry,
                                   consistency_verifier, distilled_registry,
                                   fresh_students, oracle_registry,
@@ -37,7 +37,7 @@ class TestDetector:
     def test_find_two_flowers(self, two_flower_scene):
         detector = DetectorBackend(store_for(two_flower_scene), miss_rate=0.0)
         out = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                            object_name="flower")).answer
+                                            object_name="flower"))
         assert isinstance(out, PatchList)
         assert len(out) == 2
         assert out.origin_label == "flower"
@@ -48,14 +48,14 @@ class TestDetector:
     def test_find_unknown_name_is_empty(self, two_flower_scene):
         detector = DetectorBackend(store_for(two_flower_scene), miss_rate=0.0)
         out = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                            object_name="unicorn")).answer
+                                            object_name="unicorn"))
         assert len(out) == 0
         assert out.origin_label == "unicorn"
 
     def test_miss_rate_one_finds_nothing(self, two_flower_scene):
         detector = DetectorBackend(store_for(two_flower_scene), miss_rate=1.0)
         out = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                            object_name="flower")).answer
+                                            object_name="flower"))
         assert len(out) == 0
 
     def test_misses_are_deterministic_per_object(self, world):
@@ -66,8 +66,8 @@ class TestDetector:
             patch = full_patch(store.get(sid))
             for noun in world.nouns:
                 inp = SubTaskInput("find", patch, object_name=noun)
-                assert [p.region for p in a.predict(inp).answer] == \
-                    [p.region for p in b.predict(inp).answer]
+                assert [p.region for p in a.predict(inp)] == \
+                    [p.region for p in b.predict(inp)]
 
     def test_find_respects_overlap_rule_regardless_of_corruption(self, world):
         # corruption affects labels, never geometry; the detector is separate
@@ -79,7 +79,7 @@ class TestDetector:
             receiver = crop(scene, (0, 0, 60, 60))
             for noun in world.nouns:
                 out = detector.predict(SubTaskInput("find", receiver,
-                                                    object_name=noun)).answer
+                                                    object_name=noun))
                 for patch in out:
                     obj = next(o for o in scene.objects if o.bbox == patch.region)
                     assert obj.name == noun
@@ -88,10 +88,10 @@ class TestDetector:
     def test_exists(self, two_flower_scene):
         detector = DetectorBackend(store_for(two_flower_scene), miss_rate=0.0)
         empty = PatchList((), origin_label="x")
-        assert detector.predict(SubTaskInput("exists", empty)).answer is False
+        assert detector.predict(SubTaskInput("exists", empty)) is False
         full = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                             object_name="flower")).answer
-        assert detector.predict(SubTaskInput("exists", full)).answer is True
+                                             object_name="flower"))
+        assert detector.predict(SubTaskInput("exists", full)) is True
 
 
 class TestOracleBackend:
@@ -101,8 +101,7 @@ class TestOracleBackend:
                      origin_label="flower")
         pred = oracle.predict(SubTaskInput("verify_property", patch,
                                            object_name="flower", attribute="red"))
-        assert pred.answer == "yes"
-        assert pred.distribution == {"yes": 1.0}
+        assert pred == "yes"
 
     def test_question_text_path_matches_structured_path(self, flower_scene, world):
         oracle = OracleBackend(store_for(flower_scene), world)
@@ -112,14 +111,14 @@ class TestOracleBackend:
             "verify_property", patch, object_name="flower", attribute="red"))
         via_text = oracle.predict(SubTaskInput(
             "simple_query", patch, question="Is this flower red?"))
-        assert structured.answer == via_text.answer == "yes"
+        assert structured == via_text == "yes"
 
     def test_unparseable_question_is_unknown(self, flower_scene, world):
         oracle = OracleBackend(store_for(flower_scene), world)
         pred = oracle.predict(SubTaskInput("simple_query",
                                            full_patch(flower_scene),
                                            question="gibberish prompt"))
-        assert pred.answer == "unknown"
+        assert pred == "unknown"
 
 
 class TestCorruption:
@@ -138,7 +137,7 @@ class TestCorruption:
         patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         pred = backend.predict(SubTaskInput("verify_property", patch,
                                             object_name="flower", attribute="red"))
-        assert pred.answer == "yes"
+        assert pred == "yes"
 
     def test_corrupted_key_flips_verify_answer(self, flower_scene, world):
         profile = CorruptionProfile(seed=1, rho=1.0)  # every key corrupted
@@ -146,7 +145,7 @@ class TestCorruption:
         patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         pred = backend.predict(SubTaskInput("verify_property", patch,
                                             object_name="flower", attribute="red"))
-        assert pred.answer == "no"  # yes<->no rotation
+        assert pred == "no"  # yes<->no rotation
 
     def test_corruption_determinism_across_backends(self, world, small_store):
         profile = CorruptionProfile(seed=9, rho=0.5)
@@ -159,7 +158,7 @@ class TestCorruption:
                 for attr in ("red", "small"):
                     inp = SubTaskInput("verify_property", crop(scene, patch.region, noun),
                                        object_name=noun, attribute=attr)
-                    assert a.predict(inp).answer == b.predict(inp).answer
+                    assert a.predict(inp) == b.predict(inp)
 
     def test_signature_perceived_through_permutation_only_when_corrupted(
             self, flower_scene, world):
@@ -175,14 +174,16 @@ class TestCorruption:
 
 
 class TestResolveQueryCanonicalization:
-    def test_noun_options_drop_center_adjective_options_keep_it(self, world):
+    def test_noun_options_drop_center_adjective_options_keep_it(
+            self, flower_scene, world):
         parser = QuestionParser(world)
-        noun_inp = SubTaskInput("best_text_match", None,
-                                options=("flower", "table"), center_word="flower")
+        patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
+        noun_inp = SubTaskInput("best_text_match", patch,
+                                options=("flower", "table"))
         assert resolve_query(noun_inp, parser) == \
             ChooseOption(("flower", "table"), None)
-        adj_inp = SubTaskInput("best_text_match", None,
-                               options=("red", "blue"), center_word="flower")
+        adj_inp = SubTaskInput("best_text_match", patch,
+                               options=("red", "blue"))
         assert resolve_query(adj_inp, parser) == \
             ChooseOption(("red", "blue"), "flower")
 
@@ -214,22 +215,22 @@ class TestTableStudent:
         base_pred = student.base.predict(inp)
         for _ in range(2):  # tau is 3; stay below
             student.update(inp, "yes")
-            assert student.predict(inp).answer == base_pred.answer
+            assert student.predict(inp) == base_pred
 
     def test_threshold_crossing_flips_argmax_to_teacher(self, flower_scene, world):
         student = self._student(flower_scene, world)
         inp = self._inp(flower_scene)
-        assert student.predict(inp).answer == "no"  # corrupted base
+        assert student.predict(inp) == "no"  # corrupted base
         for _ in range(3):
             student.update(inp, "yes")
-        assert student.predict(inp).answer == "yes"
+        assert student.predict(inp) == "yes"
 
     def test_ties_break_lexicographically(self, flower_scene, world):
         student = self._student(flower_scene, world, tau=2)
         inp = self._inp(flower_scene)
         student.update(inp, "zzz")
         student.update(inp, "aaa")
-        assert student.predict(inp).answer == "aaa"
+        assert student.predict(inp) == "aaa"
 
     def test_smoothed_distribution_uniform_over_support(self, flower_scene, world):
         student = self._student(flower_scene, world)
@@ -256,7 +257,7 @@ class TestTableStudent:
         assert loaded.module_kind == "verify_property"
         assert loaded.tau == student.tau
         assert loaded.table == student.table
-        assert loaded.predict(inp).answer == student.predict(inp).answer
+        assert loaded.predict(inp) == student.predict(inp)
 
     def test_load_rejects_unknown_version(self, flower_scene, world, tmp_path):
         path = tmp_path / "student.json"
@@ -308,7 +309,7 @@ class TestLearnability:
         brute_counts: dict[str, dict[str, int]] = {}
         for _ in range(6):  # several passes; every key crosses tau
             for inp in rng.sample(inputs, len(inputs)):
-                label = teacher.predict(inp).answer
+                label = teacher.predict(inp)
                 student.update(inp, label)
                 key = base.student_key(inp)
                 brute_counts.setdefault(key, {}).setdefault(label, 0)
@@ -320,8 +321,8 @@ class TestLearnability:
             counts = brute_counts[key]
             assert sum(counts.values()) >= student.tau
             brute_argmax = min(counts, key=lambda lbl: (-counts[lbl], lbl))
-            assert student.predict(inp).answer == brute_argmax
-            assert student.predict(inp).answer == teacher.predict(inp).answer
+            assert student.predict(inp) == brute_argmax
+            assert student.predict(inp) == teacher.predict(inp)
             matched += 1
         assert matched == len(inputs)
 
@@ -401,9 +402,9 @@ class _CountingQuery:
         self.answer = answer
         self.calls = 0
 
-    def predict(self, inp: SubTaskInput) -> Prediction:
+    def predict(self, inp: SubTaskInput) -> str:
         self.calls += 1
-        return Prediction(self.answer)
+        return self.answer
 
 
 class TestDispatchMemo:
@@ -452,7 +453,7 @@ class TestDispatchMemo:
         args = ("flower", "red")
         assert registry.dispatch("verify_property", patch, args) is False
         inp = SubTaskInput("verify_property", patch, object_name="flower",
-                           attribute="red", center_word="flower")
+                           attribute="red")
         for _ in range(3):
             student.update(inp, "yes")
         assert registry.dispatch("verify_property", patch, args) is True
@@ -491,10 +492,10 @@ class TestDispatchMemo:
         patch = full_patch(flower_scene)
         patches = PatchList((patch,), origin_label="flower")
         inp = SubTaskInput("exists", patches)
-        step = StepRecord(0, "exists", patches, (), True, "flower")
-        values = [inp, Prediction(True), patch, patches, step,
+        step = StepRecord(0, "exists", patches, (), True)
+        values = [inp, patch, patches, step,
                   ExecutionTrace("q0", "", (step,), True, "ok")]
-        assert [type(v) for v in values] == [SubTaskInput, Prediction,
+        assert [type(v) for v in values] == [SubTaskInput,
                                              ScenePatch, PatchList,
                                              StepRecord, ExecutionTrace]
         for value in values:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from progdistill.backends import (CorruptedBackend, CorruptionProfile,
-                                  OracleBackend, Prediction, TableStudent,
+                                  OracleBackend, TableStudent,
                                   baseline_registry, fresh_students,
                                   perfect_registry)
 from progdistill.distill import (Triple, harvest, load_triples,
@@ -107,32 +107,23 @@ class TestHarvest:
 
 
 class TestSampleLoss:
-    def _triple(self, label):
-        return Triple("s", (0, 0, 10, 10), "q?", label, "simple_query", "q0", "t")
-
     def test_probability_one_gives_zero_loss(self):
-        loss = sample_loss([self._triple("red")],
-                           [Prediction("red", {"red": 1.0})])
-        assert loss == 0.0
+        assert sample_loss([1.0]) == 0.0
 
     def test_two_steps_average(self):
         # step losses L1 = -ln 0.5, L2 = -ln 0.25 -> mean (L1+L2)/2
-        preds = [Prediction("a", {"a": 0.5}), Prediction("b", {"b": 0.25})]
-        loss = sample_loss([self._triple("a"), self._triple("b")], preds)
+        loss = sample_loss([0.5, 0.25])
         assert loss == pytest.approx((-math.log(0.5) - math.log(0.25)) / 2)
 
     def test_uniform_four_label_student_gives_ln4(self):
-        dist = {k: 0.25 for k in ("a", "b", "c", "d")}
-        loss = sample_loss([self._triple("c")], [Prediction("a", dist)])
-        assert loss == pytest.approx(math.log(4))
+        assert sample_loss([0.25]) == pytest.approx(math.log(4))
 
     def test_zero_probability_is_infinite(self):
-        loss = sample_loss([self._triple("zz")], [Prediction("a", {"a": 1.0})])
-        assert math.isinf(loss)
+        assert math.isinf(sample_loss([0.0]))
 
-    def test_zero_triples_rejected(self):
+    def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
-            sample_loss([], [])
+            sample_loss([])
 
 
 class TestTrain:
@@ -156,7 +147,7 @@ class TestTrain:
         _, report = train(students, [triple], store, epochs=tau)
         student = students["verify_property"]
         inp = triple_input(triple, store)
-        assert student.predict(inp).answer == "yes"  # was "no" via corruption
+        assert student.predict(inp) == "yes"  # was "no" via corruption
         assert report.keys_at_threshold["verify_property"] == 1
         assert report.triples_per_kind == {"verify_property": 1}
 
@@ -229,7 +220,7 @@ class TestTrain:
         student = students["verify_property"]
         teacher = OracleBackend(store, world)
         inp = triple_input(triple, store)
-        assert student.predict(inp).answer == teacher.predict(inp).answer
+        assert student.predict(inp) == teacher.predict(inp)
 
 
 class TestTripleFiles:

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from progdistill.backends import (CorruptionProfile, OracleBackend, Prediction,
+from progdistill.backends import (CorruptionProfile, OracleBackend,
                                   baseline_registry, consistency_verifier,
                                   distilled_registry, fresh_students,
                                   oracle_registry, perfect_registry)
@@ -80,11 +80,10 @@ class TestScore:
         # backend answering "" caps accuracy at the share of questions whose
         # trace never reached simple_query.
         class EmptyAnswer:
-            trainable = False
             name = "empty"
 
             def predict(self, inp):
-                return Prediction("", {"": 1.0})
+                return ""
 
         types = {"attr_query", "attr_query_guarded", "direct_query", "exist",
                  "count", "both_exist", "either_exist"}
@@ -123,11 +122,10 @@ class TestTaxonomy:
         store = store_for(scene)
 
         class WrongVerify:
-            trainable = False
             name = "wrong-verify"
 
             def predict(self, inp):
-                return Prediction("no", {"no": 1.0})
+                return "no"
 
         registry = perfect_registry(store, eval_world).replace(
             "verify_property", WrongVerify())
@@ -252,8 +250,7 @@ class TestCoarseValidation:
             validate_coarse_programs([qa])
 
     def test_generated_coarse_programs_validate(self, eval_world, eval_store):
-        gen = GenConfig(world=eval_world, framework="coarse",
-                        verify_consistency=False)
+        gen = GenConfig(world=eval_world, framework="coarse")
         qas = []
         for sid in eval_store.ids()[:10]:
             qas.extend(generate_qa(eval_store.get(sid), gen, 0))
@@ -275,16 +272,30 @@ class TestTeacherReplacement:
 
 class TestCaseReport:
     def test_diff_document_shows_both_runs(self, eval_world, eval_store, eval_set):
-        profile = CorruptionProfile(98, 0.3)
-        before = baseline_registry(eval_store, eval_world, profile)
-        after = oracle_registry(eval_store, eval_world)
+        registries = {
+            "baseline": baseline_registry(eval_store, eval_world,
+                                          CorruptionProfile(98, 0.3)),
+            "distilled": oracle_registry(eval_store, eval_world)}
         qa = eval_set[0]
-        doc = case_report(qa, before, after, eval_store,
-                          before_name="baseline", after_name="distilled")
+        doc = case_report(qa, {name: run_programs([qa], eval_store, registry)[0]
+                               for name, registry in registries.items()})
         assert qa.question in doc
         assert "[baseline" in doc and "[distilled" in doc
         assert "branches=" in doc
         assert "verdict:" in doc
+
+    def test_a_different_distilled_program_is_listed_too(self, eval_world,
+                                                         eval_store, eval_set):
+        qa = eval_set[0]
+        registry = oracle_registry(eval_store, eval_world)
+        own = run_programs([qa], eval_store, registry)[0]
+        other = run_programs([replace(qa, program="return \"no\"\n")],
+                             eval_store, registry)[0]
+        same = case_report(qa, {"baseline": own, "distilled": own})
+        assert "program (distilled):" not in same
+        doc = case_report(qa, {"baseline": own, "distilled": other})
+        assert doc.count("  program") == 2
+        assert '  program (distilled):\n    return "no"\n' in doc
 
 
 class TestVisualPointerProbe:

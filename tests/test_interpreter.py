@@ -252,6 +252,20 @@ class TestSerialization:
         assert again.answer is NAN
         assert again.status == STATUS_NAN
 
+    def test_records_with_a_stored_center_word_still_load(self, flower_scene,
+                                                          world):
+        registry = perfect_registry(store_for(flower_scene), world)
+        trace = execute(parse('ps = image.find("flower")\n'
+                              'return ps[0].simple_query("What is this?")\n'),
+                        flower_scene, registry, "q")
+        record = trace_to_record(trace)
+        assert all("center_word" not in step for step in record["steps"])
+        for step, stored in zip(record["steps"], (None, "flower")):
+            step["center_word"] = stored
+        again = trace_from_record(record)
+        assert again == trace
+        assert [s.center_word for s in again.steps] == [None, "flower"]
+
 
 def test_answer_to_text():
     assert answer_to_text(True) == "yes"

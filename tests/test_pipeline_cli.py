@@ -11,9 +11,15 @@ import pytest
 from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
                              EXIT_MISSING_ARTIFACT, EXIT_OK, build_parser,
                              main)
+from progdistill.evaluation import score
+from progdistill.dsl import parse
+from progdistill.interpreter import execute, trace_to_record
 from progdistill.pipeline import (CONFIG_SCHEMA, ConfigError, PipelineConfig,
-                                  RunPaths, load_config)
-from progdistill.util import read_jsonl, sha256_file
+                                  RunPaths, load_config, stage_report,
+                                  write_stage_manifest)
+from progdistill.questions import QAPair, qa_to_record
+from progdistill.util import read_jsonl, sha256_file, write_jsonl
+from progdistill.worlds import SceneGraph, SceneObject
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,16 @@ def _copy_run(full_run: Path, tmp_path: Path) -> Path:
 
 def _append_newline(path: Path) -> None:
     path.write_text(path.read_text() + "\n")
+
+
+class _Answers:
+    """A registry whose every module call returns one fixed answer."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def dispatch(self, kind, receiver, args):
+        return self.answer
 
 
 class TestConfig:
@@ -216,7 +232,7 @@ class TestStageOrderingAndChecksums:
                      "--out-dir", str(out)]) == EXIT_CHECKSUM
 
     @pytest.mark.parametrize("command", [
-        ["harvest"], ["distill"], ["evaluate"], ["ground-eval"], ["report"]])
+        ["harvest"], ["distill"], ["evaluate"], ["ground-eval"]])
     def test_changed_worlds_fail_checksum_downstream(self, full_run, tmp_path,
                                                      tiny_config_file,
                                                      command):
@@ -228,6 +244,7 @@ class TestStageOrderingAndChecksums:
     @pytest.mark.parametrize("changed, command", [
         ("split_test.jsonl", ["evaluate"]),
         ("eval_baseline.json", ["report"]),
+        ("traces_test_distilled.jsonl", ["report"]),
     ])
     def test_changed_input_fails_checksum(self, full_run, tmp_path,
                                           tiny_config_file, changed, command):
@@ -247,14 +264,12 @@ class TestManifests:
         ("ablate:trainset-size", WORLDS | {"split_test.jsonl",
                                            "triples.jsonl"}),
         ("ground-eval", WORLDS | STUDENTS),
-        # no baseline-wrong, distilled-right question at this scale, so the
-        # report builds no registry and reads no students
-        ("report", WORLDS | {"split_test.jsonl", "eval_baseline.json",
-                             "eval_distilled.json",
-                             "ablate_distilled_count.json",
-                             "ablate_trainset_size.json", "grounding.json",
-                             "traces_test_baseline.jsonl",
-                             "traces_test_distilled.jsonl"}),
+        # the report renders stored artifacts only: no worlds, no students
+        ("report", {"split_test.jsonl", "eval_baseline.json",
+                    "eval_distilled.json", "ablate_distilled_count.json",
+                    "ablate_trainset_size.json", "grounding.json",
+                    "traces_test_baseline.jsonl",
+                    "traces_test_distilled.jsonl"}),
         ("evaluate:baseline", WORLDS | {"split_test.jsonl",
                                         "traces_test_baseline.jsonl"}),
     ])
@@ -341,6 +356,68 @@ class TestEndToEnd:
             "cross-framework").read_text())
         assert [result[name]["metadata"]["visual_pointer"]
                 for name in ("baseline", "transplanted")] == [False, False]
+
+    def test_trainset_curve_uses_the_configured_epochs(self, tmp_path,
+                                                        tiny_config_file):
+        data = json.loads(Path(tiny_config_file).read_text())
+        data["distill"] = {"epochs": 3}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = str(tmp_path / "run")
+        for step in FULL_SEQUENCE[:6] + [
+                ["run-programs", "--split", "test", "--registry", "distilled"],
+                ["evaluate", "--registry", "distilled"],
+                ["ablate", "--axis", "trainset-size"]]:
+            assert _run(step + ["--config", str(config),
+                                "--out-dir", out]) == EXIT_OK, step
+        run = RunPaths(out)
+        curve = json.loads(run.ablation_file("trainset-size").read_text())
+        evaluated = json.loads(run.eval_file("distilled").read_text())
+        # The full-size point trains on every triple, as distill did.
+        assert curve["curve"][-1]["acc_all"] == evaluated["acc_all"]
+
+    def test_report_cases_are_the_stored_traces(self, tmp_path):
+        """The trace diff shows what run-programs stored, also when it ran a
+        program other than the split's (one from the program service, say);
+        the report reads no worlds and runs nothing."""
+        run = RunPaths(tmp_path / "run")
+        run.base.mkdir()
+        cfg = PipelineConfig()
+        qa = QAPair(question_id="s0:q000",
+                    question="What color is the flower?", ground_truth="red",
+                    program=('ps = image.find("flower")\n'
+                             'return ps[0].simple_query('
+                             '"What color is this flower?")\n'),
+                    question_type="attr_query", scene_id="s0")
+        write_jsonl(run.split_file("test"), [qa_to_record(qa)])
+        write_stage_manifest(run, "build-dataset", cfg,
+                             {"split_test": run.split_file("test")})
+        scene = SceneGraph("s0", (100, 100), (SceneObject(
+            "o00", "flower", frozenset({"red"}), (5, 5, 14, 14)),), seed=-1)
+        program = parse('return image.simple_query("What color is the flower?")\n')
+        for name, answer in (("baseline", "blue"), ("distilled", "red")):
+            trace = execute(program, scene, _Answers(answer), qa.question_id)
+            write_jsonl(run.traces_file("test", name), [trace_to_record(trace)])
+            write_stage_manifest(run, f"run-programs:test:{name}", cfg,
+                                 {"traces": run.traces_file("test", name)})
+            run.eval_file(name).write_text(
+                json.dumps(score([qa], [trace]).to_dict()))
+            write_stage_manifest(run, f"evaluate:{name}", cfg,
+                                 {"eval_json": run.eval_file(name)})
+        text = stage_report(run, cfg)
+        assert text.split("```\n")[1] == (
+            "question s0:q000 [attr_query]\n"
+            "  text:         What color is the flower?\n"
+            "  ground truth: red\n"
+            "  program:\n"
+            '    return image.simple_query("What color is the flower?")\n'
+            "\n"
+            "  [baseline ] status=ok branches=[] answer='blue'\n"
+            "      step 0: simple_query('What color is the flower?') -> 'blue'\n"
+            "  [distilled] status=ok branches=[] answer='red'\n"
+            "      step 0: simple_query('What color is the flower?') -> 'red'\n"
+            "  verdict: baseline: wrong; distilled: correct\n"
+            "\n")
 
     def test_distilled_run_requires_students(self, tmp_path, tiny_config_file):
         out = str(tmp_path / "run")

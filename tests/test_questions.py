@@ -23,7 +23,6 @@ class TestTemplates:
         gen = GenConfig(world=world)
         made = TEMPLATES["attr_query"].make(flower_scene,
                                             random.Random("pin:0"), gen)
-        assert made.slots == {"name": "flower", "family": "color"}
         assert made.question == "What color is the flower?"
         assert made.ground_truth == "red"
         assert made.fine_program == ('ps = image.find("flower")\n'
@@ -132,11 +131,9 @@ class TestGeneration:
     def test_frameworks_pair_by_question_id(self, world, small_store):
         scene = small_store.get(small_store.ids()[3])
         fine = {qa.question_id: qa for qa in generate_qa(
-            scene, GenConfig(world=world, framework="fine",
-                             verify_consistency=False), 4)}
+            scene, GenConfig(world=world, framework="fine"), 4)}
         coarse = {qa.question_id: qa for qa in generate_qa(
-            scene, GenConfig(world=world, framework="coarse",
-                             verify_consistency=False), 4)}
+            scene, GenConfig(world=world, framework="coarse"), 4)}
         assert set(fine) == set(coarse)
         for qid in fine:
             assert fine[qid].ground_truth == coarse[qid].ground_truth
