@@ -222,14 +222,13 @@ class CorruptedBackend:
         query = resolve_query(inp, self.parser)
         return query_key(query, raw_text=inp.question or "")
 
-    def perceived_signature(self, inp: SubTaskInput) -> str:
+    def perceived_signature(self, inp: SubTaskInput, corrupted: bool) -> str:
         """Sorted multiset of (name, attribute set) visible in the patch, seen
-        through the label permutations when the question key is corrupted."""
+        through the label permutations when the question key is `corrupted`."""
         patch = inp.patch
         if not isinstance(patch, ScenePatch):
             raise BackendError(f"{inp.module_kind} expects a single patch")
         scene = self.store.get(patch.scene_id)
-        corrupted = self.profile.corrupts(self.question_key(inp))
         entries = []
         for oid in patch.visible_objects:
             obj = scene.object_by_id(oid)
@@ -245,7 +244,9 @@ class CorruptedBackend:
         return "+".join(sorted(entries))
 
     def student_key(self, inp: SubTaskInput) -> str:
-        return f"{inp.module_kind}|{self.question_key(inp)}|{self.perceived_signature(inp)}"
+        key = self.question_key(inp)
+        signature = self.perceived_signature(inp, self.profile.corrupts(key))
+        return f"{inp.module_kind}|{key}|{signature}"
 
     def predict(self, inp: SubTaskInput) -> str:
         patch = inp.patch
@@ -438,10 +439,7 @@ class ModuleRegistry:
                 raise BackendError("verify_property expects two string arguments")
             inp = SubTaskInput("verify_property", receiver, object_name=args[0],
                                attribute=args[1])
-            answer = self._bindings[kind].predict(inp)
-            if isinstance(answer, bool):
-                return answer
-            return answer == "yes"
+            return self._bindings[kind].predict(inp) == "yes"
         if kind == "best_text_match":
             if not isinstance(receiver, ScenePatch):
                 raise BackendError("best_text_match expects a patch receiver")
@@ -451,14 +449,14 @@ class ModuleRegistry:
                 raise BackendError("best_text_match expects a list of strings")
             inp = SubTaskInput("best_text_match", receiver,
                                options=tuple(args[0]))
-            return str(self._bindings[kind].predict(inp))
+            return self._bindings[kind].predict(inp)
         if kind == "simple_query":
             if not isinstance(receiver, ScenePatch):
                 raise BackendError("simple_query expects a patch receiver")
             if len(args) != 1 or not isinstance(args[0], str):
                 raise BackendError("simple_query expects one string argument")
             inp = SubTaskInput("simple_query", receiver, question=args[0])
-            return str(self._bindings[kind].predict(inp))
+            return self._bindings[kind].predict(inp)
         raise BackendError(f"unknown module kind {kind!r}")
 
 

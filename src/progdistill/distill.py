@@ -82,13 +82,11 @@ def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
                 patch=teacher_input.sub_image,
                 question=teacher_input.sub_question,
             ))
-            if isinstance(label, bool):
-                label = "yes" if label else "no"
             triples.append(Triple(
                 scene_id=teacher_input.sub_image.scene_id,
                 region=teacher_input.sub_image.region,
                 sub_question=teacher_input.sub_question,
-                pseudo_label=str(label),
+                pseudo_label=label,
                 module_kind=step.module_kind,
                 source_qid=trace.question_id,
                 question_type=(question_types or {}).get(trace.question_id, ""),

@@ -22,7 +22,7 @@ from .dsl import Call, ParseError, parse
 from .distill import Triple, train
 from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
                           answer_to_text, run_with_fallback)
-from .questions import (DISTILLABLE_KINDS, GenConfig, GroundingCase, QAPair,
+from .questions import (DISTILLABLE_KINDS, GroundingCase, QAPair,
                         generate_qa)
 from .worlds import PatchList, ScenePatch, WorldConfig, WorldStore, rect_iou
 
@@ -242,22 +242,12 @@ def error_taxonomy(failures: Sequence[tuple[QAPair, ExecutionTrace]],
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _combo_registry(base: ModuleRegistry, students: Mapping[str, TableStudent],
-                    combo: Sequence[str]) -> ModuleRegistry:
-    registry = base
-    for kind in combo:
-        registry = registry.replace(kind, students[kind])
-    return registry
-
-
 def ablate_distilled_count(base: ModuleRegistry,
                            students: Mapping[str, TableStudent],
                            eval_set: Sequence[QAPair],
                            store: WorldStore) -> dict:
     """Four rows for 0/1/2/3 distilled modules. Rows 1 and 2 average the three
     single- and pair-substitution runs."""
-    for student in students.values():
-        student.freeze()
     kinds = [k for k in DISTILLABLE_KINDS if k in students]
     combos: dict[int, list[tuple[str, ...]]] = {
         0: [()],
@@ -271,7 +261,7 @@ def ablate_distilled_count(base: ModuleRegistry,
         accs_all = []
         accs_no_nan = []
         for combo in combos[count]:
-            registry = _combo_registry(base, students, combo)
+            registry = distilled_registry(base, {k: students[k] for k in combo})
             report = evaluate(registry, eval_set, store)
             label = "+".join(combo) if combo else "none"
             runs[f"dp{count}:{label}"] = {"acc_all": report.acc_all,
@@ -351,8 +341,9 @@ def grounding_eval(registry: ModuleRegistry, cases: Sequence[GroundingCase],
 
 
 def visual_pointer_effect(store: WorldStore, world: WorldConfig,
-                          profile: CorruptionProfile, gen_config: GenConfig,
-                          seed: int, miss_rate: float = 0.05,
+                          profile: CorruptionProfile,
+                          questions_per_scene: tuple[int, int], seed: int,
+                          miss_rate: float = 0.05,
                           detector_seed: int = 11) -> dict:
     """Zero-shot pointer comparison on the ambiguous-patch subset.
 
@@ -365,53 +356,43 @@ def visual_pointer_effect(store: WorldStore, world: WorldConfig,
     two different key lotteries instead of the pointer mechanism itself
     (ambiguous patches resolving to the wrong object).
     """
-    from dataclasses import replace as _replace
-
     verifier = consistency_verifier(store, world)
-    vp_config = _replace(gen_config, visual_pointer=True)
-    plain_config = _replace(gen_config, visual_pointer=False)
-
-    vp_qas: list[QAPair] = []
-    plain_qas: list[QAPair] = []
-    for scene_id in store.ids():
-        scene = store.get(scene_id)
-        vp_qas.extend(generate_qa(scene, vp_config, seed, verifier=verifier))
-        plain_qas.extend(generate_qa(scene, plain_config, seed))
-    vp_by_id = {qa.question_id: qa for qa in vp_qas}
-    plain_by_id = {qa.question_id: qa for qa in plain_qas}
-    shared = sorted(set(vp_by_id) & set(plain_by_id))
+    arms = {arm: {qa.question_id: qa for scene_id in store.ids()
+                  for qa in generate_qa(store.get(scene_id), world, seed,
+                                        questions_per_scene,
+                                        visual_pointer=pointer,
+                                        verifier=verifier if pointer else None)}
+            for arm, pointer in (("vp", True), ("plain", False))}
+    shared = sorted(set(arms["vp"]) & set(arms["plain"]))
 
     probe_profile = CorruptionProfile(seed=profile.seed, rho=0.0)
     registry = baseline_registry(store, world, probe_profile,
                                  miss_rate=miss_rate,
                                  detector_seed=detector_seed)
-    results = {}
-    traces_vp = {}
-    for arm, by_id in (("vp", vp_by_id), ("plain", plain_by_id)):
-        outcomes = {}
-        for qid in shared:
-            qa = by_id[qid]
-            trace = run_with_fallback(qa.program, qa.question,
-                                      store.get(qa.scene_id), registry, qid)
-            outcomes[qid] = question_correct(qa, trace)[0]
-            if arm == "vp":
-                traces_vp[qid] = trace
-        results[arm] = outcomes
+    correct = {}
+    for arm, by_id in arms.items():
+        qas = [by_id[qid] for qid in shared]
+        traces = run_programs(qas, store, registry)
+        correct[arm] = [question_correct(qa, trace)[0]
+                        for qa, trace in zip(qas, traces)]
+        if arm == "vp":
+            ambiguous = [i for i, trace in enumerate(traces)
+                         if _touches_ambiguous_patch(trace)]
+        del traces  # hold one arm's traces at a time
 
-    ambiguous = [qid for qid in shared if _touches_ambiguous_patch(traces_vp[qid])]
-    def acc(arm: str, qids: Sequence[str]) -> float:
-        if not qids:
-            return 0.0
-        return sum(1 for qid in qids if results[arm][qid]) / len(qids)
+    def acc(arm: str, indices: Sequence[int]) -> float:
+        hits = sum(correct[arm][i] for i in indices)
+        return hits / len(indices) if indices else 0.0
 
+    everything = range(len(shared))
     return {
         "paired_questions": len(shared),
         "ambiguous_count": len(ambiguous),
         "acc_vp_ambiguous": acc("vp", ambiguous),
         "acc_plain_ambiguous": acc("plain", ambiguous),
         "gap_ambiguous": acc("vp", ambiguous) - acc("plain", ambiguous),
-        "acc_vp_all": acc("vp", shared),
-        "acc_plain_all": acc("plain", shared),
+        "acc_vp_all": acc("vp", everything),
+        "acc_plain_all": acc("plain", everything),
     }
 
 

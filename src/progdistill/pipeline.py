@@ -28,7 +28,7 @@ from .evaluation import (EvalReport, ablate_distilled_count,
                          grounding_eval, question_correct, run_programs, score,
                          visual_pointer_effect)
 from .interpreter import ExecutionTrace, trace_from_record, trace_to_record
-from .questions import (DISTILLABLE_KINDS, GenConfig, QAPair,
+from .questions import (DISTILLABLE_KINDS, QAPair,
                         generate_grounding, generate_qa, qa_from_record,
                         qa_to_record)
 from .service import (PROFILE_PLAIN, PROFILE_POINTER, ProgramServiceClient,
@@ -146,15 +146,6 @@ class PipelineConfig:
     @property
     def profile(self) -> CorruptionProfile:
         return CorruptionProfile(seed=self.corruption_seed, rho=self.rho)
-
-    def gen_config(self, framework: str | None = None) -> GenConfig:
-        return GenConfig(
-            world=self.world,
-            questions_per_scene=self.questions_per_scene,
-            fault_rate=self.fault_rate,
-            visual_pointer=self.visual_pointer,
-            framework=framework or self.framework,
-        )
 
 
 def load_config(path: str | Path | None, seed: int | None = None) -> PipelineConfig:
@@ -453,15 +444,18 @@ def read_traces(run: RunPaths, split: str,
 
 def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
     train_store, eval_store, _ = load_world_stores(run)
-    gen = cfg.gen_config()
     for store, path in ((train_store, run.qa_train), (eval_store, run.qa_eval)):
         # Pointer-less questions on ambiguous patches are unanswerable even by
         # the oracle and must survive generation for the pointer comparison
         # to mean anything, so only pointer runs are verified.
         verifier = consistency_verifier(store, cfg.world) if cfg.visual_pointer else None
         write_jsonl(path, (qa_to_record(qa) for scene_id in store.ids()
-                           for qa in generate_qa(store.get(scene_id), gen,
-                                                 cfg.seed, verifier=verifier)))
+                           for qa in generate_qa(
+                               store.get(scene_id), cfg.world, cfg.seed,
+                               cfg.questions_per_scene,
+                               visual_pointer=cfg.visual_pointer,
+                               coarse=cfg.framework == "coarse",
+                               fault_rate=cfg.fault_rate, verifier=verifier)))
     write_stage_manifest(run, "gen-qa", cfg,
                          {"qa_train": run.qa_train, "qa_eval": run.qa_eval})
 
@@ -648,7 +642,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         outputs["curve_csv"] = run.curve_csv
     elif axis == "cross-framework":
         require_artifacts(run, "distill", ["student_simple_query"])
-        coarse_test = _coarse_counterparts(run, cfg, eval_store, test_set)
+        coarse_test = _coarse_counterparts(cfg, eval_store, test_set)
         reports = cross_framework(base, run.student_file("simple_query"),
                                   coarse_test, store, cfg.world,
                                   cfg.visual_pointer)
@@ -660,10 +654,9 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         for i in range(cfg.vp_probe_scenes):
             probe_store.add(generate_world(
                 cfg.seed * 1_000_000 + 900_000 + i, probe_world))
-        gen = GenConfig(world=probe_world,
-                        questions_per_scene=cfg.questions_per_scene)
         result = visual_pointer_effect(probe_store, probe_world, cfg.profile,
-                                       gen, cfg.seed, miss_rate=cfg.miss_rate,
+                                       cfg.questions_per_scene, cfg.seed,
+                                       miss_rate=cfg.miss_rate,
                                        detector_seed=cfg.detector_seed)
 
     outputs["ablation"].write_text(json.dumps(result, indent=2, sort_keys=True),
@@ -672,17 +665,18 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
     return result
 
 
-def _coarse_counterparts(run: RunPaths, cfg: PipelineConfig,
-                         eval_store: WorldStore, test_set) -> list:
+def _coarse_counterparts(cfg: PipelineConfig, eval_store: WorldStore,
+                         test_set) -> list:
     """Regenerate the test questions under the coarse framework; question ids
     pair with the fine-framework set by construction, and the ground truth
     is shared with the fine counterpart, so nothing is verified."""
-    gen = cfg.gen_config(framework="coarse")
-    pool = []
-    for scene_id in eval_store.ids():
-        pool.extend(generate_qa(eval_store.get(scene_id), gen, cfg.seed))
     wanted = {qa.question_id for qa in test_set}
-    return [qa for qa in pool if qa.question_id in wanted]
+    return [qa for scene_id in eval_store.ids()
+            for qa in generate_qa(eval_store.get(scene_id), cfg.world, cfg.seed,
+                                  cfg.questions_per_scene,
+                                  visual_pointer=cfg.visual_pointer,
+                                  coarse=True, fault_rate=cfg.fault_rate)
+            if qa.question_id in wanted]
 
 
 def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,

@@ -89,8 +89,8 @@ def pluralize(word: str) -> str:
 
 
 def depluralize(word: str) -> str:
-    if word in _PLURAL_TO_SINGULAR:
-        return _PLURAL_TO_SINGULAR[word]
+    if word in PLURAL_IRREGULAR:
+        return _PLURAL_TO_SINGULAR.get(word, word)
     if word.endswith("s") and word not in SINGULAR_WITH_S:
         return word[:-1]
     return word
@@ -156,20 +156,19 @@ class MadeQuestion:
 class TemplateSpec:
     template_id: str
     weight: float  # relative sampling weight in generate_qa
-    make: Callable[[SceneGraph, random.Random, "GenConfig"], MadeQuestion | None]
+    make: Callable[[SceneGraph, random.Random, WorldConfig, bool], MadeQuestion | None]
     evaluate: Callable[[SceneGraph, Sequence[str], TemplateQuery, WorldConfig], str] | None = None
     support: Callable[[TemplateQuery, WorldConfig], tuple[str, ...]] | None = None
 
 
-def _make_attr_query(scene, rng, config):
-    world = config.world
+def _make_attr_query(scene, rng, world, pointer):
     names = _unique_names(scene)
     family = rng.choice(_families(world))
     if not names:
         return None
     name = rng.choice(names)
     obj = scene.objects_named(name)[0]
-    sub = attribute_sub_question(family, name, config.visual_pointer)
+    sub = attribute_sub_question(family, name, pointer)
     program = (f"ps = image.find({_s(name)})\n"
                f"return ps[0].simple_query({_s(sub)})\n")
     return MadeQuestion(
@@ -180,8 +179,7 @@ def _make_attr_query(scene, rng, config):
     )
 
 
-def _make_attr_query_guarded(scene, rng, config):
-    world = config.world
+def _make_attr_query_guarded(scene, rng, world, pointer):
     family = rng.choice(_families(world))
     candidates = _unique_names(scene) + _absent_nouns(scene, world)
     if not candidates:
@@ -189,7 +187,7 @@ def _make_attr_query_guarded(scene, rng, config):
     name = rng.choice(sorted(candidates))
     objs = scene.objects_named(name)
     gt = _attr_of(objs[0], family, world) if objs else "none"
-    sub = attribute_sub_question(family, name, config.visual_pointer)
+    sub = attribute_sub_question(family, name, pointer)
     program = (f"ps = image.find({_s(name)})\n"
                f"e = ps.exists()\n"
                f"if e:\n"
@@ -205,8 +203,7 @@ def _make_attr_query_guarded(scene, rng, config):
     )
 
 
-def _make_direct_query(scene, rng, config):
-    world = config.world
+def _make_direct_query(scene, rng, world, pointer):
     names = _unique_names(scene)
     family = rng.choice(_families(world))
     if not names:
@@ -216,7 +213,7 @@ def _make_direct_query(scene, rng, config):
     question = f"What {family} is the {name}?"
     fine = f"return image.simple_query({_s(question)})\n"
     # The coarse framework always decomposes find-then-query.
-    sub = attribute_sub_question(family, name, config.visual_pointer)
+    sub = attribute_sub_question(family, name, pointer)
     coarse = (f"ps = image.find({_s(name)})\n"
               f"return ps[0].simple_query({_s(sub)})\n")
     return MadeQuestion(
@@ -227,8 +224,8 @@ def _make_direct_query(scene, rng, config):
     )
 
 
-def _make_exist(scene, rng, config):
-    name = rng.choice(config.world.nouns)
+def _make_exist(scene, rng, world, pointer):
+    name = rng.choice(world.nouns)
     program = (f"ps = image.find({_s(name)})\n"
                f"return ps.exists()\n")
     return MadeQuestion(
@@ -239,8 +236,7 @@ def _make_exist(scene, rng, config):
     )
 
 
-def _make_verify_attr(scene, rng, config):
-    world = config.world
+def _make_verify_attr(scene, rng, world, pointer):
     candidates = _unique_names(scene) + _absent_nouns(scene, world)
     if not candidates:
         return None
@@ -270,7 +266,7 @@ def _make_verify_attr(scene, rng, config):
             f"return ans\n")
     # Coarse counterpart: ask the attribute family, compare in program logic.
     att_family = world.family_of(attr) or family
-    sub = attribute_sub_question(att_family, name, config.visual_pointer)
+    sub = attribute_sub_question(att_family, name, pointer)
     coarse = (f"ps = image.find({_s(name)})\n"
               f"e = ps.exists()\n"
               f"if e:\n"
@@ -287,8 +283,7 @@ def _make_verify_attr(scene, rng, config):
     )
 
 
-def _make_btm_noun(scene, rng, config):
-    world = config.world
+def _make_btm_noun(scene, rng, world, pointer):
     names = _unique_names(scene)
     absent = _absent_nouns(scene, world)
     if not names or not absent:
@@ -316,8 +311,7 @@ def _make_btm_noun(scene, rng, config):
     )
 
 
-def _make_btm_attr(scene, rng, config):
-    world = config.world
+def _make_btm_attr(scene, rng, world, pointer):
     names = _unique_names(scene)
     if not names:
         return None
@@ -334,7 +328,7 @@ def _make_btm_attr(scene, rng, config):
             f"return ps[0].best_text_match({opts_literal})\n")
     # Coarse counterpart: both options live in one family, so asking for the
     # family value answers the choice directly.
-    ask = attribute_sub_question(family, name, config.visual_pointer)
+    ask = attribute_sub_question(family, name, pointer)
     coarse = (f"ps = image.find({_s(name)})\n"
               f"return ps[0].simple_query({_s(ask)})\n")
     return MadeQuestion(
@@ -355,8 +349,7 @@ def _eval_two_hop(scene, visible_ids, tq, world) -> str:
     return _attr_of(obj, tq.slot("family"), world)
 
 
-def _make_two_hop(scene, rng, config):
-    world = config.world
+def _make_two_hop(scene, rng, world, pointer):
     names = _unique_names(scene)
     if not names:
         return None
@@ -374,7 +367,7 @@ def _make_two_hop(scene, rng, config):
     if cond_attr == UNKNOWN:
         return None
     gt = _attr_of(obj, ask_family, world) if cond_attr in obj.attributes else "none"
-    sub = attribute_sub_question(ask_family, name, config.visual_pointer)
+    sub = attribute_sub_question(ask_family, name, pointer)
     fine = (f"ps = image.find({_s(name)})\n"
             f"e = ps.exists()\n"
             f"if e:\n"
@@ -388,7 +381,7 @@ def _make_two_hop(scene, rng, config):
             f"return ans\n")
     # Coarse counterpart checks the condition by asking for the attribute
     # family and comparing in program logic.
-    cond_sub = attribute_sub_question(cond_family, name, config.visual_pointer)
+    cond_sub = attribute_sub_question(cond_family, name, pointer)
     coarse = (f"ps = image.find({_s(name)})\n"
               f"e = ps.exists()\n"
               f"if e:\n"
@@ -421,8 +414,8 @@ def _eval_either_exist(scene, visible_ids, tq, world) -> str:
 
 
 def _make_pair_exist(op: str):
-    def make(scene, rng, config):
-        name_a, name_b = rng.sample(config.world.nouns, 2)
+    def make(scene, rng, world, pointer):
+        name_a, name_b = rng.sample(world.nouns, 2)
         has_a = bool(scene.objects_named(name_a))
         has_b = bool(scene.objects_named(name_b))
         if op == "and":
@@ -452,8 +445,7 @@ def _eval_compare(scene, visible_ids, tq, world) -> str:
     return "yes" if _attr_of(a[0], family, world) == _attr_of(b[0], family, world) else "no"
 
 
-def _make_compare(scene, rng, config):
-    world = config.world
+def _make_compare(scene, rng, world, pointer):
     names = _unique_names(scene)
     if len(names) < 2:
         return None
@@ -462,8 +454,8 @@ def _make_compare(scene, rng, config):
     obj_a = scene.objects_named(name_a)[0]
     obj_b = scene.objects_named(name_b)[0]
     gt = "yes" if _attr_of(obj_a, family, world) == _attr_of(obj_b, family, world) else "no"
-    sub_a = attribute_sub_question(family, name_a, config.visual_pointer)
-    sub_b = attribute_sub_question(family, name_b, config.visual_pointer)
+    sub_a = attribute_sub_question(family, name_a, pointer)
+    sub_b = attribute_sub_question(family, name_b, pointer)
     program = (f"a = image.find({_s(name_a)})\n"
                f"b = image.find({_s(name_b)})\n"
                f"va = a[0].simple_query({_s(sub_a)})\n"
@@ -482,8 +474,8 @@ def _eval_count(scene, visible_ids, tq, world) -> str:
     return str(len(_visible_named(scene, visible_ids, tq.slot("name"))))
 
 
-def _make_count(scene, rng, config):
-    name = rng.choice(config.world.nouns)
+def _make_count(scene, rng, world, pointer):
+    name = rng.choice(world.nouns)
     program = (f"ps = image.find({_s(name)})\n"
                f"return len(ps)\n")
     return MadeQuestion(
@@ -660,21 +652,6 @@ class QAPair:
     scene_id: str
 
 
-@dataclass
-class GenConfig:
-    world: WorldConfig
-    questions_per_scene: tuple[int, int] = (8, 12)
-    fault_rate: float = 0.0
-    visual_pointer: bool = True
-    framework: str = "fine"
-
-    def validate(self) -> None:
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError("fault_rate outside [0, 1]")
-        if self.framework not in ("fine", "coarse"):
-            raise ValueError(f"unknown framework {self.framework!r}")
-
-
 def corrupt_program(source: str, rng: random.Random) -> str:
     """Delete whitespace-delimited tokens until the program no longer parses.
 
@@ -697,37 +674,43 @@ def corrupt_program(source: str, rng: random.Random) -> str:
     return "return (\n"
 
 
-def generate_qa(scene: SceneGraph, config: GenConfig, seed: int,
+def generate_qa(scene: SceneGraph, world: WorldConfig, seed: int,
+                questions_per_scene: tuple[int, int] = (8, 12), *,
+                visual_pointer: bool = True, coarse: bool = False,
+                fault_rate: float = 0.0,
                 verifier: Callable[[QAPair], bool] | None = None) -> list[QAPair]:
     """Generate question/program pairs for one scene, deterministically.
 
+    `visual_pointer` names the object in attribute sub-questions; `coarse`
+    takes each template's coarse-framework program instead of the fine one;
+    a `fault_rate` share of programs (by stable hash) is corrupted until it
+    no longer parses. A candidate is kept only if `verifier`, when given,
+    accepts it.
+
     Question ids are keyed by generation attempt, and slot selection never
-    consumes RNG differently across visual_pointer or framework settings, so
-    paired generations line up by question_id. A candidate is kept only if
-    `verifier`, when given, accepts it.
+    consumes RNG differently across visual_pointer or coarse settings, so
+    paired generations line up by question_id.
     """
-    config.validate()
     if not scene.objects:
         raise ValueError(f"scene {scene.scene_id} has no objects")
     rng = random.Random(f"qa:{seed}:{scene.scene_id}")
-    lo, hi = config.questions_per_scene
-    target = rng.randint(lo, hi)
+    target = rng.randint(*questions_per_scene)
     out: list[QAPair] = []
     for attempt in range(target * 4):
         if len(out) >= target:
             break
         template_id = rng.choices(ALL_TEMPLATE_IDS, _TEMPLATE_WEIGHTS)[0]
-        made = TEMPLATES[template_id].make(scene, rng, config)
+        made = TEMPLATES[template_id].make(scene, rng, world, visual_pointer)
         if made is None:
             continue
         qid = f"{scene.scene_id}:q{attempt:03d}"
-        program = made.fine_program if config.framework == "fine" else made.coarse_program
+        program = made.coarse_program if coarse else made.fine_program
         qa = QAPair(question_id=qid, question=made.question,
                     ground_truth=made.ground_truth, program=program,
                     question_type=template_id, scene_id=scene.scene_id)
         if verifier is not None and not verifier(qa):
             continue
-        if config.fault_rate > 0 and stable_unit("fault", seed, qid) < config.fault_rate:
+        if fault_rate > 0 and stable_unit("fault", seed, qid) < fault_rate:
             qa = replace(qa, program=corrupt_program(
                 qa.program, random.Random(f"faultsel:{seed}:{qid}")))
         out.append(qa)

@@ -21,7 +21,7 @@ from progdistill.dsl import ParseError, parse
 from progdistill.evaluation import EvalReport
 from progdistill.interpreter import STATUS_FALLBACK, run_with_fallback
 from progdistill.pipeline import PipelineConfig, run_full_recipe
-from progdistill.questions import GenConfig, QAPair, generate_qa
+from progdistill.questions import QAPair, generate_qa
 from progdistill.worlds import (SceneGraph, SceneObject, WorldConfig, crop,
                                 generate_world)
 
@@ -147,8 +147,6 @@ def test_c08_accounting_invariants(recipe):
 
 def test_c09_fallback_behavior(recipe):
     cfg, _ = recipe
-    gen = GenConfig(world=cfg.world, questions_per_scene=cfg.questions_per_scene,
-                    fault_rate=0.1)
     from progdistill.worlds import WorldStore
     store = WorldStore()
     for i in range(cfg.train_scenes + cfg.eval_scenes):
@@ -160,7 +158,8 @@ def test_c09_fallback_behavior(recipe):
     corrupted = 0
     for sid in store.ids():
         scene = store.get(sid)
-        for qa in generate_qa(scene, gen, cfg.seed):
+        for qa in generate_qa(scene, cfg.world, cfg.seed,
+                              cfg.questions_per_scene, fault_rate=0.1):
             total += 1
             try:
                 parse(qa.program)

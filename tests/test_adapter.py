@@ -9,7 +9,7 @@ from progdistill.adapter import (AdapterError, TeacherInput,
 from progdistill.backends import perfect_registry
 from progdistill.dsl import parse
 from progdistill.interpreter import StepRecord, execute
-from progdistill.questions import GenConfig, article, generate_qa
+from progdistill.questions import article, generate_qa
 from progdistill.worlds import ScenePatch, crop
 
 from conftest import store_for
@@ -159,11 +159,10 @@ class TestAdaptStep:
         """Every distillable step from generated programs adapts cleanly."""
         registry = perfect_registry(small_store, world)
         vocab = world.all_attributes()
-        gen = GenConfig(world=world)
         adapted = 0
         for sid in small_store.ids():
             scene = small_store.get(sid)
-            for qa in generate_qa(scene, gen, 0):
+            for qa in generate_qa(scene, world, 0):
                 trace = execute(parse(qa.program), scene, registry,
                                 qa.question_id)
                 for step in trace.steps:

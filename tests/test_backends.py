@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from progdistill import evaluation
+from progdistill.adapter import adapt_best_text_match, is_plural
 from progdistill.backends import (BackendError, CorruptedBackend,
                                   CorruptionProfile, DetectorBackend,
                                   ModuleRegistry, OracleBackend, PhaseError,
@@ -14,7 +16,7 @@ from progdistill.backends import (BackendError, CorruptedBackend,
                                   perfect_registry, resolve_query)
 from progdistill.distill import harvest, train
 from progdistill.interpreter import ExecutionTrace, StepRecord
-from progdistill.questions import (GenConfig, QuestionParser, generate_qa,
+from progdistill.questions import (QuestionParser, generate_qa,
                                    query_key)
 from progdistill.worlds import (ChooseOption, PatchList, SceneGraph,
                                 SceneObject, ScenePatch, VerifyAttribute,
@@ -167,10 +169,11 @@ class TestCorruption:
                                  CorruptionProfile(seed=1, rho=0.0))
         inp = SubTaskInput("verify_property", patch, object_name="flower",
                            attribute="red")
-        assert clean.perceived_signature(inp) == "flower(red,small)"
+        assert clean.student_key(inp).endswith("|flower(red,small)")
         corrupted = CorruptedBackend(store_for(flower_scene), world,
                                      CorruptionProfile(seed=1, rho=1.0))
-        assert corrupted.perceived_signature(inp) != "flower(red,small)"
+        assert not corrupted.student_key(inp).endswith("|flower(red,small)")
+        assert corrupted.perceived_signature(inp, False) == "flower(red,small)"
 
 
 class TestResolveQueryCanonicalization:
@@ -196,6 +199,26 @@ class TestResolveQueryCanonicalization:
             SubTaskInput("simple_query", None, question="Is this flower red?"),
             parser)
         assert query_key(structured) == query_key(via_text)
+
+    def test_plurale_tantum_center_keys_agree(self, world):
+        # Dispatch keys a best_text_match step by its options; harvest keys
+        # the adapted sub-question "Are these glasses blue or red?".
+        glasses_world = replace(world, nouns=world.nouns + ("glasses",))
+        scene = SceneGraph("g", (100, 100), (
+            SceneObject("o00", "glasses", frozenset({"red", "small"}),
+                        (10, 10, 16, 16)),), seed=-1)
+        patch = crop(scene, scene.objects[0].bbox, "glasses")
+        options = ("blue", "red")
+        question = adapt_best_text_match(
+            options, "glasses", plural=is_plural("glasses"),
+            attribute_vocab=glasses_world.all_attributes())
+        dispatched = SubTaskInput("best_text_match", patch, options=options)
+        harvested = SubTaskInput("best_text_match", patch, question=question)
+        base = CorruptedBackend(store_for(scene), glasses_world,
+                                CorruptionProfile(seed=1, rho=0.3))
+        assert base.student_key(harvested) == base.student_key(dispatched)
+        teacher = OracleBackend(store_for(scene), glasses_world)
+        assert teacher.predict(harvested) == "red"
 
 
 class TestTableStudent:
@@ -462,10 +485,9 @@ class TestDispatchMemo:
                                                            small_store,
                                                            profile,
                                                            monkeypatch):
-        gen = GenConfig(world=world)
         verifier = consistency_verifier(small_store, world)
         qas = [qa for sid in small_store.ids()
-               for qa in generate_qa(small_store.get(sid), gen, 0,
+               for qa in generate_qa(small_store.get(sid), world, 0,
                                      verifier=verifier)]
         traces = evaluation.run_programs(
             qas, small_store, baseline_registry(small_store, world, profile))
@@ -476,11 +498,10 @@ class TestDispatchMemo:
         shared = evaluation.ablate_distilled_count(
             baseline_registry(small_store, world, profile), students,
             qas, small_store)
-        combo_registry = evaluation._combo_registry
         monkeypatch.setattr(
-            evaluation, "_combo_registry",
-            lambda base, students, combo: combo_registry(
-                baseline_registry(small_store, world, profile), students, combo))
+            evaluation, "distilled_registry",
+            lambda base, students: distilled_registry(
+                baseline_registry(small_store, world, profile), students))
         fresh = evaluation.ablate_distilled_count(
             baseline_registry(small_store, world, profile), students,
             qas, small_store)

@@ -13,7 +13,7 @@ from progdistill.distill import (Triple, harvest, load_triples,
                                  triple_to_record)
 from progdistill.dsl import parse
 from progdistill.interpreter import STATUS_NAN, execute
-from progdistill.questions import GenConfig, generate_qa
+from progdistill.questions import generate_qa
 from progdistill.util import read_jsonl
 
 from conftest import store_for
@@ -190,13 +190,12 @@ class TestTrain:
 
     def test_monotone_coverage_in_training_set_size(self, world, small_store, profile):
         # superset training data -> superset of keys at threshold
-        gen = GenConfig(world=world)
         base = baseline_registry(small_store, world, profile)
         teacher = OracleBackend(small_store, world)
         traces = []
         for sid in small_store.ids():
             scene = small_store.get(sid)
-            for qa in generate_qa(scene, gen, 0):
+            for qa in generate_qa(scene, world, 0):
                 from progdistill.interpreter import run_with_fallback
                 traces.append(run_with_fallback(qa.program, qa.question, scene,
                                                 base, qa.question_id))

@@ -13,7 +13,7 @@ from progdistill.evaluation import (EvalReport, TAXONOMY_KEYS,
                                     validate_coarse_programs,
                                     visual_pointer_effect)
 from progdistill.interpreter import run_with_fallback
-from progdistill.questions import (GenConfig, GroundingCase, generate_grounding,
+from progdistill.questions import (GroundingCase, generate_grounding,
                                    generate_qa, qa_from_record, qa_to_record)
 from progdistill.worlds import SceneGraph, SceneObject, WorldStore, generate_world
 
@@ -36,11 +36,11 @@ def eval_store(eval_world):
 
 @pytest.fixture(scope="module")
 def eval_set(eval_world, eval_store):
-    gen = GenConfig(world=eval_world)
     verifier = consistency_verifier(eval_store, eval_world)
     out = []
     for sid in eval_store.ids():
-        out.extend(generate_qa(eval_store.get(sid), gen, 0, verifier=verifier))
+        out.extend(generate_qa(eval_store.get(sid), eval_world, 0,
+                               verifier=verifier))
     return out
 
 
@@ -87,9 +87,8 @@ class TestScore:
 
         types = {"attr_query", "attr_query_guarded", "direct_query", "exist",
                  "count", "both_exist", "either_exist"}
-        gen = GenConfig(world=eval_world)
         qas = [qa for sid in eval_store.ids()[:15]
-               for qa in generate_qa(eval_store.get(sid), gen, 0)
+               for qa in generate_qa(eval_store.get(sid), eval_world, 0)
                if qa.question_type in types]
         registry = perfect_registry(eval_store, eval_world).replace(
             "simple_query", EmptyAnswer())
@@ -250,10 +249,10 @@ class TestCoarseValidation:
             validate_coarse_programs([qa])
 
     def test_generated_coarse_programs_validate(self, eval_world, eval_store):
-        gen = GenConfig(world=eval_world, framework="coarse")
         qas = []
         for sid in eval_store.ids()[:10]:
-            qas.extend(generate_qa(eval_store.get(sid), gen, 0))
+            qas.extend(generate_qa(eval_store.get(sid), eval_world, 0,
+                                   coarse=True))
         validate_coarse_programs(qas)
 
 
@@ -304,8 +303,7 @@ class TestVisualPointerProbe:
         store = WorldStore()
         for seed in range(30):
             store.add(generate_world(800000 + seed, probe_world))
-        gen = GenConfig(world=probe_world)
         out = visual_pointer_effect(store, probe_world,
-                                    CorruptionProfile(98, 0.3), gen, 0)
+                                    CorruptionProfile(98, 0.3), (8, 12), 0)
         assert out["ambiguous_count"] > 10
         assert out["acc_vp_ambiguous"] >= out["acc_plain_ambiguous"]

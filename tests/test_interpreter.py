@@ -8,7 +8,7 @@ from progdistill.interpreter import (NAN, STATUS_FALLBACK, STATUS_NAN,
                                      STATUS_OK, answer_to_text, execute,
                                      fallback_program, run_with_fallback,
                                      trace_from_record, trace_to_record)
-from progdistill.questions import GenConfig, corrupt_program, generate_qa
+from progdistill.questions import corrupt_program, generate_qa
 from progdistill.worlds import PatchList, ScenePatch
 
 from conftest import store_for
@@ -97,10 +97,9 @@ class TestExecute:
 class TestProvenance:
     def test_center_word_tracks_find_parameter_transitively(self, world, small_store):
         registry = perfect_registry(small_store, world)
-        gen = GenConfig(world=world)
         for sid in small_store.ids()[:8]:
             scene = small_store.get(sid)
-            for qa in generate_qa(scene, gen, 0):
+            for qa in generate_qa(scene, world, 0):
                 trace = execute(parse(qa.program), scene, registry, qa.question_id)
                 find_labels = {}
                 for step in trace.steps:
@@ -158,10 +157,9 @@ class TestTraceCompleteness:
         # of boolean operands, so call count on the taken path is exact.
         registry = perfect_registry(small_store, world)
         checked = 0
-        gen = GenConfig(world=world)
         for sid in small_store.ids():
             scene = small_store.get(sid)
-            for qa in generate_qa(scene, gen, 1):
+            for qa in generate_qa(scene, world, 1):
                 program = parse(qa.program)
                 if len(program.statements) > 5:
                     continue
@@ -214,12 +212,11 @@ class TestFallback:
 
     def test_property_corrupted_programs_always_fall_back(self, world, small_store, profile):
         registry = baseline_registry(small_store, world, profile)
-        gen = GenConfig(world=world)
         rng = random.Random("fallback-prop")
         count = 0
         for sid in small_store.ids()[:10]:
             scene = small_store.get(sid)
-            for qa in generate_qa(scene, gen, 2):
+            for qa in generate_qa(scene, world, 2):
                 broken = corrupt_program(qa.program, rng)
                 trace = run_with_fallback(broken, qa.question, scene, registry,
                                           qa.question_id)
