@@ -1,16 +1,24 @@
 """Parser for the visual-program DSL.
 
-Line-oriented grammar: assignment, single-level if/else with 4-space indented
-blocks, method-style module calls on `image` or patch variables, integer
-indexing, len(), ==/!=/and/or/not, string/int/bool/list literals, and return.
+The DSL is a line-oriented subset of Python: assignment, single-level if/else
+with 4-space indented blocks, method-style module calls on `image` or patch
+variables, integer indexing, len(), ==/!=/and/or/not, string/int/bool/list
+literals, and return.
+
+parse() takes three steps: a line scan with the DSL's own token pattern, which
+also rejects the token pairs Python would read differently; Python's
+ast.parse; and one walk that builds the DSL's AST classes from the Python tree
+and rejects every construct outside the DSL.
 
 Static guarantees enforced at parse time: variables are defined before use,
 every execution path reaches exactly one return, module-call arity matches the
-module kind, and no statement is unreachable.
+module kind, no statement is unreachable, no if nests in another, blocks are
+indented by exactly 4 spaces, and every statement is one line.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -129,52 +137,79 @@ Stmt = Union[Assign, If, Return]
 class Program:
     statements: tuple[Stmt, ...]
     source_text: str
+    module_kinds: frozenset[str] = frozenset()  # the kind of every call in it
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser: a line scan, Python's own parser, one whitelist walk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # NAME, INT, STRING, OP
-    value: object
-    line: int
-    column: int
-
-
+# The DSL's tokens, ASCII only; BAD is an unterminated string, a string with
+# an escape other than \n \t \" \\, or any other character.
 _TOKEN_RE = re.compile(r"""
     (?P<WS>[ ]+)
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
-  | (?P<BADSTRING>"(?:[^"\\\n]|\\.)*$)
+  | (?P<STRING>"(?:[^"\\]|\\[nt"\\])*")
   | (?P<INT>\d+)
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>==|!=|[=.\[\](),:])
-""", re.VERBOSE)
+  | (?P<BAD>"(?:[^"\\]|\\.)*"?|.)
+""", re.VERBOSE | re.ASCII)
 
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+# Python's parser takes no NUL and no lone surrogate; the scan lets them
+# through only inside a string, where they become escapes for the same value.
+_UNPARSABLE_RE = re.compile("[\0\ud800-\udfff]")
+
+# Token pairs that Python reads differently from the DSL: a trailing comma,
+# and a parenthesised callee such as `(image.find)("a")`.
+_BAD_PAIRS = {(",", ")"), (",", "]"), (")", "(")}
 
 
-def _unescape(raw: str, line: int, col: int) -> str:
-    out = []
-    i = 0
-    body = raw[1:-1]
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 1
-            esc = body[i]
-            if esc not in _ESCAPES:
-                raise ParseError("lexical", f"bad escape \\{esc}", line, col)
-            out.append(_ESCAPES[esc])
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+def _scan(source: str) -> str:
+    """Check every line against the DSL's tokens; return the text for
+    ast.parse, with the same line numbers as `source`.
+
+    Besides what the DSL never lexed, this rejects what Python would merge:
+    adjacent strings (`"a" "b"`), a name before a string (`r"a"`), an integer
+    glued to a name or a dot (`1_000`, `0x1f`, `1.5`), and a line whose
+    brackets do not close on it, so each statement is one line. A lexical
+    error anywhere wins over these, as the whole text is lexed first.
+    """
+    lines: list[str] = []
+    problems: list[ParseError] = []
+    for number, raw in enumerate(source.splitlines(), start=1):
+        if not raw.strip():
+            lines.append("")
+            continue
+        prev_kind = prev_text = None
+        prev_end = depth = 0
+        for m in _TOKEN_RE.finditer(raw):
+            kind, text, col = m.lastgroup, m.group(), m.start() + 1
+            if kind == "WS":
+                continue
+            if kind == "BAD":
+                raise ParseError("lexical", f"unexpected {text!r}", number, col)
+            if ((prev_kind, kind) in (("STRING", "STRING"), ("NAME", "STRING"))
+                    and prev_text not in KEYWORDS
+                    or prev_kind == "INT" and prev_end == m.start()
+                    and (kind == "NAME" or text == ".")
+                    or (prev_text, text) in _BAD_PAIRS):
+                problems.append(ParseError(
+                    "syntactic", f"{prev_text!r} before {text!r}", number, col))
+            depth += (text in ("(", "[")) - (text in (")", "]"))
+            prev_kind, prev_text, prev_end = kind, text, m.end()
+        if depth:
+            problems.append(ParseError("syntactic", "unclosed bracket", number,
+                                       len(raw)))
+        lines.append(_UNPARSABLE_RE.sub(
+            lambda m: f"\\u{ord(m.group()):04x}", raw))
+    if problems:
+        raise problems[0]
+    return "\n".join(lines) + "\n"
 
 
 def escape_string(value: str) -> str:
-    """Render a string as a DSL literal (inverse of the tokenizer's unescape)."""
+    """Render a string as a DSL literal that parses back to `value`: only the
+    DSL's four escapes (\\\\, \\", \\n, \\t) are written."""
     out = ['"']
     for ch in value:
         if ch == "\\":
@@ -191,290 +226,45 @@ def escape_string(value: str) -> str:
     return "".join(out)
 
 
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("lexical", f"unexpected character {text[pos]!r}",
-                             line_no, pos + 1)
-        kind = m.lastgroup
-        raw = m.group()
-        col = pos + 1
-        if kind == "BADSTRING":
-            raise ParseError("lexical", "unterminated string", line_no, col)
-        if kind == "STRING":
-            tokens.append(Token("STRING", _unescape(raw, line_no, col), line_no, col))
-        elif kind == "INT":
-            tokens.append(Token("INT", int(raw), line_no, col))
-        elif kind == "NAME":
-            tokens.append(Token("NAME", raw, line_no, col))
-        elif kind == "OP":
-            tokens.append(Token("OP", raw, line_no, col))
-        pos = m.end()
-    return tokens
+_COMPARE_OPS = {ast.Eq: "==", ast.NotEq: "!="}
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
+class _Walker:
+    """Turns a Python syntax tree into DSL statements, rejecting everything
+    outside the DSL and checking its static guarantees on the way."""
 
-@dataclass
-class _Line:
-    number: int
-    indent: int
-    tokens: list[Token]
+    def __init__(self) -> None:
+        self.module_kinds: set[str] = set()
 
-
-class _ExprParser:
-    def __init__(self, tokens: list[Token], defined: set[str], line_no: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.defined = defined
-        self.line_no = line_no
-
-    def _peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _advance(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("syntactic", "unexpected end of line", self.line_no)
-        self.pos += 1
-        return tok
-
-    def _expect_op(self, op: str) -> Token:
-        tok = self._advance()
-        if tok.kind != "OP" or tok.value != op:
-            raise ParseError("syntactic", f"expected {op!r}, found {tok.value!r}",
-                             tok.line, tok.column)
-        return tok
-
-    def _at_op(self, op: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "OP" and tok.value == op
-
-    def _at_name(self, name: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "NAME" and tok.value == name
-
-    def parse_expr(self) -> Expr:
-        return self._or_expr()
-
-    def _or_expr(self) -> Expr:
-        left = self._and_expr()
-        while self._at_name("or"):
-            self._advance()
-            left = BoolOp("or", left, self._and_expr())
-        return left
-
-    def _and_expr(self) -> Expr:
-        left = self._not_expr()
-        while self._at_name("and"):
-            self._advance()
-            left = BoolOp("and", left, self._not_expr())
-        return left
-
-    def _not_expr(self) -> Expr:
-        if self._at_name("not"):
-            self._advance()
-            return NotOp(self._not_expr())
-        return self._comparison()
-
-    def _comparison(self) -> Expr:
-        left = self._postfix()
-        tok = self._peek()
-        if tok is not None and tok.kind == "OP" and tok.value in ("==", "!="):
-            self._advance()
-            return Compare(tok.value, left, self._postfix())
-        return left
-
-    def _postfix(self) -> Expr:
-        node = self._atom()
-        while True:
-            if self._at_op("."):
-                self._advance()
-                name_tok = self._advance()
-                if name_tok.kind != "NAME":
-                    raise ParseError("syntactic", "expected method name after '.'",
-                                     name_tok.line, name_tok.column)
-                self._expect_op("(")
-                args: list[Expr] = []
-                if not self._at_op(")"):
-                    args.append(self.parse_expr())
-                    while self._at_op(","):
-                        self._advance()
-                        args.append(self.parse_expr())
-                self._expect_op(")")
-                kind = name_tok.value
-                if kind in MODULE_ARITY and len(args) != MODULE_ARITY[kind]:
-                    raise ParseError(
-                        "arity",
-                        f"{kind} takes {MODULE_ARITY[kind]} argument(s), got {len(args)}",
-                        name_tok.line, name_tok.column)
-                node = Call(kind, node, tuple(args))
-            elif self._at_op("["):
-                open_tok = self._advance()
-                idx_tok = self._advance()
-                if idx_tok.kind != "INT":
-                    raise ParseError("syntactic", "index must be an integer literal",
-                                     open_tok.line, open_tok.column)
-                self._expect_op("]")
-                node = Index(node, idx_tok.value)
-            else:
-                return node
-
-    def _atom(self) -> Expr:
-        tok = self._advance()
-        if tok.kind == "STRING":
-            return Literal(tok.value)
-        if tok.kind == "INT":
-            return Literal(tok.value)
-        if tok.kind == "NAME":
-            name = tok.value
-            if name in ("True", "False"):
-                return Literal(name == "True")
-            if name == "image":
-                return ImageRef()
-            if name == "len":
-                self._expect_op("(")
-                inner = self.parse_expr()
-                self._expect_op(")")
-                return Len(inner)
-            if name in KEYWORDS:
-                raise ParseError("syntactic", f"unexpected keyword {name!r}",
-                                 tok.line, tok.column)
-            if name not in self.defined:
-                raise ParseError("undefined_variable",
-                                 f"variable {name!r} used before assignment",
-                                 tok.line, tok.column)
-            return Var(name)
-        if tok.kind == "OP" and tok.value == "(":
-            inner = self.parse_expr()
-            self._expect_op(")")
-            return inner
-        if tok.kind == "OP" and tok.value == "[":
-            items: list[Expr] = []
-            if not self._at_op("]"):
-                items.append(self.parse_expr())
-                while self._at_op(","):
-                    self._advance()
-                    items.append(self.parse_expr())
-            self._expect_op("]")
-            values = []
-            for item in items:
-                if not isinstance(item, Literal):
-                    raise ParseError("syntactic", "list items must be literals",
-                                     tok.line, tok.column)
-                values.append(item.value)
-            return Literal(tuple(values))
-        raise ParseError("syntactic", f"unexpected token {tok.value!r}",
-                         tok.line, tok.column)
-
-    def finish(self) -> None:
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError("syntactic", f"trailing tokens from {tok.value!r}",
-                             tok.line, tok.column)
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.lines: list[_Line] = []
-        for number, raw in enumerate(source.splitlines(), start=1):
-            if not raw.strip():
-                continue
-            stripped = raw.lstrip(" ")
-            if "\t" in raw[: len(raw) - len(stripped)]:
-                raise ParseError("lexical", "tabs are not allowed in indentation",
-                                 number, 1)
-            indent = len(raw) - len(stripped)
-            self.lines.append(_Line(number, indent, _tokenize_line(stripped, number)))
-        self.pos = 0
-
-    def _peek(self) -> _Line | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def parse(self) -> Program:
-        if not self.lines:
-            raise ParseError("syntactic", "empty program", 1)
-        defined: set[str] = set()
-        stmts, terminates = self._parse_block(0, defined, depth=0)
-        if self._peek() is not None:
-            line = self._peek()
-            raise ParseError("syntactic", "unexpected indentation",
-                             line.number, line.indent + 1)
-        if not terminates:
-            raise ParseError("structure", "not every execution path returns",
-                             self.lines[-1].number)
-        return Program(statements=tuple(stmts), source_text=self.source)
-
-    def _parse_block(self, indent: int, defined: set[str],
-                     depth: int) -> tuple[list[Stmt], bool]:
+    def block(self, body: list[ast.stmt], defined: set[str],
+              depth: int) -> tuple[tuple[Stmt, ...], bool]:
         stmts: list[Stmt] = []
         terminated = False
-        while True:
-            line = self._peek()
-            if line is None or line.indent < indent:
-                break
-            if line.indent > indent:
-                raise ParseError("syntactic", "unexpected indentation",
-                                 line.number, line.indent + 1)
-            first = line.tokens[0] if line.tokens else None
-            if first is not None and first.kind == "NAME" and first.value == "else":
-                break
+        for node in body:
             if terminated:
                 raise ParseError("structure", "unreachable statement after return",
-                                 line.number)
-            stmt, stmt_terminates = self._parse_statement(line, defined, depth)
+                                 node.lineno)
+            if node.col_offset != depth * INDENT:
+                raise ParseError("syntactic",
+                                 f"a body is indented by {INDENT} spaces",
+                                 node.lineno, node.col_offset + 1)
+            stmt, stmt_terminates = self.statement(node, defined, depth)
             stmts.append(stmt)
-            terminated = terminated or stmt_terminates
-        if not stmts:
-            line = self._peek()
-            raise ParseError("syntactic", "expected an indented block",
-                             line.number if line else 0)
-        return stmts, terminated
+            terminated = stmt_terminates
+        return tuple(stmts), terminated
 
-    def _parse_statement(self, line: _Line, defined: set[str],
-                         depth: int) -> tuple[Stmt, bool]:
-        self.pos += 1
-        tokens = line.tokens
-        first = tokens[0]
-
-        if first.kind == "NAME" and first.value == "return":
-            ep = _ExprParser(tokens[1:], defined, line.number)
-            expr = ep.parse_expr()
-            ep.finish()
-            return Return(expr), True
-
-        if first.kind == "NAME" and first.value == "if":
+    def statement(self, node: ast.stmt, defined: set[str],
+                  depth: int) -> tuple[Stmt, bool]:
+        if isinstance(node, ast.Return) and node.value is not None:
+            return Return(self.expr(node.value, defined)), True
+        if isinstance(node, ast.If):
             if depth >= 1:
                 raise ParseError("syntactic", "nested if is not supported",
-                                 line.number, first.column)
-            if not (tokens and tokens[-1].kind == "OP" and tokens[-1].value == ":"):
-                raise ParseError("syntactic", "if line must end with ':'",
-                                 line.number, first.column)
-            ep = _ExprParser(tokens[1:-1], defined, line.number)
-            cond = ep.parse_expr()
-            ep.finish()
-            then_defined = set(defined)
-            then_body, then_term = self._parse_block(line.indent + INDENT,
-                                                     then_defined, depth + 1)
-            else_body: list[Stmt] = []
-            else_term = False
-            else_defined = set(defined)
-            nxt = self._peek()
-            if (nxt is not None and nxt.indent == line.indent and nxt.tokens
-                    and nxt.tokens[0].kind == "NAME" and nxt.tokens[0].value == "else"):
-                if not (len(nxt.tokens) == 2 and nxt.tokens[1].kind == "OP"
-                        and nxt.tokens[1].value == ":"):
-                    raise ParseError("syntactic", "else line must be 'else:'",
-                                     nxt.number, nxt.tokens[0].column)
-                self.pos += 1
-                else_body, else_term = self._parse_block(line.indent + INDENT,
-                                                         else_defined, depth + 1)
+                                 node.lineno, node.col_offset + 1)
+            cond = self.expr(node.test, defined)
+            then_defined, else_defined = set(defined), set(defined)
+            then_body, then_term = self.block(node.body, then_defined, depth + 1)
+            else_body, else_term = self.block(node.orelse, else_defined, depth + 1)
             # Definedness after the if is flow-sensitive: a branch that always
             # returns contributes nothing to the continuation.
             if else_body:
@@ -484,23 +274,76 @@ class _Parser:
                     defined.update(then_defined)
                 else:
                     defined.update(then_defined & else_defined)
-            terminates = bool(else_body) and then_term and else_term
-            return If(cond, tuple(then_body), tuple(else_body)), terminates
-
-        if (first.kind == "NAME" and len(tokens) >= 2 and tokens[1].kind == "OP"
-                and tokens[1].value == "="):
-            name = first.value
-            if name in KEYWORDS or name in MODULE_ARITY:
-                raise ParseError("syntactic", f"{name!r} cannot be assigned",
-                                 line.number, first.column)
-            ep = _ExprParser(tokens[2:], defined, line.number)
-            expr = ep.parse_expr()
-            ep.finish()
-            defined.add(name)
-            return Assign(name, expr), False
-
+            return If(cond, then_body, else_body), then_term and else_term
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(target := node.targets[0], ast.Name)
+                and target.col_offset == node.col_offset):
+            if target.id in KEYWORDS or target.id in MODULE_ARITY:
+                raise ParseError("syntactic", f"{target.id!r} cannot be assigned",
+                                 node.lineno, node.col_offset + 1)
+            expr = self.expr(node.value, defined)
+            defined.add(target.id)
+            return Assign(target.id, expr), False
         raise ParseError("syntactic", "expected assignment, if, or return",
-                         line.number, first.column)
+                         node.lineno, node.col_offset + 1)
+
+    def expr(self, node: ast.expr, defined: set[str]) -> Expr:
+        if isinstance(node, ast.Constant) and type(node.value) in (str, int, bool):
+            return Literal(node.value)
+        if isinstance(node, ast.Name):
+            if node.id == "image":
+                return ImageRef()
+            if node.id in KEYWORDS:
+                raise ParseError("syntactic", f"unexpected keyword {node.id!r}",
+                                 node.lineno, node.col_offset + 1)
+            if node.id not in defined:
+                raise ParseError("undefined_variable",
+                                 f"variable {node.id!r} used before assignment",
+                                 node.lineno, node.col_offset + 1)
+            return Var(node.id)
+        if isinstance(node, ast.List):
+            items = [self.expr(item, defined) for item in node.elts]
+            if all(isinstance(item, Literal) for item in items):
+                return Literal(tuple(item.value for item in items))
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and type(node.slice.value) is int):
+            return Index(self.expr(node.value, defined), node.slice.value)
+        if isinstance(node, ast.Call) and not node.keywords:
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "len"
+                    and len(node.args) == 1):
+                return Len(self.expr(node.args[0], defined))
+            if isinstance(func, ast.Attribute):
+                receiver = self.expr(func.value, defined)
+                args = tuple(self.expr(arg, defined) for arg in node.args)
+                kind = func.attr
+                if kind in MODULE_ARITY and len(args) != MODULE_ARITY[kind]:
+                    raise ParseError(
+                        "arity",
+                        f"{kind} takes {MODULE_ARITY[kind]} argument(s), got {len(args)}",
+                        node.lineno, node.col_offset + 1)
+                self.module_kinds.add(kind)
+                return Call(kind, receiver, args)
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _COMPARE_OPS):
+            return Compare(_COMPARE_OPS[type(node.ops[0])],
+                           self.expr(node.left, defined),
+                           self.expr(node.comparators[0], defined))
+        if isinstance(node, ast.BoolOp):
+            op = "and" if isinstance(node.op, ast.And) else "or"
+            left = self.expr(node.values[0], defined)
+            for value in node.values[1:]:
+                left = BoolOp(op, left, self.expr(value, defined))
+            return left
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return NotOp(self.expr(node.operand, defined))
+        raise ParseError("syntactic", f"{type(node).__name__} is not in the DSL",
+                         node.lineno, node.col_offset + 1)
+
+
+# Every cached Program keeps its set of module kinds (about 200 bytes), but
+# programs call few distinct sets, so equal sets are shared.
+_kind_set = lru_cache(maxsize=256)(frozenset)
 
 
 # Parsing is pure, and the pipeline parses the same texts again in every run,
@@ -510,7 +353,22 @@ class _Parser:
 @lru_cache(maxsize=4096)
 def parse(source: str) -> Program:
     """Parse a program or raise a ParseError with a distinguishable kind."""
-    return _Parser(source).parse()
+    walker = _Walker()
+    try:
+        tree = ast.parse(_scan(source))
+        statements, terminates = walker.block(tree.body, set(), depth=0)
+    except SyntaxError as exc:
+        raise ParseError("syntactic", exc.msg, exc.lineno or 0,
+                         exc.offset or 0) from None
+    except RecursionError:
+        raise ParseError("syntactic", "program nests too deeply") from None
+    if not statements:
+        raise ParseError("syntactic", "empty program", 1)
+    if not terminates:
+        raise ParseError("structure", "not every execution path returns",
+                         tree.body[-1].end_lineno)
+    return Program(statements, source,
+                   _kind_set(frozenset(walker.module_kinds)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .backends import (CorruptionProfile, ModuleRegistry, TableStudent,
                        baseline_registry, consistency_verifier,
                        distilled_registry, fresh_students, perfect_registry)
-from .dsl import Call, ParseError, parse
+from .dsl import ParseError, parse
 from .distill import Triple, train
 from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
                           answer_to_text, run_with_fallback)
@@ -150,38 +150,12 @@ def score(qapairs: Sequence[QAPair], traces: Sequence[ExecutionTrace],
 def validate_coarse_programs(qapairs: Sequence[QAPair]) -> None:
     """Coarse-framework programs must not call verify_property or
     best_text_match."""
-
-    def walk(expr) -> bool:
-        if isinstance(expr, Call):
-            if expr.module_kind in ("verify_property", "best_text_match"):
-                return False
-            if not walk(expr.receiver):
-                return False
-            return all(walk(a) for a in expr.args)
-        for attr in ("target", "operand", "left", "right"):
-            child = getattr(expr, attr, None)
-            if child is not None and not walk(child):
-                return False
-        return True
-
-    def walk_stmts(stmts) -> bool:
-        for stmt in stmts:
-            for attr in ("expr", "cond"):
-                child = getattr(stmt, attr, None)
-                if child is not None and not walk(child):
-                    return False
-            for attr in ("then_body", "else_body"):
-                body = getattr(stmt, attr, None)
-                if body and not walk_stmts(body):
-                    return False
-        return True
-
     for qa in qapairs:
         try:
             program = parse(qa.program)
         except ParseError:
             continue  # will take the fallback path, which is simple_query only
-        if not walk_stmts(program.statements):
+        if program.module_kinds & {"verify_property", "best_text_match"}:
             raise ValueError(
                 f"{qa.question_id}: coarse program calls a fine-grained module")
 

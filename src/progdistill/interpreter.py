@@ -183,7 +183,7 @@ def execute(program: Program, scene: SceneGraph, registry,
     try:
         answer = executor.run(program)
         status = STATUS_OK
-    except _RuntimeFailure:
+    except (_RuntimeFailure, RecursionError):  # nested beyond Python's stack
         answer = NAN
         status = STATUS_NAN
     return ExecutionTrace(

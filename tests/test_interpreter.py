@@ -204,6 +204,20 @@ class TestFallback:
         assert step.receiver.region == (0, 0, 100, 100)
         assert answer_to_text(trace.answer) == "yes"
 
+    # Nesting beyond Python's recursion limit ends as a trace, not an
+    # exception: too deep to parse takes the fallback, too deep to evaluate
+    # is a NaN.
+    @pytest.mark.parametrize("source,status", [
+        ("return " + "(" * 300 + "True" + ")" * 300 + "\n", STATUS_FALLBACK),
+        ("return " + "not " * 3000 + "True\n", STATUS_FALLBACK),
+        ("return " + " and ".join(["True"] * 3001) + "\n", STATUS_NAN),
+    ], ids=["parentheses", "not", "and"])
+    def test_deep_nesting_ends_as_a_trace(self, flower_scene, registry,
+                                          source, status):
+        trace = run_with_fallback(source, "Is there a flower?", flower_scene,
+                                  registry, "q")
+        assert trace.status == status
+
     def test_parseable_source_does_not_fall_back(self, flower_scene, world):
         registry = perfect_registry(store_for(flower_scene), world)
         trace = run_with_fallback('return "x"\n', "q?", flower_scene, registry, "q")

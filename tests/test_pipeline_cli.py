@@ -433,10 +433,12 @@ CANNED = 'return image.simple_query("What is this?")\n'
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
+    program = CANNED
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
-        body = json.dumps({"program_text": CANNED}).encode()
+        body = json.dumps({"program_text": self.program}).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -446,28 +448,43 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         pass
 
 
+def _run_programs_from_service(out, config_file, handler):
+    """Build a dataset, then run the test split's programs as `handler`
+    serves them; returns the exit code and the stored traces."""
+    for step in (["gen-world"], ["gen-qa"], ["build-dataset"]):
+        assert _run(step + ["--config", config_file, "--out-dir", out]) == EXIT_OK
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_port}/gen"
+        code = _run(["run-programs", "--split", "test",
+                     "--registry", "baseline",
+                     "--program-source", "service",
+                     "--service-endpoint", endpoint,
+                     "--config", config_file, "--out-dir", out])
+    finally:
+        server.shutdown()
+    return code, read_jsonl(RunPaths(out).traces_file("test", "baseline"))
+
+
 class TestProgramService:
     def test_run_programs_from_service(self, tmp_path, tiny_config_file):
-        out = str(tmp_path / "run")
-        for step in (["gen-world"], ["gen-qa"], ["build-dataset"]):
-            assert _run(step + ["--config", tiny_config_file,
-                                "--out-dir", out]) == EXIT_OK
-        server = HTTPServer(("127.0.0.1", 0), _ServiceHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            endpoint = f"http://127.0.0.1:{server.server_port}/gen"
-            code = _run(["run-programs", "--split", "test",
-                         "--registry", "baseline",
-                         "--program-source", "service",
-                         "--service-endpoint", endpoint,
-                         "--config", tiny_config_file, "--out-dir", out])
-            assert code == EXIT_OK
-        finally:
-            server.shutdown()
-        run = RunPaths(out)
-        traces = read_jsonl(run.traces_file("test", "baseline"))
+        code, traces = _run_programs_from_service(
+            str(tmp_path / "run"), tiny_config_file, _ServiceHandler)
+        assert code == EXIT_OK
         assert traces
         assert all(t["source"] == CANNED for t in traces)
+
+    def test_too_deeply_nested_program_falls_back(self, tmp_path,
+                                                  tiny_config_file):
+        class DeepHandler(_ServiceHandler):
+            program = "return " + "(" * 300 + "True" + ")" * 300 + "\n"
+
+        code, traces = _run_programs_from_service(
+            str(tmp_path / "run"), tiny_config_file, DeepHandler)
+        assert code == EXIT_OK
+        assert traces
+        assert all(t["fallback"] for t in traces)
 
     def test_service_error_can_fall_back_to_templates(self, tmp_path,
                                                       short_timeout_config_file):
