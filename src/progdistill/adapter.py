@@ -15,7 +15,6 @@ All functions are pure.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
@@ -23,8 +22,6 @@ from .interpreter import StepRecord
 from .questions import (DISTILLABLE_KINDS, PLURAL_IRREGULAR, SINGULAR_WITH_S,
                         article)
 from .worlds import ScenePatch
-
-logger = logging.getLogger(__name__)
 
 
 class AdapterError(ValueError):
@@ -94,7 +91,10 @@ def adapt_simple_query(question: str) -> str:
     treats it as a rejection so TeacherInput stays non-empty.
     """
     if not question.strip():
-        logger.warning("adapter: empty simple_query question")
+        # Imported on the warning path only: a CLI process never loads
+        # logging unless it warns.
+        import logging
+        logging.getLogger(__name__).warning("adapter: empty simple_query question")
         return ""
     return question.rstrip().rstrip("?").rstrip() + "?"
 

@@ -12,7 +12,6 @@ metric for count students.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -24,8 +23,6 @@ from .interpreter import ExecutionTrace
 from .questions import DISTILLABLE_KINDS
 from .util import iter_jsonl, write_jsonl
 from .worlds import Rect, WorldConfig, WorldStore, crop
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -56,6 +53,13 @@ class TrainingReport:
 # Harvesting
 # ---------------------------------------------------------------------------
 
+def _warn(message: str, *args) -> None:
+    # Imported on the warning paths only: a CLI process never loads logging
+    # unless it warns.
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
             question_types: Mapping[str, str] | None = None,
             audit: list | None = None) -> list[Triple]:
@@ -74,8 +78,8 @@ def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
                                            question_id=trace.question_id)
             except AdapterError as exc:
                 skipped += 1
-                logger.warning("harvest: skipped step %s/%d: %s",
-                               trace.question_id, step.step_index, exc)
+                _warn("harvest: skipped step %s/%d: %s",
+                      trace.question_id, step.step_index, exc)
                 continue
             label = teacher.predict(SubTaskInput(
                 module_kind=step.module_kind,
@@ -95,7 +99,7 @@ def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
                 audit.append({"source": list(teacher_input.source),
                               "sub_question": teacher_input.sub_question})
     if skipped:
-        logger.warning("harvest: %d step(s) skipped by the adapter", skipped)
+        _warn("harvest: %d step(s) skipped by the adapter", skipped)
     return triples
 
 

@@ -155,9 +155,16 @@ _TOKEN_RE = re.compile(r"""
   | (?P<BAD>"(?:[^"\\]|\\.)*"?|.)
 """, re.VERBOSE | re.ASCII)
 
-# Python's parser takes no NUL and no lone surrogate; the scan lets them
-# through only inside a string, where they become escapes for the same value.
-_UNPARSABLE_RE = re.compile("[\0\ud800-\udfff]")
+# Python's parser takes no NUL and no lone surrogate, and reads a lone CR as
+# a line break; the scan lets them through only inside a string, where they
+# become escapes for the same value.
+_UNPARSABLE_RE = re.compile("[\0\r\ud800-\udfff]")
+
+# A line ends at LF or CRLF only. str.splitlines would also break at CR, VT,
+# FF, \x1c-\x1e, NEL, LS and PS, which a string literal may hold (a question
+# carrying one must still make a fallback program that parses); outside a
+# string they are lexical errors.
+_LINE_END_RE = re.compile(r"\r?\n")
 
 # Token pairs that Python reads differently from the DSL: a trailing comma,
 # and a parenthesised callee such as `(image.find)("a")`.
@@ -176,7 +183,7 @@ def _scan(source: str) -> str:
     """
     lines: list[str] = []
     problems: list[ParseError] = []
-    for number, raw in enumerate(source.splitlines(), start=1):
+    for number, raw in enumerate(_LINE_END_RE.split(source), start=1):
         if not raw.strip():
             lines.append("")
             continue
@@ -207,23 +214,15 @@ def _scan(source: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+
+
 def escape_string(value: str) -> str:
     """Render a string as a DSL literal that parses back to `value`: only the
     DSL's four escapes (\\\\, \\", \\n, \\t) are written."""
-    out = ['"']
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    if "\\" in value or '"' in value or "\n" in value or "\t" in value:
+        value = value.translate(_ESCAPES)
+    return '"' + value + '"'
 
 
 _COMPARE_OPS = {ast.Eq: "==", ast.NotEq: "!="}

@@ -286,6 +286,9 @@ class RunPaths:
         # Artifacts the running stage has verified: run-relative path ->
         # sha256. The stage's manifest records them as its inputs.
         self.verified: dict[str, str] = {}
+        # Artifacts parsed in this process (see `_load_once`): (producer
+        # stage, artifact names) -> (their sha256 values, parsed value).
+        self.loaded: dict[tuple[str, ...], tuple[tuple[str, ...], object]] = {}
 
     # artifacts
     @property
@@ -360,10 +363,11 @@ def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
 
 
 def require_artifacts(run: RunPaths, producer_stage: str,
-                      names: list[str]) -> None:
+                      names: list[str]) -> tuple[str, ...]:
     """Check that a producing stage ran and its recorded output checksums
     still match the files on disk; the only way a stage reads an upstream
-    artifact. Each verified file is noted on `run` for the stage manifest."""
+    artifact. Each verified file is noted on `run` for the stage manifest.
+    Returns the files' sha256 values, in the order of `names`."""
     manifest_path = run.manifest_file(producer_stage)
     if not manifest_path.exists():
         raise MissingArtifactError(
@@ -371,6 +375,7 @@ def require_artifacts(run: RunPaths, producer_stage: str,
             f"(missing {manifest_path.name})")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     outputs = manifest.get("outputs", {})
+    hashes = []
     for name in names:
         entry = outputs.get(name)
         if entry is None:
@@ -385,6 +390,22 @@ def require_artifacts(run: RunPaths, producer_stage: str,
                 f"artifact {name!r} changed since {producer_stage!r} ran "
                 f"({actual[:12]} != {entry['sha256'][:12]})")
         run.verified[entry["path"]] = actual
+        hashes.append(actual)
+    return tuple(hashes)
+
+
+def _load_once(run: RunPaths, producer_stage: str, names: list[str],
+               load: Callable[[], object]):
+    """`load()` after `require_artifacts(run, producer_stage, names)`, or the
+    value it returned before on `run` while those files had the same sha256
+    values: a changed file is never served from memory. Callers share the
+    value and must not change it."""
+    hashes = require_artifacts(run, producer_stage, names)
+    key = (producer_stage, *names)
+    entry = run.loaded.get(key)
+    if entry is None or entry[0] != hashes:
+        entry = run.loaded[key] = (hashes, load())
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +437,24 @@ def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
 
 def load_world_stores(run: RunPaths) -> tuple[WorldStore, WorldStore, WorldStore]:
     """(train, eval, combined) stores, after checking the gen-world
-    checksums; scene ids are globally unique."""
-    require_artifacts(run, "gen-world", ["worlds_train", "worlds_eval"])
-    train_store = WorldStore.load_jsonl(run.worlds_train)
-    eval_store = WorldStore.load_jsonl(run.worlds_eval)
-    combined = WorldStore()
-    combined.scenes.update(train_store.scenes)
-    combined.scenes.update(eval_store.scenes)
-    return train_store, eval_store, combined
+    checksums; scene ids are globally unique. The files are parsed once per
+    `run` while they are unchanged, so every stage shares the same stores."""
+    def load():
+        train_store = WorldStore.load_jsonl(run.worlds_train)
+        eval_store = WorldStore.load_jsonl(run.worlds_eval)
+        combined = WorldStore()
+        combined.scenes.update(train_store.scenes)
+        combined.scenes.update(eval_store.scenes)
+        return train_store, eval_store, combined
+    return _load_once(run, "gen-world", ["worlds_train", "worlds_eval"], load)
 
 
 def read_split(run: RunPaths, name: str) -> list[QAPair]:
     """The questions of one split, after checking the build-dataset
-    checksum."""
-    require_artifacts(run, "build-dataset", [f"split_{name}"])
-    return [qa_from_record(r) for r in read_jsonl(run.split_file(name))]
+    checksum: a fresh list over the QAPairs parsed once per `run`."""
+    def load():
+        return tuple(qa_from_record(r) for r in read_jsonl(run.split_file(name)))
+    return list(_load_once(run, "build-dataset", [f"split_{name}"], load))
 
 
 def read_traces(run: RunPaths, split: str,
@@ -462,7 +486,7 @@ def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
 
 def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
     require_artifacts(run, "gen-qa", ["qa_train", "qa_eval"])
-    train_pool, eval_pool = ([qa_from_record(r) for r in read_jsonl(path)]
+    train_pool, eval_pool = ([qa_from_record(r) for r in iter_jsonl(path)]
                              for path in (run.qa_train, run.qa_eval))
     result = make_splits(train_pool, eval_pool, cfg.seed, cfg.per_type_cap,
                          cfg.val_scene_share)

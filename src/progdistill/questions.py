@@ -642,7 +642,7 @@ class QuestionParser:
 # QA generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAPair:
     question_id: str
     question: str

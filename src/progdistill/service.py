@@ -15,8 +15,6 @@ fall back to template generation instead).
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 ENDPOINT_ENV_VAR = "PROGDISTILL_PROGRAM_SERVICE"
@@ -35,6 +33,10 @@ class ProgramServiceClient:
     timeout: float = 5.0
 
     def generate(self, question: str, prompt_profile: str = PROFILE_POINTER) -> str:
+        # Imported here, not at module level: urllib.request loads http.client,
+        # email, ssl and socket, which only the service program source uses.
+        import urllib.error
+        import urllib.request
         payload = json.dumps({"question": question,
                               "prompt_profile": prompt_profile}).encode("utf-8")
         request = urllib.request.Request(

@@ -73,7 +73,7 @@ def rect_iou(a: Rect, b: Rect) -> float:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneObject:
     id: str
     name: str

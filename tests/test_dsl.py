@@ -303,3 +303,38 @@ def test_verdicts_on_generated_programs_and_deletions_are_pinned(world):
     assert (len(programs), len(texts)) == (66, 14015)
     assert h.hexdigest() == ("ab955f10d7120d5559a7c5adac859bff"
                              "ff446acbf40a3a7e008a9c4cf58844ed")
+
+
+def test_crlf_line_ends_keep_every_verdict(world):
+    # A line ends at LF or CRLF. Over the generated programs of one scene and
+    # every one-token deletion of them, CRLF line ends change no verdict.
+    programs = {qa.program for pointer in (True, False)
+                for qa in generate_qa(generate_world(0, world), world, 0,
+                                      visual_pointer=pointer)}
+    texts = set(programs)
+    for program in programs:
+        spans = [m.span() for m in re.finditer(r"\S+", program)]
+        texts.update(program[:a] + program[b:] for a, b in spans)
+    accepted = 0
+    for text in sorted(texts):
+        try:
+            verdict = parse(text).statements
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse(text.replace("\n", "\r\n"))
+        else:
+            accepted += 1
+            assert parse(text.replace("\n", "\r\n")).statements == verdict
+    assert accepted >= len(programs)
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x85",
+                                 "\u2028", "\u2029"])
+def test_line_break_characters_other_than_lf_and_crlf(brk):
+    # Inside a string they are characters of the literal; between statements
+    # they are lexical errors, not line ends.
+    program = parse(f'return image.simple_query("a{brk}b")\n')
+    assert program.statements[0].expr.args == (Literal(f"a{brk}b"),)
+    with pytest.raises(ParseError) as err:
+        parse(f'x = "a"{brk}return x\n')
+    assert err.value.kind == "lexical"

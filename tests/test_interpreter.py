@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progdistill.backends import baseline_registry, perfect_registry, CorruptionProfile
-from progdistill.dsl import Call, If, parse
+from progdistill.dsl import Call, If, Literal, parse
 from progdistill.interpreter import (NAN, STATUS_FALLBACK, STATUS_NAN,
                                      STATUS_OK, answer_to_text, execute,
                                      fallback_program, run_with_fallback,
@@ -188,6 +190,15 @@ class TestFallback:
     def test_fallback_escapes_quotes(self):
         program = fallback_program('say "hi"\\now')
         assert program.statements[0].expr.args[0].value == 'say "hi"\\now'
+
+    # A question may carry any character: the DSL's escaped ones, every one
+    # str.splitlines breaks a line at, NUL and a lone surrogate.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.text(), st.text(alphabet=list(
+        'a "\\\n\t\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x00\ud800'))))
+    def test_fallback_program_parses_any_question(self, question):
+        (statement,) = fallback_program(question).statements
+        assert statement.expr.args == (Literal(question),)
 
     def test_unparseable_source_takes_fallback(self, flower_scene, world):
         registry = perfect_registry(store_for(flower_scene), world)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import shutil
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -14,12 +16,14 @@ from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
 from progdistill.evaluation import score
 from progdistill.dsl import parse
 from progdistill.interpreter import execute, trace_to_record
-from progdistill.pipeline import (CONFIG_SCHEMA, ConfigError, PipelineConfig,
-                                  RunPaths, load_config, stage_report,
-                                  write_stage_manifest)
+from progdistill.pipeline import (CONFIG_SCHEMA, ChecksumError, ConfigError,
+                                  PipelineConfig, RunPaths, load_config,
+                                  load_world_stores, read_split,
+                                  stage_gen_world, stage_ground_eval,
+                                  stage_report, write_stage_manifest)
 from progdistill.questions import QAPair, qa_to_record
 from progdistill.util import read_jsonl, sha256_file, write_jsonl
-from progdistill.worlds import SceneGraph, SceneObject
+from progdistill.worlds import SceneGraph, SceneObject, WorldStore
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +256,68 @@ class TestStageOrderingAndChecksums:
         _append_newline(out / changed)
         assert _run(command + ["--config", tiny_config_file,
                                "--out-dir", str(out)]) == EXIT_CHECKSUM
+
+
+class TestArtifactCache:
+    """Within one RunPaths, world files and splits are parsed once while
+    their checksums hold."""
+
+    @pytest.fixture()
+    def load_calls(self, monkeypatch):
+        calls = []
+        original = WorldStore.load_jsonl
+
+        def counted(cls, path, *args, **kwargs):
+            calls.append(Path(path).name)
+            return original(path, *args, **kwargs)
+        monkeypatch.setattr(WorldStore, "load_jsonl", classmethod(counted))
+        return calls
+
+    def test_second_load_returns_the_same_objects(self, full_run, load_calls):
+        run = RunPaths(full_run)
+        first = load_world_stores(run)
+        second = load_world_stores(run)
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert sorted(load_calls) == ["worlds_eval.jsonl", "worlds_train.jsonl"]
+        # Every read is still checked and recorded for the manifest.
+        assert set(run.verified) == {"worlds_train.jsonl", "worlds_eval.jsonl"}
+        split = read_split(run, "test")
+        again = read_split(run, "test")
+        assert again is not split
+        assert all(a is b for a, b in zip(split, again, strict=True))
+
+    def test_changed_world_file_after_caching_fails_checksum(
+            self, full_run, tmp_path, tiny_config_file):
+        out = _copy_run(full_run, tmp_path)
+        run = RunPaths(out)
+        load_world_stores(run)
+        _append_newline(out / "worlds_train.jsonl")
+        with pytest.raises(ChecksumError):
+            stage_ground_eval(run, load_config(tiny_config_file))
+
+    def test_regenerated_worlds_are_parsed_again(self, full_run, tmp_path,
+                                                 tiny_config_file, load_calls):
+        run = RunPaths(_copy_run(full_run, tmp_path))
+        first, _, _ = load_world_stores(run)
+        cfg = load_config(tiny_config_file, seed=1)
+        stage_gen_world(run, cfg)
+        second, _, _ = load_world_stores(run)
+        assert len(load_calls) == 4
+        assert sorted(second.scenes) != sorted(first.scenes)
+
+
+def test_cli_import_loads_no_network_stack_or_logging():
+    # A CLI process pays for what it imports; only `--program-source service`
+    # needs urllib.request, and logging is loaded only to warn.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import progdistill.cli; print(' '.join(sorted(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                            capture_output=True, text=True).stdout.split()
+    roots = {name.partition(".")[0] for name in loaded}
+    assert "progdistill" in roots
+    unwanted = {"urllib.request", "http", "ssl", "socket", "email", "logging"}
+    assert sorted(unwanted & (roots | set(loaded))) == []
 
 
 class TestManifests:
