@@ -9,6 +9,9 @@ The three templating rules are pinned byte-for-byte by tests:
                          on adjective list   ->  "Is this {center} {opt0} or {opt1}?"
     simple_query(question)                    ->  question, ending in exactly one "?"
 
+A center word is the world noun a find() matched; it is a plural center only
+if the noun is its own plural (in `PLURAL_IRREGULAR`, e.g. "glasses").
+
 The sub-image is always the receiver patch of the step, unchanged.
 All functions are pure.
 """
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from .interpreter import StepRecord
-from .questions import (DISTILLABLE_KINDS, PLURAL_IRREGULAR, SINGULAR_WITH_S,
-                        article)
+from .questions import DISTILLABLE_KINDS, PLURAL_IRREGULAR, article
 from .worlds import ScenePatch
 
 
@@ -33,18 +35,6 @@ class TeacherInput:
     sub_question: str
     sub_image: ScenePatch
     source: tuple[str, int, str]  # (question_id, step_index, module_kind)
-
-
-def is_plural(word: str | None) -> bool:
-    """Plurality of the center word: irregular plurals, s-final singulars,
-    then the trailing-s heuristic."""
-    if not word:
-        return False
-    if word in PLURAL_IRREGULAR:
-        return True
-    if word in SINGULAR_WITH_S:
-        return False
-    return word.endswith("s")
 
 
 def adapt_verify_property(object_name: str, attribute: str) -> str:
@@ -103,8 +93,8 @@ def adapt_step(step: StepRecord, *, attribute_vocab: Collection[str],
                question_id: str = "") -> TeacherInput:
     """Dispatch a distillable step through the templating rules.
 
-    The center word and its plurality come from the receiver's find()
-    provenance; the sub-image is the receiver patch itself.
+    The center word comes from the receiver's find() provenance; the
+    sub-image is the receiver patch itself.
     """
     if step.module_kind not in DISTILLABLE_KINDS:
         raise AdapterError(f"step kind {step.module_kind!r} is not adaptable")
@@ -117,7 +107,7 @@ def adapt_step(step: StepRecord, *, attribute_vocab: Collection[str],
         options = [str(o) for o in step.args[0]]
         sub_question = adapt_best_text_match(
             options, center_word=step.center_word,
-            plural=is_plural(step.center_word),
+            plural=step.center_word in PLURAL_IRREGULAR,
             attribute_vocab=attribute_vocab)
     else:
         sub_question = adapt_simple_query(str(step.args[0]))

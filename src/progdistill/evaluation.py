@@ -220,21 +220,15 @@ def ablate_distilled_count(base: ModuleRegistry,
                            students: Mapping[str, TableStudent],
                            eval_set: Sequence[QAPair],
                            store: WorldStore) -> dict:
-    """Four rows for 0/1/2/3 distilled modules. Rows 1 and 2 average the three
-    single- and pair-substitution runs."""
+    """One row per number of distilled modules, from none to every student;
+    each row averages the runs over every choice of that many students."""
     kinds = [k for k in DISTILLABLE_KINDS if k in students]
-    combos: dict[int, list[tuple[str, ...]]] = {
-        0: [()],
-        1: [(k,) for k in kinds],
-        2: list(combinations(kinds, 2)),
-        3: [tuple(kinds)],
-    }
     runs: dict[str, dict] = {}
     rows = []
-    for count in sorted(combos):
+    for count in range(len(kinds) + 1):
         accs_all = []
         accs_no_nan = []
-        for combo in combos[count]:
+        for combo in combinations(kinds, count):
             registry = distilled_registry(base, {k: students[k] for k in combo})
             report = evaluate(registry, eval_set, store)
             label = "+".join(combo) if combo else "none"

@@ -341,6 +341,10 @@ class RunPaths:
         return self.manifests_dir / f"{safe}.json"
 
 
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True), encoding="utf-8")
+
+
 def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
                          outputs: dict[str, Path]) -> None:
     """Record the stage's outputs with their checksums, and as its inputs
@@ -358,8 +362,7 @@ def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
     run.verified.clear()
     path = run.manifest_file(stage)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                    encoding="utf-8")
+    _write_json(path, manifest)
 
 
 def require_artifacts(run: RunPaths, producer_stage: str,
@@ -419,8 +422,7 @@ def _scene_seed(cfg: PipelineConfig, pool: str, index: int) -> int:
 
 def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
     run.base.mkdir(parents=True, exist_ok=True)
-    run.config.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True),
-                          encoding="utf-8")
+    _write_json(run.config, cfg.to_dict())
     train_store = WorldStore()
     for i in range(cfg.train_scenes):
         train_store.add(generate_world(_scene_seed(cfg, "train", i), cfg.world))
@@ -498,8 +500,7 @@ def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
     manifest = result.manifest()
     manifest["stats"] = {name: stats(qas) for name, qas in
                          sorted(result.splits.items())}
-    run.split_manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                  encoding="utf-8")
+    _write_json(run.split_manifest, manifest)
     outputs["split_manifest"] = run.split_manifest
     write_stage_manifest(run, "build-dataset", cfg, outputs)
     return manifest
@@ -595,8 +596,7 @@ def stage_distill(run: RunPaths, cfg: PipelineConfig) -> dict:
         path = run.student_file(kind)
         student.save(path)
         outputs[f"student_{kind}"] = path
-    run.training_report.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
+    _write_json(run.training_report, report.to_dict())
     outputs["training_report"] = run.training_report
     write_stage_manifest(run, "distill", cfg, outputs)
     return report.to_dict()
@@ -626,8 +626,7 @@ def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
     outputs = {"eval_json": run.eval_file(registry_name),
                "eval_csv": run.eval_file(registry_name, "csv"),
                "eval_txt": run.eval_file(registry_name, "txt")}
-    outputs["eval_json"].write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
+    _write_json(outputs["eval_json"], report.to_dict())
     _write_csv(outputs["eval_csv"], report.to_csv_rows())
     outputs["eval_txt"].write_text(report.to_text(), encoding="utf-8")
     write_stage_manifest(run, f"evaluate:{registry_name}", cfg, outputs)
@@ -683,8 +682,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
                                        miss_rate=cfg.miss_rate,
                                        detector_seed=cfg.detector_seed)
 
-    outputs["ablation"].write_text(json.dumps(result, indent=2, sort_keys=True),
-                                   encoding="utf-8")
+    _write_json(outputs["ablation"], result)
     write_stage_manifest(run, f"ablate:{axis}", cfg, outputs)
     return result
 
@@ -717,8 +715,7 @@ def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,
         outcome = grounding_eval(registry, cases, store)
         result[name] = {"mean_iou": outcome["mean_iou"]}
     path = run.grounding_file()
-    path.write_text(json.dumps(result, indent=2, sort_keys=True),
-                    encoding="utf-8")
+    _write_json(path, result)
     write_stage_manifest(run, "ground-eval", cfg, {"grounding": path})
     return result
 

@@ -70,14 +70,12 @@ def query_key(query: ParsedQuery | None, raw_text: str = "") -> str:
 # Small text helpers
 # ---------------------------------------------------------------------------
 
+# Nouns that are their own plural; every other noun takes a bare "s", and
+# QuestionParser reads plurals back through pluralize. The adapter renders a
+# center word (the noun a find() matched) as plural only if it is in this set.
 PLURAL_IRREGULAR = frozenset({"men", "women", "children", "people", "feet",
                               "teeth", "geese", "mice", "sheep", "scissors",
                               "glasses"})
-SINGULAR_WITH_S = frozenset({"glass", "grass", "bus", "dress", "class", "gas",
-                             "lens"})
-_PLURAL_TO_SINGULAR = {"men": "man", "women": "woman", "children": "child",
-                       "people": "person", "feet": "foot", "teeth": "tooth",
-                       "geese": "goose", "mice": "mouse"}
 
 
 def article(word: str) -> str:
@@ -86,14 +84,6 @@ def article(word: str) -> str:
 
 def pluralize(word: str) -> str:
     return word if word in PLURAL_IRREGULAR else word + "s"
-
-
-def depluralize(word: str) -> str:
-    if word in PLURAL_IRREGULAR:
-        return _PLURAL_TO_SINGULAR.get(word, word)
-    if word.endswith("s") and word not in SINGULAR_WITH_S:
-        return word[:-1]
-    return word
 
 
 def attribute_sub_question(family: str, name: str, visual_pointer: bool) -> str:
@@ -161,22 +151,71 @@ class TemplateSpec:
     support: Callable[[TemplateQuery, WorldConfig], tuple[str, ...]] | None = None
 
 
-def _make_attr_query(scene, rng, world, pointer):
-    names = _unique_names(scene)
-    family = rng.choice(_families(world))
-    if not names:
-        return None
-    name = rng.choice(names)
-    obj = scene.objects_named(name)[0]
+# Program shapes shared by the templates. `_s` quotes every string slot.
+
+def _find_then(name: str, tail: str) -> str:
+    """Find `name`, then return the expression `tail` over `ps`."""
+    return f"ps = image.find({_s(name)})\nreturn {tail}\n"
+
+
+def _if_else(test: str, then: str, otherwise: str) -> str:
+    """An if statement; `then` and `otherwise` are its branches' bodies."""
+    return f"if {test}:\n    {then}\nelse:\n    {otherwise}\n"
+
+
+def _if_found(name: str, then: str, otherwise: str) -> str:
+    """Find `name`; if found run `then` (lines that set `ans`), else set
+    `ans` to the expression `otherwise`; return `ans`."""
+    return (f"ps = image.find({_s(name)})\ne = ps.exists()\n"
+            + _if_else("e", then.replace("\n", "\n    "), f"ans = {otherwise}")
+            + "return ans\n")
+
+
+def _ask(patches: str, family: str, name: str, pointer: bool) -> str:
+    """The attribute sub-question call on the first patch of `patches`."""
     sub = attribute_sub_question(family, name, pointer)
-    program = (f"ps = image.find({_s(name)})\n"
-               f"return ps[0].simple_query({_s(sub)})\n")
-    return MadeQuestion(
-        question=f"What {family} is the {name}?",
-        ground_truth=_attr_of(obj, family, world),
-        fine_program=program,
-        coarse_program=program,
-    )
+    return f"{patches}[0].simple_query({_s(sub)})"
+
+
+def _options(options: Sequence[str]) -> str:
+    return "[" + ", ".join(_s(o) for o in options) + "]"
+
+
+def _other_values(world: WorldConfig, family: str, value: str) -> list[str]:
+    return [a for a in world.attribute_families[family] if a != value]
+
+
+def _held_or_other(rng: random.Random, world: WorldConfig, family: str,
+                   value: str, hold: bool) -> str:
+    """`value` if `hold`, else another value of its family drawn from rng
+    (`value` itself when the family has no other)."""
+    if hold:
+        return value
+    others = _other_values(world, family, value)
+    return rng.choice(others) if others else value
+
+
+def _make_attr_query(direct: bool):
+    """attr_query, or direct_query, whose fine program hands the whole
+    question to simple_query; the coarse framework always decomposes
+    find-then-query."""
+    def make(scene, rng, world, pointer):
+        names = _unique_names(scene)
+        family = rng.choice(_families(world))
+        if not names:
+            return None
+        name = rng.choice(names)
+        obj = scene.objects_named(name)[0]
+        question = f"What {family} is the {name}?"
+        coarse = _find_then(name, _ask("ps", family, name, pointer))
+        fine = f"return image.simple_query({_s(question)})\n" if direct else coarse
+        return MadeQuestion(
+            question=question,
+            ground_truth=_attr_of(obj, family, world),
+            fine_program=fine,
+            coarse_program=coarse,
+        )
+    return make
 
 
 def _make_attr_query_guarded(scene, rng, world, pointer):
@@ -187,14 +226,8 @@ def _make_attr_query_guarded(scene, rng, world, pointer):
     name = rng.choice(sorted(candidates))
     objs = scene.objects_named(name)
     gt = _attr_of(objs[0], family, world) if objs else "none"
-    sub = attribute_sub_question(family, name, pointer)
-    program = (f"ps = image.find({_s(name)})\n"
-               f"e = ps.exists()\n"
-               f"if e:\n"
-               f"    ans = ps[0].simple_query({_s(sub)})\n"
-               f"else:\n"
-               f"    ans = \"none\"\n"
-               f"return ans\n")
+    program = _if_found(name, f"ans = {_ask('ps', family, name, pointer)}",
+                        '"none"')
     return MadeQuestion(
         question=f"What {family} is the {name}?",
         ground_truth=gt,
@@ -203,31 +236,9 @@ def _make_attr_query_guarded(scene, rng, world, pointer):
     )
 
 
-def _make_direct_query(scene, rng, world, pointer):
-    names = _unique_names(scene)
-    family = rng.choice(_families(world))
-    if not names:
-        return None
-    name = rng.choice(names)
-    obj = scene.objects_named(name)[0]
-    question = f"What {family} is the {name}?"
-    fine = f"return image.simple_query({_s(question)})\n"
-    # The coarse framework always decomposes find-then-query.
-    sub = attribute_sub_question(family, name, pointer)
-    coarse = (f"ps = image.find({_s(name)})\n"
-              f"return ps[0].simple_query({_s(sub)})\n")
-    return MadeQuestion(
-        question=question,
-        ground_truth=_attr_of(obj, family, world),
-        fine_program=fine,
-        coarse_program=coarse,
-    )
-
-
 def _make_exist(scene, rng, world, pointer):
     name = rng.choice(world.nouns)
-    program = (f"ps = image.find({_s(name)})\n"
-               f"return ps.exists()\n")
+    program = _find_then(name, "ps.exists()")
     return MadeQuestion(
         question=f"Is there {article(name)} {name}?",
         ground_truth="yes" if scene.objects_named(name) else "no",
@@ -248,33 +259,16 @@ def _make_verify_attr(scene, rng, world, pointer):
         true_attr = _attr_of(objs[0], family, world)
         if true_attr == UNKNOWN:
             return None
-        if hold:
-            attr = true_attr
-        else:
-            others = [a for a in world.attribute_families[family] if a != true_attr]
-            attr = rng.choice(others) if others else true_attr
+        attr = _held_or_other(rng, world, family, true_attr, hold)
         gt = "yes" if attr in objs[0].attributes else "no"
     else:
         attr = rng.choice(world.attribute_families[family])
         gt = "no"
-    fine = (f"ps = image.find({_s(name)})\n"
-            f"e = ps.exists()\n"
-            f"if e:\n"
-            f"    ans = ps[0].verify_property({_s(name)}, {_s(attr)})\n"
-            f"else:\n"
-            f"    ans = \"no\"\n"
-            f"return ans\n")
+    fine = _if_found(name, f"ans = ps[0].verify_property({_s(name)}, {_s(attr)})",
+                     '"no"')
     # Coarse counterpart: ask the attribute family, compare in program logic.
-    att_family = world.family_of(attr) or family
-    sub = attribute_sub_question(att_family, name, pointer)
-    coarse = (f"ps = image.find({_s(name)})\n"
-              f"e = ps.exists()\n"
-              f"if e:\n"
-              f"    c = ps[0].simple_query({_s(sub)})\n"
-              f"    ans = c == {_s(attr)}\n"
-              f"else:\n"
-              f"    ans = \"no\"\n"
-              f"return ans\n")
+    ask = _ask("ps", world.family_of(attr) or family, name, pointer)
+    coarse = _if_found(name, f"c = {ask}\nans = c == {_s(attr)}", '"no"')
     return MadeQuestion(
         question=f"Is the {name} {attr}?",
         ground_truth=gt,
@@ -291,18 +285,12 @@ def _make_btm_noun(scene, rng, world, pointer):
     name = rng.choice(names)
     distractor = rng.choice(absent)
     options = sorted((name, distractor))
-    opts_literal = "[" + ", ".join(_s(o) for o in options) + "]"
     question = f"Is this {article(options[0])} {options[0]} or {options[1]}?"
-    fine = (f"ps = image.find({_s(name)})\n"
-            f"return ps[0].best_text_match({opts_literal})\n")
+    fine = _find_then(name, f"ps[0].best_text_match({_options(options)})")
     # Coarse counterpart decides between nouns by detection alone.
-    coarse = (f"a = image.find({_s(options[0])})\n"
-              f"ea = a.exists()\n"
-              f"if ea:\n"
-              f"    ans = {_s(options[0])}\n"
-              f"else:\n"
-              f"    ans = {_s(options[1])}\n"
-              f"return ans\n")
+    coarse = (f"a = image.find({_s(options[0])})\nea = a.exists()\n"
+              + _if_else("ea", f"ans = {_s(options[0])}", f"ans = {_s(options[1])}")
+              + "return ans\n")
     return MadeQuestion(
         question=question,
         ground_truth=name,
@@ -319,18 +307,14 @@ def _make_btm_attr(scene, rng, world, pointer):
     family = rng.choice(_families(world))
     obj = scene.objects_named(name)[0]
     true_attr = _attr_of(obj, family, world)
-    others = [a for a in world.attribute_families[family] if a != true_attr]
+    others = _other_values(world, family, true_attr)
     if true_attr == UNKNOWN or not others:
         return None
     options = sorted((true_attr, rng.choice(others)))
-    opts_literal = "[" + ", ".join(_s(o) for o in options) + "]"
-    fine = (f"ps = image.find({_s(name)})\n"
-            f"return ps[0].best_text_match({opts_literal})\n")
+    fine = _find_then(name, f"ps[0].best_text_match({_options(options)})")
     # Coarse counterpart: both options live in one family, so asking for the
     # family value answers the choice directly.
-    ask = attribute_sub_question(family, name, pointer)
-    coarse = (f"ps = image.find({_s(name)})\n"
-              f"return ps[0].simple_query({_s(ask)})\n")
+    coarse = _find_then(name, _ask("ps", family, name, pointer))
     return MadeQuestion(
         question=f"Is the {name} {options[0]} or {options[1]}?",
         ground_truth=true_attr,
@@ -359,40 +343,22 @@ def _make_two_hop(scene, rng, world, pointer):
     ask_family = rng.choice(_families(world))
     true_attr = _attr_of(obj, cond_family, world)
     hold = rng.random() < 0.5
-    if hold or true_attr == UNKNOWN:
-        cond_attr = true_attr
-    else:
-        others = [a for a in world.attribute_families[cond_family] if a != true_attr]
-        cond_attr = rng.choice(others) if others else true_attr
+    cond_attr = _held_or_other(rng, world, cond_family, true_attr,
+                               hold or true_attr == UNKNOWN)
     if cond_attr == UNKNOWN:
         return None
     gt = _attr_of(obj, ask_family, world) if cond_attr in obj.attributes else "none"
-    sub = attribute_sub_question(ask_family, name, pointer)
-    fine = (f"ps = image.find({_s(name)})\n"
-            f"e = ps.exists()\n"
-            f"if e:\n"
-            f"    cond = ps[0].verify_property({_s(name)}, {_s(cond_attr)})\n"
-            f"else:\n"
-            f"    cond = False\n"
-            f"if cond:\n"
-            f"    ans = ps[0].simple_query({_s(sub)})\n"
-            f"else:\n"
-            f"    ans = \"none\"\n"
-            f"return ans\n")
+    found = f"ps = image.find({_s(name)})\ne = ps.exists()\n"
+    answer = f"ans = {_ask('ps', ask_family, name, pointer)}"
+    verify = f"cond = ps[0].verify_property({_s(name)}, {_s(cond_attr)})"
+    fine = (found + _if_else("e", verify, "cond = False")
+            + _if_else("cond", answer, 'ans = "none"') + "return ans\n")
     # Coarse counterpart checks the condition by asking for the attribute
     # family and comparing in program logic.
-    cond_sub = attribute_sub_question(cond_family, name, pointer)
-    coarse = (f"ps = image.find({_s(name)})\n"
-              f"e = ps.exists()\n"
-              f"if e:\n"
-              f"    v = ps[0].simple_query({_s(cond_sub)})\n"
-              f"else:\n"
-              f"    v = \"none\"\n"
-              f"if v == {_s(cond_attr)}:\n"
-              f"    ans = ps[0].simple_query({_s(sub)})\n"
-              f"else:\n"
-              f"    ans = \"none\"\n"
-              f"return ans\n")
+    ask_cond = f"v = {_ask('ps', cond_family, name, pointer)}"
+    coarse = (found + _if_else("e", ask_cond, 'v = "none"')
+              + _if_else(f"v == {_s(cond_attr)}", answer, 'ans = "none"')
+              + "return ans\n")
     return MadeQuestion(
         question=f"What {ask_family} is the {cond_attr} {name}?",
         ground_truth=gt,
@@ -401,38 +367,33 @@ def _make_two_hop(scene, rng, world, pointer):
     )
 
 
-def _eval_both_exist(scene, visible_ids, tq, world) -> str:
-    a = _visible_named(scene, visible_ids, tq.slot("name_a"))
-    b = _visible_named(scene, visible_ids, tq.slot("name_b"))
-    return "yes" if a and b else "no"
+def _eval_pair_exist(op: str):
+    """Evaluator of both_exist ("and") or either_exist ("or")."""
+    test = all if op == "and" else any
 
-
-def _eval_either_exist(scene, visible_ids, tq, world) -> str:
-    a = _visible_named(scene, visible_ids, tq.slot("name_a"))
-    b = _visible_named(scene, visible_ids, tq.slot("name_b"))
-    return "yes" if a or b else "no"
+    def evaluate(scene, visible_ids, tq, world) -> str:
+        return "yes" if test(_visible_named(scene, visible_ids, tq.slot(slot))
+                             for slot in ("name_a", "name_b")) else "no"
+    return evaluate
 
 
 def _make_pair_exist(op: str):
+    test = all if op == "and" else any
+    lead, var = ("Are there both", "both") if op == "and" else ("Is there", "either")
+
     def make(scene, rng, world, pointer):
         name_a, name_b = rng.sample(world.nouns, 2)
-        has_a = bool(scene.objects_named(name_a))
-        has_b = bool(scene.objects_named(name_b))
-        if op == "and":
-            question = (f"Are there both {article(name_a)} {name_a} "
-                        f"and {article(name_b)} {name_b}?")
-            gt = "yes" if has_a and has_b else "no"
-            combine = "both = ea and eb\nreturn both\n"
-        else:
-            question = (f"Is there {article(name_a)} {name_a} "
-                        f"or {article(name_b)} {name_b}?")
-            gt = "yes" if has_a or has_b else "no"
-            combine = "either = ea or eb\nreturn either\n"
+        question = (f"{lead} {article(name_a)} {name_a} "
+                    f"{op} {article(name_b)} {name_b}?")
+        found = (scene.objects_named(name_a), scene.objects_named(name_b))
         program = (f"a = image.find({_s(name_a)})\n"
                    f"b = image.find({_s(name_b)})\n"
                    f"ea = a.exists()\n"
-                   f"eb = b.exists()\n" + combine)
-        return MadeQuestion(question, gt, program, program)
+                   f"eb = b.exists()\n"
+                   f"{var} = ea {op} eb\n"
+                   f"return {var}\n")
+        return MadeQuestion(question, "yes" if test(found) else "no",
+                            program, program)
     return make
 
 
@@ -454,12 +415,10 @@ def _make_compare(scene, rng, world, pointer):
     obj_a = scene.objects_named(name_a)[0]
     obj_b = scene.objects_named(name_b)[0]
     gt = "yes" if _attr_of(obj_a, family, world) == _attr_of(obj_b, family, world) else "no"
-    sub_a = attribute_sub_question(family, name_a, pointer)
-    sub_b = attribute_sub_question(family, name_b, pointer)
     program = (f"a = image.find({_s(name_a)})\n"
                f"b = image.find({_s(name_b)})\n"
-               f"va = a[0].simple_query({_s(sub_a)})\n"
-               f"vb = b[0].simple_query({_s(sub_b)})\n"
+               f"va = {_ask('a', family, name_a, pointer)}\n"
+               f"vb = {_ask('b', family, name_b, pointer)}\n"
                f"same = va == vb\n"
                f"return same\n")
     return MadeQuestion(
@@ -476,8 +435,7 @@ def _eval_count(scene, visible_ids, tq, world) -> str:
 
 def _make_count(scene, rng, world, pointer):
     name = rng.choice(world.nouns)
-    program = (f"ps = image.find({_s(name)})\n"
-               f"return len(ps)\n")
+    program = _find_then(name, "len(ps)")
     return MadeQuestion(
         question=f"How many {pluralize(name)} are there?",
         ground_truth=str(len(scene.objects_named(name))),
@@ -501,19 +459,19 @@ COUNT_SUPPORT = tuple(str(i) for i in range(16))
 # compositional QA corpora are dominated by attribute and relation queries
 # over bare existence checks. Higher weight = more module-call exposure.
 TEMPLATES: dict[str, TemplateSpec] = {spec.template_id: spec for spec in (
-    TemplateSpec("attr_query", 1.75, _make_attr_query),
+    TemplateSpec("attr_query", 1.75, _make_attr_query(False)),
     TemplateSpec("attr_query_guarded", 1.75, _make_attr_query_guarded),
-    TemplateSpec("direct_query", 1.0, _make_direct_query),
+    TemplateSpec("direct_query", 1.0, _make_attr_query(True)),
     TemplateSpec("exist", 0.5, _make_exist),
     TemplateSpec("verify_attr", 1.5, _make_verify_attr),
     TemplateSpec("btm_noun", 0.75, _make_btm_noun),
     TemplateSpec("btm_attr", 1.0, _make_btm_attr),
     TemplateSpec("two_hop_verify_query", 1.75, _make_two_hop, _eval_two_hop,
                  _attr_none_support),
-    TemplateSpec("both_exist", 0.5, _make_pair_exist("and"), _eval_both_exist,
-                 _yes_no_support),
+    TemplateSpec("both_exist", 0.5, _make_pair_exist("and"),
+                 _eval_pair_exist("and"), _yes_no_support),
     TemplateSpec("either_exist", 0.5, _make_pair_exist("or"),
-                 _eval_either_exist, _yes_no_support),
+                 _eval_pair_exist("or"), _yes_no_support),
     TemplateSpec("compare_attr", 2.0, _make_compare, _eval_compare, _yes_no_support),
     TemplateSpec("count", 0.5, _make_count, _eval_count, lambda tq, world: COUNT_SUPPORT),
 )}
@@ -562,6 +520,8 @@ class QuestionParser:
     def __init__(self, world: WorldConfig):
         self.world = world
         self.nouns = set(world.nouns)
+        # Each noun's rendered plural; any other word reads as itself.
+        self.singular = {pluralize(n): n for n in world.nouns}
         self.attributes = world.all_attributes()
         self.families = set(world.attribute_families)
         # text -> result; parsing depends only on the text and this world, and
@@ -574,6 +534,9 @@ class QuestionParser:
         except KeyError:
             result = self._memo[text] = self._parse_text(text)
             return result
+
+    def _noun(self, word: str) -> str:
+        return self.singular.get(word, word)
 
     def _parse_text(self, text: str) -> ParsedQuery | None:
         if not text:
@@ -593,7 +556,7 @@ class QuestionParser:
             return Exists(m.group(1))
         m = re.fullmatch(r"how many (\w+) are there", t)
         if m:
-            return TemplateQuery("count", (("name", depluralize(m.group(1))),))
+            return TemplateQuery("count", (("name", self._noun(m.group(1))),))
         m = re.fullmatch(r"do the (\w+) and the (\w+) have the same (\w+)", t)
         if m and m.group(3) in self.families:
             return TemplateQuery("compare_attr", (("name_a", m.group(1)),
@@ -608,13 +571,13 @@ class QuestionParser:
                                   ("family", m.group(1))))
         m = re.fullmatch(r"what (\w+) (?:is|are) (?:this|the|these) (\w+)", t)
         if m and m.group(1) in self.families:
-            return AskAttributeFamily(m.group(1), depluralize(m.group(2)))
+            return AskAttributeFamily(m.group(1), self._noun(m.group(2)))
         m = re.fullmatch(r"what (\w+) is this", t)
         if m and m.group(1) in self.families:
             return AskAttributeFamily(m.group(1), None)
         m = re.fullmatch(r"what is (?:this|the) (\w+)(?: called)?", t)
-        if m and depluralize(m.group(1)) in self.nouns:
-            return AskName(depluralize(m.group(1)))
+        if m and (noun := self._noun(m.group(1))) in self.nouns:
+            return AskName(noun)
         if t in ("what is this", "what is this called", "what is this object"):
             return AskName(None)
         m = re.fullmatch(r"(?:is this|are these) an? (.+ or .+)", t)
@@ -623,10 +586,10 @@ class QuestionParser:
             if len(options) >= 2:
                 return ChooseOption(options, None)
         m = re.fullmatch(r"(?:is this|is the|are these) (\w+) (.+ or .+)", t)
-        if m and depluralize(m.group(1)) in self.nouns:
+        if m and (noun := self._noun(m.group(1))) in self.nouns:
             options = tuple(o.strip() for o in m.group(2).split(" or "))
             if len(options) >= 2:
-                return ChooseOption(options, depluralize(m.group(1)))
+                return ChooseOption(options, noun)
         m = re.fullmatch(r"are these (.+ or .+)", t)
         if m:
             options = tuple(o.strip() for o in m.group(1).split(" or "))
@@ -786,8 +749,7 @@ def generate_grounding(scene: SceneGraph, world: WorldConfig, seed: int,
                 continue
             name = rng.choice(names)
             obj = scene.objects_named(name)[0]
-            program = (f"ps = image.find({_s(name)})\n"
-                       f"return ps[0]\n")
+            program = _find_then(name, "ps[0]")
             cases.append(GroundingCase(case_id, scene.scene_id, f"the {name}",
                                        program, obj.bbox, "plain"))
         else:
@@ -800,11 +762,8 @@ def generate_grounding(scene: SceneGraph, world: WorldConfig, seed: int,
             attr = _attr_of(target_obj, family, world)
             program = (f"ps = image.find({_s(name)})\n"
                        f"ok = ps[0].verify_property({_s(name)}, {_s(attr)})\n"
-                       f"if ok:\n"
-                       f"    ans = ps[0]\n"
-                       f"else:\n"
-                       f"    ans = ps[1]\n"
-                       f"return ans\n")
+                       + _if_else("ok", "ans = ps[0]", "ans = ps[1]")
+                       + "return ans\n")
             cases.append(GroundingCase(case_id, scene.scene_id,
                                        f"the {attr} {name}", program,
                                        target_obj.bbox, "discriminated"))

@@ -4,8 +4,7 @@ import pytest
 
 from progdistill.adapter import (AdapterError, TeacherInput,
                                  adapt_best_text_match, adapt_simple_query,
-                                 adapt_step, adapt_verify_property,
-                                 is_plural)
+                                 adapt_step, adapt_verify_property)
 from progdistill.backends import perfect_registry
 from progdistill.dsl import parse
 from progdistill.interpreter import StepRecord, execute
@@ -97,13 +96,22 @@ class TestSimpleQueryTemplate:
 
 
 class TestPluralityAndArticles:
-    @pytest.mark.parametrize("word,plural", [
-        ("flowers", True), ("flower", False), ("children", True),
-        ("people", True), ("glass", False), ("bus", False),
-        ("scissors", True), ("dog", False), (None, False), ("", False),
-    ])
-    def test_is_plural(self, word, plural):
-        assert is_plural(word) is plural
+    # A center word is the noun a find() matched; only a noun that is its own
+    # plural reads as a plural center.
+    @pytest.mark.parametrize("center,adjectives,nouns", [
+        ("glasses", "Are these glasses red or blue?", "Are these cup or glasses?"),
+        ("bus", "Is this bus red or blue?", "Is this a bus or cup?"),
+        ("pants", "Is this pants red or blue?", "Is this a cup or pants?"),
+        ("flower", "Is this flower red or blue?", "Is this a cup or flower?"),
+    ], ids=["glasses", "bus", "pants", "flower"])
+    def test_plural_center_is_a_noun_that_is_its_own_plural(
+            self, center, adjectives, nouns):
+        patch = ScenePatch("s", (0, 0, 10, 10), origin_label=center,
+                           visible_objects=("o00",))
+        for options, text in ((("red", "blue"), adjectives),
+                              (tuple(sorted(("cup", center))), nouns)):
+            step = StepRecord(0, "best_text_match", patch, (options,), options[0])
+            assert adapt_step(step, attribute_vocab=ATTRS).sub_question == text
 
     def test_article(self):
         assert article("apple") == "an"

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from progdistill import evaluation
-from progdistill.adapter import adapt_best_text_match, is_plural
+from progdistill.adapter import adapt_step
 from progdistill.backends import (BackendError, CorruptedBackend,
                                   CorruptionProfile, DetectorBackend,
                                   ModuleRegistry, OracleBackend, PhaseError,
@@ -209,9 +209,10 @@ class TestResolveQueryCanonicalization:
                         (10, 10, 16, 16)),), seed=-1)
         patch = crop(scene, scene.objects[0].bbox, "glasses")
         options = ("blue", "red")
-        question = adapt_best_text_match(
-            options, "glasses", plural=is_plural("glasses"),
-            attribute_vocab=glasses_world.all_attributes())
+        question = adapt_step(
+            StepRecord(0, "best_text_match", patch, (options,), "red"),
+            attribute_vocab=glasses_world.all_attributes()).sub_question
+        assert question == "Are these glasses blue or red?"
         dispatched = SubTaskInput("best_text_match", patch, options=options)
         harvested = SubTaskInput("best_text_match", patch, question=question)
         base = CorruptedBackend(store_for(scene), glasses_world,

@@ -7,7 +7,8 @@ from progdistill.backends import (CorruptionProfile, OracleBackend,
                                   distilled_registry, fresh_students,
                                   oracle_registry, perfect_registry)
 from progdistill.evaluation import (EvalReport, TAXONOMY_KEYS,
-                                    case_report, error_taxonomy, evaluate,
+                                    ablate_distilled_count, case_report,
+                                    error_taxonomy, evaluate,
                                     grounding_eval, question_correct,
                                     run_programs, score,
                                     validate_coarse_programs,
@@ -267,6 +268,21 @@ class TestTeacherReplacement:
         assert tr.acc_all > base.acc_all
         # find stays the detector: misses still cost accuracy
         assert tr.acc_all < 1.0
+
+
+class TestDistilledCountAblation:
+    def test_two_students_give_one_row_per_count(self, eval_world, eval_store,
+                                                 eval_set):
+        profile = CorruptionProfile(98, 0.3)
+        students = fresh_students(eval_store, eval_world, profile)
+        pair = {k: students[k] for k in ("verify_property", "simple_query")}
+        result = ablate_distilled_count(
+            baseline_registry(eval_store, eval_world, profile), pair,
+            eval_set[:40], eval_store)
+        assert [row["distilled_count"] for row in result["rows"]] == [0, 1, 2]
+        assert list(result["runs"]) == [
+            "dp0:none", "dp1:simple_query", "dp1:verify_property",
+            "dp2:verify_property+simple_query"]
 
 
 class TestCaseReport:
