@@ -288,9 +288,12 @@ class TableStudent:
     # -- training -----------------------------------------------------------
 
     def update(self, inp: SubTaskInput, pseudo_label: str) -> None:
+        self.count(self.base.student_key(inp), pseudo_label)
+
+    def count(self, key: str, pseudo_label: str) -> None:
+        """update() for an input whose student key is `key`."""
         if self.frozen:
             raise PhaseError("student is frozen for evaluation")
-        key = self.base.student_key(inp)
         counts = self.table.setdefault(key, {})
         counts[pseudo_label] = counts.get(pseudo_label, 0.0) + 1.0
 
@@ -299,25 +302,31 @@ class TableStudent:
 
     # -- prediction ---------------------------------------------------------
 
-    def smoothed_distribution(self, inp: SubTaskInput,
+    def key_and_support(self, inp: SubTaskInput) -> tuple[str, tuple[str, ...]]:
+        """The input's student key and its query's answer support: all that
+        the smoothed distribution reads of an input."""
+        return (self.base.student_key(inp),
+                answer_support(resolve_query(inp, self.base.parser),
+                               self.base.world))
+
+    def smoothed_distribution(self, key: str, support: Sequence[str],
                               extra_label: str | None = None) -> dict[str, float]:
-        """Add-alpha distribution over the counted labels, the query's answer
-        support and `extra_label`, in label order."""
-        counts = self.table.get(self.base.student_key(inp), {})
-        query = resolve_query(inp, self.base.parser)
-        support = set(counts) | set(answer_support(query, self.base.world))
+        """Add-alpha distribution over the key's counted labels, `support`
+        and `extra_label`, in label order."""
+        counts = self.table.get(key, {})
+        labels = set(counts) | set(support)
         if extra_label is not None:
-            support.add(extra_label)
+            labels.add(extra_label)
         total = sum(counts.values())
-        denom = total + self.alpha * len(support)
+        denom = total + self.alpha * len(labels)
         if denom <= 0:
             return {}
         return {label: (counts.get(label, 0.0) + self.alpha) / denom
-                for label in sorted(support)}
+                for label in sorted(labels)}
 
-    def label_probability(self, inp: SubTaskInput, label: str) -> float:
-        dist = self.smoothed_distribution(inp, extra_label=label)
-        return dist.get(label, 0.0)
+    def label_probability(self, key: str, support: Sequence[str],
+                          label: str) -> float:
+        return self.smoothed_distribution(key, support, label).get(label, 0.0)
 
     def predict(self, inp: SubTaskInput) -> str:
         counts = self.table.get(self.base.student_key(inp))

@@ -130,17 +130,15 @@ def sample_loss(probabilities: Sequence[float]) -> float:
 
 def _mean_training_loss(students: Mapping[str, TableStudent],
                         triples: Sequence[Triple],
-                        inputs: Sequence[SubTaskInput]) -> float:
+                        keyed: Sequence[tuple[str, tuple[str, ...]]]) -> float:
     """Mean sample loss over the training triples under the current tables,
-    where a sample is one source question; `inputs[i]` is triple i's rebuilt
-    sub-task input."""
+    where a sample is one source question; `keyed[i]` is triple i's student
+    key and answer support."""
     by_sample: dict[str, list[float]] = {}
-    for triple, inp in zip(triples, inputs):
-        student = students.get(triple.module_kind)
-        if student is None:
-            continue
+    for triple, (key, support) in zip(triples, keyed):
         by_sample.setdefault(triple.source_qid, []).append(
-            student.label_probability(inp, triple.pseudo_label))
+            students[triple.module_kind].label_probability(
+                key, support, triple.pseudo_label))
     if not by_sample:
         return 0.0
     sample_means = [sample_loss(probs) for probs in by_sample.values()]
@@ -167,16 +165,20 @@ def train(students: Mapping[str, TableStudent], triples: Sequence[Triple],
             report.triples_per_kind[triple.module_kind] = (
                 report.triples_per_kind.get(triple.module_kind, 0) + 1)
 
-    inputs = [triple_input(t, store) for t in usable]
+    # A key and a support depend on the input alone, not on the counts, so
+    # each triple's are computed once for every epoch's updates and loss.
+    keyed = [students[t.module_kind].key_and_support(triple_input(t, store))
+             for t in usable]
     order = list(range(len(usable)))
     for epoch in range(epochs):
         rng = random.Random(f"train:{seed}:{epoch}")
         rng.shuffle(order)
         for idx in order:
             triple = usable[idx]
-            students[triple.module_kind].update(inputs[idx], triple.pseudo_label)
+            students[triple.module_kind].count(keyed[idx][0],
+                                               triple.pseudo_label)
         report.epoch_mean_sample_loss.append(
-            _mean_training_loss(students, usable, inputs))
+            _mean_training_loss(students, usable, keyed))
 
     for kind, student in sorted(students.items()):
         report.table_sizes[kind] = len(student.table)

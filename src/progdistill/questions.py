@@ -585,7 +585,10 @@ class QuestionParser:
             options = tuple(o.strip() for o in m.group(1).split(" or "))
             if len(options) >= 2:
                 return ChooseOption(options, None)
-        m = re.fullmatch(r"(?:is this|is the|are these) (\w+) (.+ or .+)", t)
+        # A center word is followed by an option, never by "or": in "are
+        # these cup or dog or glasses", "cup" is the first of three options.
+        m = re.fullmatch(
+            r"(?:is this|is the|are these) (\w+) (?!or )(.+ or .+)", t)
         if m and (noun := self._noun(m.group(1))) in self.nouns:
             options = tuple(o.strip() for o in m.group(2).split(" or "))
             if len(options) >= 2:

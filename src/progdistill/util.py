@@ -43,15 +43,19 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+# json.dumps(rec, ensure_ascii=False) builds a new encoder on every call.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     """Write one JSON object per line. Returns the record count."""
     count = 0
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    encode = _JSONL_ENCODER.encode
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
-            f.write(json.dumps(rec, ensure_ascii=False))
-            f.write("\n")
+            f.write(encode(rec) + "\n")
             count += 1
     return count
 

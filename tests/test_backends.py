@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from progdistill import evaluation
-from progdistill.adapter import adapt_step
+from progdistill.adapter import adapt_best_text_match, adapt_step
 from progdistill.backends import (BackendError, CorruptedBackend,
                                   CorruptionProfile, DetectorBackend,
                                   ModuleRegistry, OracleBackend, PhaseError,
@@ -221,6 +221,29 @@ class TestResolveQueryCanonicalization:
         teacher = OracleBackend(store_for(scene), glasses_world)
         assert teacher.predict(harvested) == "red"
 
+    @pytest.mark.parametrize("plural", [False, True])
+    @pytest.mark.parametrize("options", [("cup", "dog", "glasses"),
+                                         ("cup", "dog", "glasses", "flower")])
+    def test_noun_lists_of_three_or_more_options_keys_agree(self, world,
+                                                            options, plural):
+        # "Are these cup or dog or glasses?" lists three options; its first
+        # option is not a center word.
+        glasses_world = replace(world, nouns=world.nouns + ("glasses",))
+        scene = SceneGraph("g", (100, 100), (
+            SceneObject("o00", "glasses", frozenset({"red", "small"}),
+                        (10, 10, 16, 16)),), seed=-1)
+        patch = crop(scene, scene.objects[0].bbox, "glasses")
+        question = adapt_best_text_match(
+            options, "glasses", plural,
+            attribute_vocab=glasses_world.all_attributes())
+        dispatched = SubTaskInput("best_text_match", patch, options=options)
+        harvested = SubTaskInput("best_text_match", patch, question=question)
+        base = CorruptedBackend(store_for(scene), glasses_world,
+                                CorruptionProfile(seed=1, rho=0.3))
+        assert base.student_key(harvested) == base.student_key(dispatched)
+        teacher = OracleBackend(store_for(scene), glasses_world)
+        assert teacher.predict(harvested) == "glasses"
+
 
 class TestTableStudent:
     def _student(self, scene, world, rho=1.0, tau=3):
@@ -260,9 +283,11 @@ class TestTableStudent:
         student = self._student(flower_scene, world)
         inp = self._inp(flower_scene)
         # no counts: add-one smoothing over {no, yes} -> uniform
-        dist = student.smoothed_distribution(inp)
+        key, support = student.key_and_support(inp)
+        dist = student.smoothed_distribution(key, support)
         assert dist == {"no": pytest.approx(0.5), "yes": pytest.approx(0.5)}
-        assert student.label_probability(inp, "yes") == pytest.approx(0.5)
+        assert student.label_probability(key, support, "yes") == \
+            pytest.approx(0.5)
 
     def test_freeze_blocks_updates(self, flower_scene, world):
         student = self._student(flower_scene, world)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -5,12 +6,14 @@ import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from progdistill.dsl import (Assign, BoolOp, Call, Compare, If, ImageRef,
-                             Index, Len, Literal, NotOp, ParseError, Return,
-                             Var, parse, unparse)
+from progdistill import dsl
+from progdistill.dsl import (INDENT, Assign, BoolOp, Call, Compare, Expr, If,
+                             ImageRef, Index, Len, Literal, NotOp, ParseError,
+                             Program, Return, Stmt, Var, _parse_full,
+                             escape_string, parse)
 from progdistill.questions import generate_qa
 from progdistill.worlds import generate_world
 
@@ -169,6 +172,78 @@ class TestParseCache:
 # Round-trip property over generated programs
 # ---------------------------------------------------------------------------
 
+# A pretty-printer, the inverse of parse() up to layout.
+
+_PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "postfix": 5}
+
+
+def _render_literal(value: object) -> str:
+    if isinstance(value, bool):
+        return "True" if value else "False"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return escape_string(value)
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_render_literal(v) for v in value) + "]"
+    raise TypeError(f"cannot render literal {value!r}")
+
+
+def _render_expr(expr: Expr, parent_prec: int = 0) -> str:
+    if isinstance(expr, Literal):
+        return _render_literal(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, ImageRef):
+        return "image"
+    if isinstance(expr, Len):
+        return f"len({_render_expr(expr.target)})"
+    if isinstance(expr, Call):
+        recv = _render_expr(expr.receiver, _PREC["postfix"])
+        args = ", ".join(_render_expr(a) for a in expr.args)
+        return f"{recv}.{expr.module_kind}({args})"
+    if isinstance(expr, Index):
+        return f"{_render_expr(expr.target, _PREC['postfix'])}[{expr.index}]"
+    if isinstance(expr, Compare):
+        text = (f"{_render_expr(expr.left, _PREC['cmp'] + 1)} {expr.op} "
+                f"{_render_expr(expr.right, _PREC['cmp'] + 1)}")
+        return f"({text})" if parent_prec > _PREC["cmp"] else text
+    if isinstance(expr, NotOp):
+        text = f"not {_render_expr(expr.operand, _PREC['not'])}"
+        return f"({text})" if parent_prec > _PREC["not"] else text
+    if isinstance(expr, BoolOp):
+        prec = _PREC[expr.op]
+        text = (f"{_render_expr(expr.left, prec)} {expr.op} "
+                f"{_render_expr(expr.right, prec + 1)}")
+        return f"({text})" if parent_prec > prec else text
+    raise TypeError(f"cannot render {expr!r}")
+
+
+def _render_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
+    pad = " " * indent
+    if isinstance(stmt, Assign):
+        out.append(f"{pad}{stmt.var} = {_render_expr(stmt.expr)}")
+    elif isinstance(stmt, Return):
+        out.append(f"{pad}return {_render_expr(stmt.expr)}")
+    elif isinstance(stmt, If):
+        out.append(f"{pad}if {_render_expr(stmt.cond)}:")
+        for inner in stmt.then_body:
+            _render_stmt(inner, indent + INDENT, out)
+        if stmt.else_body:
+            out.append(f"{pad}else:")
+            for inner in stmt.else_body:
+                _render_stmt(inner, indent + INDENT, out)
+    else:
+        raise TypeError(f"cannot render {stmt!r}")
+
+
+def unparse(program: Program) -> str:
+    out: list[str] = []
+    for stmt in program.statements:
+        _render_stmt(stmt, 0, out)
+    return "\n".join(out) + "\n"
+
+
 NOUNS = ["flower", "table", "dog"]
 ATTRS = ["red", "blue", "small"]
 
@@ -227,7 +302,6 @@ def _random_program_source(rng):
             stmts.append(Assign(var, _random_expr(rng, names)))
             names.add(var)
     stmts.append(Return(_random_expr(rng, names)))
-    from progdistill.dsl import Program
     return unparse(Program(tuple(stmts), ""))
 
 
@@ -265,6 +339,90 @@ def test_parse_never_raises_anything_but_parse_error(text):
 
 
 # ---------------------------------------------------------------------------
+# parse() against the full path it skips for a known program shape
+# ---------------------------------------------------------------------------
+
+def _outcome(parse_fn, text):
+    try:
+        program = parse_fn(text)
+    except ParseError as exc:
+        return ("reject", exc.kind, exc.line, exc.column, exc.reason)
+    return (_dump(program.statements), program.module_kinds,
+            program.source_text)
+
+
+def _dump(node):
+    """What repr() shows of a statement tree, built without recursion so a
+    3,000-term chain fits: each node's type, then its fields in order."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            out.append(f"tuple/{len(node)}")
+            stack.extend(reversed(node))
+        elif dataclasses.is_dataclass(node):
+            out.append(type(node).__name__)
+            stack.extend(getattr(node, field.name)
+                         for field in reversed(dataclasses.fields(node)))
+        else:
+            out.append(repr(node))
+    return out
+
+
+# Pieces of a literal's body: the DSL's four escapes, one it lacks, a lone
+# backslash and quote, and characters that Python's parser or str.splitlines
+# read specially.
+BODY_PIECES = ["a", " ", "\\\\", '\\"', "\\n", "\\t", "\\d", "\\", '"', "\r",
+               "\0", "\ud800", "\x85", "\u2028", "\n", "\u00e9"]
+STRING_LITERALS = st.one_of(
+    st.lists(st.sampled_from(BODY_PIECES), max_size=4).map(
+        lambda pieces: '"' + "".join(pieces) + '"'),
+    st.text(max_size=6).map(escape_string))
+LITERALS = st.recursive(
+    st.one_of(STRING_LITERALS, st.sampled_from(["1", "True"])),
+    lambda inner: st.lists(inner, max_size=3).map(
+        lambda items: "[" + ", ".join(items) + "]"),
+    max_leaves=8)
+PROGRAM_FORMS = [
+    'p = image.find({})\nreturn p[0].best_text_match({})\n',
+    'p = image.find({})\nreturn p[0].verify_property({}, {})\n',
+    'x = {}\nif x == {} or not {}:\n    y = image.simple_query({})\n'
+    'else:\n    y = len({})\nreturn y\n',
+    'return {}.find({}) != {} and {}\n',
+]
+
+
+def _delete_token(text, index):
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    if index >= len(spans):
+        return text
+    a, b = spans[index]
+    return text[:a] + text[b:]
+
+
+FILLED_PROGRAMS = st.sampled_from(PROGRAM_FORMS).flatmap(
+    lambda form: st.lists(LITERALS, min_size=form.count("{}"),
+                          max_size=form.count("{}")).map(
+        lambda literals: form.format(*literals)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    FILLED_PROGRAMS,
+    st.builds(_delete_token, FILLED_PROGRAMS, st.integers(0, 12)),
+    st.text(max_size=120),
+    st.lists(st.sampled_from(DSL_PIECES), max_size=40).map("".join)))
+@example('p = image.find("a")\n'
+         'return p[0].best_text_match([["a", "q"], "b"])\n')
+@example("return " + " and ".join(['"a"'] * 3000) + "\n")
+def test_parse_matches_the_full_path(text):
+    # A text is parsed by filling its string literals into the program of its
+    # shape (the text with every literal blanked); that must give exactly what
+    # the line scan, ast.parse and the walk give on the text itself.
+    assert _outcome(parse, text) == _outcome(_parse_full, text)
+
+
+# ---------------------------------------------------------------------------
 # Pinned verdicts over generated programs and their token deletions
 # ---------------------------------------------------------------------------
 
@@ -278,18 +436,23 @@ def _token_deletions(text):
         yield "".join(text[a:b] for a, b in zip(bounds[::2], bounds[1::2]))
 
 
+def _generated_programs(world):
+    """Every distinct program of default-world scenes 0-2 under all four
+    pointer/coarse settings."""
+    return {qa.program
+            for seed in range(3)
+            for pointer in (True, False)
+            for coarse in (False, True)
+            for qa in generate_qa(generate_world(seed, world), world, 0,
+                                  visual_pointer=pointer, coarse=coarse)}
+
+
 def test_verdicts_on_generated_programs_and_deletions_are_pinned(world):
     # Which texts parse, and to what, decides what corrupt_program returns and
-    # when a run falls back. The digest covers every distinct program of
-    # default-world scenes 0-2 under all four pointer/coarse settings, and every
-    # text left by deleting one or two of its tokens. repr, not ==, because
-    # Literal(True) == Literal(1).
-    programs = {qa.program
-                for seed in range(3)
-                for pointer in (True, False)
-                for coarse in (False, True)
-                for qa in generate_qa(generate_world(seed, world), world, 0,
-                                      visual_pointer=pointer, coarse=coarse)}
+    # when a run falls back. The digest covers every generated program and
+    # every text left by deleting one or two of its tokens. repr, not ==,
+    # because Literal(True) == Literal(1).
+    programs = _generated_programs(world)
     texts = set(programs)
     for program in programs:
         texts.update(_token_deletions(program))
@@ -303,6 +466,28 @@ def test_verdicts_on_generated_programs_and_deletions_are_pinned(world):
     assert (len(programs), len(texts)) == (66, 14015)
     assert h.hexdigest() == ("ab955f10d7120d5559a7c5adac859bff"
                              "ff446acbf40a3a7e008a9c4cf58844ed")
+
+
+def test_generated_programs_take_the_full_path_once_per_shape(world,
+                                                              monkeypatch):
+    # Generated programs come from a few templates filled with nouns and
+    # attributes, so all but the first text of each shape skip ast.parse;
+    # so do texts whose literals nest lists.
+    programs = sorted(_generated_programs(world)) + [
+        f'p = image.find("{noun}")\n'
+        f'return p[0].best_text_match([["{noun}", "q"], "b"])\n'
+        for noun in ("cup", "dog")]
+    full_path = []
+    monkeypatch.setattr(dsl, "_parse_full", lambda text: full_path.append(
+        text) or _parse_full(text))
+    parse.cache_clear()
+    dsl._shape.cache_clear()
+    for text in programs:
+        parse(text)
+    shapes = dsl._shape.cache_info()
+    assert shapes.currsize == shapes.misses <= 20
+    assert shapes.hits == len(programs) - shapes.misses
+    assert len(full_path) == shapes.misses
 
 
 def test_crlf_line_ends_keep_every_verdict(world):
