@@ -25,7 +25,7 @@ from .util import iter_jsonl, write_jsonl
 from .worlds import Rect, WorldConfig, WorldStore, crop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """One step-supervision sample: (sub-image, sub-question, pseudo-label)."""
     scene_id: str
@@ -64,12 +64,16 @@ def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
             question_types: Mapping[str, str] | None = None,
             audit: list | None = None) -> list[Triple]:
     """One Triple per distillable StepRecord, ordered by (question_id,
-    step_index). Steps the adapter rejects are skipped with a warning."""
+    step_index) for traces in any order. Each trace's steps are labelled as
+    the trace is drawn, so an iterator of traces is never held whole; the
+    triples, and the audit records when `audit` is given, are then stably
+    sorted by question_id. Steps the adapter rejects are skipped with a
+    warning."""
     attribute_vocab = world.all_attributes()
-    ordered = sorted(traces, key=lambda t: t.question_id)
     triples: list[Triple] = []
+    records: list[dict] = []
     skipped = 0
-    for trace in ordered:
+    for trace in traces:
         for step in trace.steps:
             if step.module_kind not in DISTILLABLE_KINDS:
                 continue
@@ -96,11 +100,15 @@ def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
                 question_type=(question_types or {}).get(trace.question_id, ""),
             ))
             if audit is not None:
-                audit.append({"source": list(teacher_input.source),
-                              "sub_question": teacher_input.sub_question})
+                records.append({"source": list(teacher_input.source),
+                                "sub_question": teacher_input.sub_question})
     if skipped:
         _warn("harvest: %d step(s) skipped by the adapter", skipped)
-    return triples
+    # A stable sort keeps each trace's steps in step order.
+    order = sorted(range(len(triples)), key=lambda i: triples[i].source_qid)
+    if audit is not None:
+        audit.extend([records[i] for i in order])
+    return [triples[i] for i in order]
 
 
 def triple_input(triple: Triple, store: WorldStore) -> SubTaskInput:

@@ -189,7 +189,7 @@ def _scan(source: str) -> str:
     lines: list[str] = []
     problems: list[ParseError] = []
     for number, raw in enumerate(_LINE_END_RE.split(source), start=1):
-        if not raw.strip():
+        if not raw.strip(" "):  # blank: empty or spaces (WS) only
             lines.append("")
             continue
         prev_kind = prev_text = None

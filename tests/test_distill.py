@@ -66,12 +66,48 @@ class TestHarvest:
         traces = [_trace(flower_scene, store, world, source, qid)
                   for qid in ("q2", "q0", "q1")]
         teacher = OracleBackend(store, world)
-        triples = harvest(traces, teacher, world)
+        audit = []
+        triples = harvest(traces, teacher, world, audit=audit)
         assert [(t.source_qid, t.module_kind) for t in triples] == [
             ("q0", "verify_property"), ("q0", "simple_query"),
             ("q1", "verify_property"), ("q1", "simple_query"),
             ("q2", "verify_property"), ("q2", "simple_query"),
         ]
+        # the audit records follow the triples one to one
+        assert [(r["source"][0], r["source"][2], r["sub_question"])
+                for r in audit] == [
+            (t.source_qid, t.module_kind, t.sub_question) for t in triples]
+        assert [r["source"][1] for r in audit] == [1, 2] * 3
+
+    def test_labels_each_trace_as_it_is_drawn(self, flower_scene, world):
+        # an iterator of traces is never held whole: the teacher is asked
+        # about a trace's steps before the next trace is drawn
+        store = store_for(flower_scene)
+        source = ('ps = image.find("flower")\n'
+                  'a = ps[0].verify_property("flower", "red")\n'
+                  'return ps[0].simple_query("What color is this flower?")\n')
+        drawn = []
+
+        def traces():
+            for qid in ("q1", "q0", "q2"):
+                drawn.append(qid)
+                yield _trace(flower_scene, store, world, source, qid)
+
+        oracle = OracleBackend(store, world)
+
+        class RecordingTeacher:
+            def __init__(self):
+                self.drawn_at_predict = []
+
+            def predict(self, inp):
+                self.drawn_at_predict.append(len(drawn))
+                return oracle.predict(inp)
+
+        teacher = RecordingTeacher()
+        triples = harvest(traces(), teacher, world)
+        assert teacher.drawn_at_predict == [1, 1, 2, 2, 3, 3]
+        assert [t.source_qid for t in triples] == ["q0", "q0", "q1", "q1",
+                                                   "q2", "q2"]
 
     def test_pseudo_label_is_teacher_answer_on_adapted_text(self, flower_scene, world):
         # teacher sees only (sub-question, sub-image); labels match its answers

@@ -523,3 +523,15 @@ def test_line_break_characters_other_than_lf_and_crlf(brk):
     with pytest.raises(ParseError) as err:
         parse(f'x = "a"{brk}return x\n')
     assert err.value.kind == "lexical"
+
+
+@pytest.mark.parametrize("space", ["\t", "\x0b", "\x0c", "\x1c", "\x85",
+                                   "\u2028", "\u3000", " \t "])
+def test_a_line_of_other_whitespace_is_not_blank(space):
+    # Only an empty line or a line of spaces is blank; any other whitespace
+    # outside a string is a lexical error, on its own line as anywhere else.
+    with pytest.raises(ParseError) as err:
+        parse(f'x = "a"\n{space}\nreturn x\n')
+    assert err.value.kind == "lexical"
+    assert parse('x = "a"\n\n    \nreturn x\n').statements == parse(
+        'x = "a"\nreturn x\n').statements
