@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .interpreter import answer_to_text, execute
-from .dsl import MODULE_KINDS, parse
+from .dsl import MODULE_KINDS, ParseError, parse
 from .questions import (DISTILLABLE_KINDS, ParsedQuery, QAPair,
                         QuestionParser, TemplateQuery, answer_support,
                         evaluate_template, query_key)
@@ -540,7 +540,7 @@ def consistency_verifier(store: WorldStore, world: WorldConfig):
         scene = store.get(qa.scene_id)
         try:
             program = parse(qa.program)
-        except Exception:
+        except ParseError:
             return False
         trace = execute(program, scene, registry, qa.question_id)
         answer = answer_to_text(trace.answer)

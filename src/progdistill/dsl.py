@@ -8,12 +8,13 @@ literals, and return.
 The full path takes three steps: a line scan with the DSL's own token pattern,
 which also rejects the token pairs Python would read differently; Python's
 ast.parse; and one walk that builds the DSL's AST classes from the Python tree
-and rejects every construct outside the DSL. parse() runs it once per shape:
-it blanks every string literal to "", takes the full path on that skeleton the
-first time it is seen, and fills the text's decoded literals into a copy of
-the skeleton's program in source order. Whatever does not line up (a rejected
-skeleton, a literal count unlike the shape's, a fill too deep for the stack)
-takes the full path on the text itself, so every ParseError comes from it.
+and rejects every construct outside the DSL; each literal holding a string
+becomes a Slot, an index into the Program's table of literals. parse() runs it
+once per shape: it blanks every string literal to "", takes the full path on
+that skeleton the first time it is seen, and pairs the skeleton's code with
+the text's decoded literals. Whatever does not line up (a rejected skeleton,
+a literal count unlike the shape's, a fill too deep for the stack) takes the
+full path on the text itself, so every ParseError comes from it.
 
 Static guarantees enforced at parse time: variables are defined before use,
 every execution path reaches exactly one return, module-call arity matches the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -65,6 +66,11 @@ class ParseError(Exception):
 @dataclass(frozen=True, slots=True)
 class Literal:
     value: object  # str | int | bool | tuple of literal values
+
+
+@dataclass(frozen=True, slots=True)
+class Slot:
+    index: int  # a literal that holds a string: Program.literals[index]
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +120,8 @@ class NotOp:
     operand: "Expr"
 
 
-Expr = Union[Literal, Var, ImageRef, Call, Index, Len, Compare, BoolOp, NotOp]
+Expr = Union[Literal, Slot, Var, ImageRef, Call, Index, Len, Compare, BoolOp,
+             NotOp]
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,9 +147,26 @@ Stmt = Union[Assign, If, Return]
 
 @dataclass(frozen=True, slots=True)
 class Program:
-    statements: tuple[Stmt, ...]
+    code: tuple[Stmt, ...]  # shared by every text of the same shape
     source_text: str
     module_kinds: frozenset[str] = frozenset()  # the kind of every call in it
+    literals: tuple = ()  # the value of each Slot of `code`
+
+    @property
+    def statements(self) -> tuple[Stmt, ...]:
+        """`code` with its Slots filled in: for tests and introspection."""
+        return _unslot(self.code, self.literals)
+
+
+def _unslot(node: object, literals: tuple) -> object:
+    if type(node) is Slot:
+        return Literal(literals[node.index])
+    if type(node) is tuple:
+        return tuple([_unslot(item, literals) for item in node])
+    if not is_dataclass(node):
+        return node  # a name, operator or index of a node
+    return type(node)(*[_unslot(getattr(node, name), literals)
+                        for name in node.__slots__])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +263,14 @@ class _Walker:
 
     def __init__(self) -> None:
         self.module_kinds: set[str] = set()
+        self.literals: list = []  # the values of the Slots made so far
+
+    def literal(self, value: object, slotted: bool) -> Expr:
+        """A Literal, or the next Slot for a value that holds a string."""
+        if slotted:
+            self.literals.append(value)
+            return Slot(len(self.literals) - 1)
+        return Literal(value)
 
     def block(self, body: list[ast.stmt], defined: set[str],
               depth: int) -> tuple[tuple[Stmt, ...], bool]:
@@ -293,7 +325,7 @@ class _Walker:
 
     def expr(self, node: ast.expr, defined: set[str]) -> Expr:
         if isinstance(node, ast.Constant) and type(node.value) in (str, int, bool):
-            return Literal(node.value)
+            return self.literal(node.value, type(node.value) is str)
         if isinstance(node, ast.Name):
             if node.id == "image":
                 return ImageRef()
@@ -306,9 +338,13 @@ class _Walker:
                                  node.lineno, node.col_offset + 1)
             return Var(node.id)
         if isinstance(node, ast.List):
+            first = len(self.literals)
             items = [self.expr(item, defined) for item in node.elts]
-            if all(isinstance(item, Literal) for item in items):
-                return Literal(tuple(item.value for item in items))
+            if all(type(item) in (Literal, Slot) for item in items):
+                value = tuple(self.literals[item.index] if type(item) is Slot
+                              else item.value for item in items)
+                del self.literals[first:]  # the items' Slots become one
+                return self.literal(value, Slot in map(type, items))
         if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
                 and type(node.slice.value) is int):
             return Index(self.expr(node.value, defined), node.slice.value)
@@ -367,7 +403,8 @@ def _parse_full(source: str) -> Program:
         raise ParseError("structure", "not every execution path returns",
                          tree.body[-1].end_lineno)
     return Program(statements, source,
-                   _kind_set(frozenset(walker.module_kinds)))
+                   _kind_set(frozenset(walker.module_kinds)),
+                   tuple(walker.literals))
 
 
 # The scan's STRING token, kept within one line; group 1 is the body. Where
@@ -377,34 +414,17 @@ _STRING_RE = re.compile(r'"((?:[^"\\\n]|\\[nt"\\])*)"')
 _ESCAPE_RE = re.compile(r'\\[nt"\\]')
 _UNESCAPES = {"\\n": "\n", "\\t": "\t", '\\"': '"', "\\\\": "\\"}
 
-# Calls, statements and operators: the nodes that can hold a string literal.
-_BRANCHES = frozenset({Call, Index, Len, Compare, BoolOp, NotOp, Assign, If,
-                       Return})
-
 
 # Generated programs have a few dozen shapes at most; rejected skeletons, such
 # as those of corrupted programs, are kept too (as None).
 @lru_cache(maxsize=256)
 def _shape(skeleton: str) -> Program | None:
-    """The program of a text whose string literals are all "", or None if
-    the full path rejects it."""
+    """The program of a text whose string literals are all "" (the templates
+    of its literals), or None if the full path rejects it."""
     try:
         return _parse_full(skeleton)
     except ParseError:
         return None
-
-
-def _fill(node: object, values: list[str]) -> object:
-    """A copy of `node` whose string literals, in source order, take the
-    values popped off the end of `values`."""
-    if type(node) is tuple:
-        return tuple([_fill(item, values) for item in node])
-    if type(node) is Literal:
-        return Literal(_fill_value(node.value, values))
-    if type(node) in _BRANCHES:
-        return type(node)(*[_fill(getattr(node, name), values)
-                            for name in node.__slots__])
-    return node  # Var, ImageRef, or a name, operator or index of a branch
 
 
 def _fill_value(value: object, values: list[str]) -> object:
@@ -419,8 +439,8 @@ def _fill_value(value: object, values: list[str]) -> object:
 # evaluation and ablation: a default-config recipe makes 50,252 calls over
 # 1,226 distinct texts of 16 shapes, a bench-scale wide-vocab run 5,341 calls
 # over 1,897 texts of 11 shapes. Programs are immutable, so every caller shares
-# the cached Program. Failures are not cached: each call raises a fresh
-# ParseError.
+# the cached Program, and the Programs of one shape share its code. Failures
+# are not cached: each call raises a fresh ParseError.
 @lru_cache(maxsize=4096)
 def parse(source: str) -> Program:
     """Parse a program or raise a ParseError with a distinguishable kind."""
@@ -430,10 +450,11 @@ def parse(source: str) -> Program:
         values = [_ESCAPE_RE.sub(lambda m: _UNESCAPES[m[0]], body)
                   if "\\" in body else body for body in reversed(parts[1::2])]
         try:
-            statements = _fill(shape.statements, values)
+            literals = _fill_value(shape.literals, values)
         except (IndexError, RecursionError):  # fewer literals than slots; deep
             pass
         else:
             if not values:  # every literal filled a slot
-                return Program(statements, source, shape.module_kinds)
+                return Program(shape.code, source, shape.module_kinds,
+                               literals)
     return _parse_full(source)

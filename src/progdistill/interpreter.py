@@ -80,7 +80,8 @@ class _Executor:
         self.root = full_patch(scene)
 
     def run(self, program: Program) -> object:
-        result = self._run_block(program.statements)
+        self.literals = program.literals
+        result = self._run_block(program.code)
         if result is _NO_RETURN:
             # Unreachable for parsed programs; guards hand-built ASTs.
             raise _RuntimeFailure("program ended without return")
@@ -106,6 +107,8 @@ class _Executor:
         return _NO_RETURN
 
     def _eval(self, expr) -> object:
+        if isinstance(expr, dsl.Slot):
+            return self.literals[expr.index]
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ImageRef):

@@ -365,18 +365,23 @@ def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
     _write_json(path, manifest)
 
 
-def require_artifacts(run: RunPaths, producer_stage: str,
+def require_artifacts(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
                       names: list[str]) -> tuple[str, ...]:
-    """Check that a producing stage ran and its recorded output checksums
-    still match the files on disk; the only way a stage reads an upstream
-    artifact. Each verified file is noted on `run` for the stage manifest.
-    Returns the files' sha256 values, in the order of `names`."""
+    """Check that a producing stage ran under the seed of `cfg` and its
+    recorded output checksums still match the files on disk; the only way a
+    stage reads an upstream artifact. Each verified file is noted on `run`
+    for the stage manifest. Returns the files' sha256 values, in the order
+    of `names`."""
     manifest_path = run.manifest_file(producer_stage)
     if not manifest_path.exists():
         raise MissingArtifactError(
             f"stage {producer_stage!r} has not produced its artifacts "
             f"(missing {manifest_path.name})")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if manifest.get("seed") != cfg.seed:
+        raise ConfigError(
+            f"stage {producer_stage!r} ran with seed {manifest.get('seed')}, "
+            f"this run has seed {cfg.seed}")
     outputs = manifest.get("outputs", {})
     hashes = []
     for name in names:
@@ -397,13 +402,14 @@ def require_artifacts(run: RunPaths, producer_stage: str,
     return tuple(hashes)
 
 
-def _load_once(run: RunPaths, producer_stage: str, names: list[str],
+def _load_once(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
+               names: list[str],
                load: Callable[[], object]):
-    """`load()` after `require_artifacts(run, producer_stage, names)`, or the
-    value it returned before on `run` while those files had the same sha256
+    """`load()` after `require_artifacts(run, cfg, producer_stage, names)`, or
+    the value it returned before on `run` while those files had the same sha256
     values: a changed file is never served from memory. Callers share the
     value and must not change it."""
-    hashes = require_artifacts(run, producer_stage, names)
+    hashes = require_artifacts(run, cfg, producer_stage, names)
     key = (producer_stage, *names)
     entry = run.loaded.get(key)
     if entry is None or entry[0] != hashes:
@@ -437,7 +443,8 @@ def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
     })
 
 
-def load_world_stores(run: RunPaths) -> tuple[WorldStore, WorldStore, WorldStore]:
+def load_world_stores(run: RunPaths, cfg: PipelineConfig
+                      ) -> tuple[WorldStore, WorldStore, WorldStore]:
     """(train, eval, combined) stores, after checking the gen-world
     checksums; scene ids are globally unique. The files are parsed once per
     `run` while they are unchanged, so every stage shares the same stores."""
@@ -448,28 +455,30 @@ def load_world_stores(run: RunPaths) -> tuple[WorldStore, WorldStore, WorldStore
         combined.scenes.update(train_store.scenes)
         combined.scenes.update(eval_store.scenes)
         return train_store, eval_store, combined
-    return _load_once(run, "gen-world", ["worlds_train", "worlds_eval"], load)
+    return _load_once(run, cfg, "gen-world", ["worlds_train", "worlds_eval"],
+                      load)
 
 
-def read_split(run: RunPaths, name: str) -> list[QAPair]:
+def read_split(run: RunPaths, cfg: PipelineConfig, name: str) -> list[QAPair]:
     """The questions of one split, after checking the build-dataset
     checksum: a fresh list over the QAPairs parsed once per `run`."""
     def load():
         return tuple(qa_from_record(r) for r in read_jsonl(run.split_file(name)))
-    return list(_load_once(run, "build-dataset", [f"split_{name}"], load))
+    return list(_load_once(run, cfg, "build-dataset", [f"split_{name}"], load))
 
 
-def read_traces(run: RunPaths, split: str,
+def read_traces(run: RunPaths, cfg: PipelineConfig, split: str,
                 registry_name: str) -> Iterator[ExecutionTrace]:
     """The traces run-programs stored for one split and registry, after
     checking their checksum; streamed one record at a time."""
-    require_artifacts(run, f"run-programs:{split}:{registry_name}", ["traces"])
+    require_artifacts(run, cfg, f"run-programs:{split}:{registry_name}",
+                      ["traces"])
     return (trace_from_record(r)
             for r in iter_jsonl(run.traces_file(split, registry_name)))
 
 
 def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
-    train_store, eval_store, _ = load_world_stores(run)
+    train_store, eval_store, _ = load_world_stores(run, cfg)
     for store, path in ((train_store, run.qa_train), (eval_store, run.qa_eval)):
         # Pointer-less questions on ambiguous patches are unanswerable even by
         # the oracle and must survive generation for the pointer comparison
@@ -487,7 +496,7 @@ def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
 
 
 def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
-    require_artifacts(run, "gen-qa", ["qa_train", "qa_eval"])
+    require_artifacts(run, cfg, "gen-qa", ["qa_train", "qa_eval"])
     train_pool, eval_pool = ([qa_from_record(r) for r in iter_jsonl(path)]
                              for path in (run.qa_train, run.qa_eval))
     result = make_splits(train_pool, eval_pool, cfg.seed, cfg.per_type_cap,
@@ -509,7 +518,7 @@ def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
 def _load_students(run: RunPaths, cfg: PipelineConfig,
                   store: WorldStore) -> dict[str, TableStudent]:
     """The students the distill stage saved, after checking their checksums."""
-    require_artifacts(run, "distill",
+    require_artifacts(run, cfg, "distill",
                       [f"student_{k}" for k in DISTILLABLE_KINDS])
     return {kind: TableStudent.load(run.student_file(kind), store, cfg.world)
             for kind in DISTILLABLE_KINDS}
@@ -537,8 +546,8 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
                        program_source: str = "templates",
                        service_client: ProgramServiceClient | None = None,
                        on_service_error: str = "fail") -> None:
-    qapairs = read_split(run, split)
-    _, _, store = load_world_stores(run)
+    qapairs = read_split(run, cfg, split)
+    _, _, store = load_world_stores(run, cfg)
 
     if program_source == "service":
         if service_client is None:
@@ -567,9 +576,9 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
 
 
 def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
-    traces = read_traces(run, "train", "baseline")
-    _, _, store = load_world_stores(run)
-    qapairs = read_split(run, "train")
+    traces = read_traces(run, cfg, "train", "baseline")
+    _, _, store = load_world_stores(run, cfg)
+    qapairs = read_split(run, cfg, "train")
     question_types = {qa.question_id: qa.question_type for qa in qapairs}
     teacher = OracleBackend(store, cfg.world)
     audit: list[dict] = []
@@ -584,8 +593,8 @@ def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
 
 
 def stage_distill(run: RunPaths, cfg: PipelineConfig) -> dict:
-    require_artifacts(run, "harvest", ["triples"])
-    _, _, store = load_world_stores(run)
+    require_artifacts(run, cfg, "harvest", ["triples"])
+    _, _, store = load_world_stores(run, cfg)
     triples = load_triples(run.triples)
     students = fresh_students(store, cfg.world, cfg.profile, tau=cfg.tau,
                               alpha=cfg.alpha)
@@ -611,9 +620,9 @@ def _write_csv(path: Path, rows) -> None:
 def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
                    registry_name: str) -> EvalReport:
     """Accounting over traces stored by run-programs for the test split."""
-    traces = read_traces(run, "test", registry_name)
-    _, _, store = load_world_stores(run)
-    qapairs = read_split(run, "test")
+    traces = read_traces(run, cfg, "test", registry_name)
+    _, _, store = load_world_stores(run, cfg)
+    qapairs = read_split(run, cfg, "test")
     by_id = {t.question_id: t for t in traces}
     missing = [qa.question_id for qa in qapairs if qa.question_id not in by_id]
     if missing:
@@ -639,10 +648,10 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
     if axis == "visual-pointer":
         # The probe makes its own scenes, but like every ablation it runs
         # over a built dataset.
-        require_artifacts(run, "build-dataset", ["split_test"])
+        require_artifacts(run, cfg, "build-dataset", ["split_test"])
     else:
-        _, eval_store, store = load_world_stores(run)
-        test_set = read_split(run, "test")
+        _, eval_store, store = load_world_stores(run, cfg)
+        test_set = read_split(run, cfg, "test")
         base = build_registry("baseline", run, cfg, store)
     outputs = {"ablation": run.ablation_file(axis)}
 
@@ -650,7 +659,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         result = ablate_distilled_count(base, _load_students(run, cfg, store),
                                         test_set, store)
     elif axis == "trainset-size":
-        require_artifacts(run, "harvest", ["triples"])
+        require_artifacts(run, cfg, "harvest", ["triples"])
         triples = load_triples(run.triples)
         total = len(triples)
         hi = max(cfg.trainset_ratios)
@@ -664,7 +673,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
              f"{point['acc_no_nan']:.6f}"] for point in result["curve"]])
         outputs["curve_csv"] = run.curve_csv
     elif axis == "cross-framework":
-        require_artifacts(run, "distill", ["student_simple_query"])
+        require_artifacts(run, cfg, "distill", ["student_simple_query"])
         coarse_test = _coarse_counterparts(cfg, eval_store, test_set)
         reports = cross_framework(base, run.student_file("simple_query"),
                                   coarse_test, store, cfg.world,
@@ -703,7 +712,7 @@ def _coarse_counterparts(cfg: PipelineConfig, eval_store: WorldStore,
 
 def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,
                       registries: tuple[str, ...] = ("baseline", "distilled")) -> dict:
-    _, eval_store, store = load_world_stores(run)
+    _, eval_store, store = load_world_stores(run, cfg)
     cases = []
     for scene_id in eval_store.ids():
         cases.extend(generate_grounding(eval_store.get(scene_id), cfg.world,
@@ -728,12 +737,13 @@ def _fmt_pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
-def _stored_json(run: RunPaths, path: Path, stage: str, name: str):
+def _stored_json(run: RunPaths, cfg: PipelineConfig, path: Path, stage: str,
+                 name: str):
     """The JSON artifact `name` of `stage` after checking its checksum, or
     None when the file is not there."""
     if not path.exists():
         return None
-    require_artifacts(run, stage, [name])
+    require_artifacts(run, cfg, stage, [name])
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -749,11 +759,12 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     csv_rows: list[list] = [["table", "row", "acc_all", "acc_no_nan"]]
 
     def ablation(axis: str):
-        return _stored_json(run, run.ablation_file(axis), f"ablate:{axis}",
-                            "ablation")
+        return _stored_json(run, cfg, run.ablation_file(axis),
+                            f"ablate:{axis}", "ablation")
 
-    evals = {name: _stored_json(run, run.eval_file(name), f"evaluate:{name}",
-                                "eval_json") for name in REGISTRY_NAMES}
+    evals = {name: _stored_json(run, cfg, run.eval_file(name),
+                                f"evaluate:{name}", "eval_json")
+             for name in REGISTRY_NAMES}
     available = [name for name in REGISTRY_NAMES if evals[name] is not None]
     if not available:
         raise MissingArtifactError("no eval_*.json artifacts; run `evaluate` first")
@@ -808,7 +819,8 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
         csv_rows.append(["visual_pointer", "pointer_off",
                          f"{data['acc_plain_ambiguous']:.6f}", ""])
 
-    data = _stored_json(run, run.grounding_file(), "ground-eval", "grounding")
+    data = _stored_json(run, cfg, run.grounding_file(), "ground-eval",
+                        "grounding")
     if data is not None:
         sections.append("## Grounding (mean IoU)")
         sections.append("")
@@ -818,7 +830,7 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
                              f"{data[name]['mean_iou']:.6f}", ""])
         sections.append("")
 
-    case_docs = _example_case_reports(run)
+    case_docs = _example_case_reports(run, cfg)
     if case_docs:
         sections.append("## Example trace diffs (baseline vs distilled)")
         sections.append("")
@@ -836,7 +848,8 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     return text
 
 
-def _example_case_reports(run: RunPaths, limit: int = 2) -> list[str]:
+def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
+                          limit: int = 2) -> list[str]:
     """Render the stored baseline and distilled traces of the first
     questions, in split order, that the baseline gets wrong and the
     distilled framework gets right; empty when the needed artifacts are not
@@ -846,9 +859,9 @@ def _example_case_reports(run: RunPaths, limit: int = 2) -> list[str]:
               run.traces_file("test", "distilled"), run.split_file("test")]
     if not all(p.exists() for p in needed):
         return []
-    baseline = read_traces(run, "test", "baseline")
-    distilled = read_traces(run, "test", "distilled")
-    qapairs = read_split(run, "test")
+    baseline = read_traces(run, cfg, "test", "baseline")
+    distilled = read_traces(run, cfg, "test", "distilled")
+    qapairs = read_split(run, cfg, "test")
     by_id = {qa.question_id: qa for qa in qapairs}
     base_wrong = {t.question_id: t for t in baseline if t.question_id in by_id
                   and not question_correct(by_id[t.question_id], t)[0]}

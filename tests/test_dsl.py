@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from progdistill import dsl
 from progdistill.dsl import (INDENT, Assign, BoolOp, Call, Compare, Expr, If,
                              ImageRef, Index, Len, Literal, NotOp, ParseError,
-                             Program, Return, Stmt, Var, _parse_full,
+                             Program, Return, Slot, Stmt, Var, _parse_full,
                              escape_string, parse)
+from progdistill.backends import perfect_registry
+from progdistill.interpreter import execute, fallback_program
 from progdistill.questions import generate_qa
-from progdistill.worlds import generate_world
+from progdistill.worlds import WorldStore, generate_world
 
 TWO_STATEMENT = (
     'p = image.find("flower")\n'
@@ -347,7 +349,7 @@ def _outcome(parse_fn, text):
         program = parse_fn(text)
     except ParseError as exc:
         return ("reject", exc.kind, exc.line, exc.column, exc.reason)
-    return (_dump(program.statements), program.module_kinds,
+    return (_dump(program.code), program.literals, program.module_kinds,
             program.source_text)
 
 
@@ -488,6 +490,105 @@ def test_generated_programs_take_the_full_path_once_per_shape(world,
     assert shapes.currsize == shapes.misses <= 20
     assert shapes.hits == len(programs) - shapes.misses
     assert len(full_path) == shapes.misses
+
+
+# ---------------------------------------------------------------------------
+# One code per shape, one table of literals per text
+# ---------------------------------------------------------------------------
+
+NESTED = ('p = image.find("{}")\n'
+          'return p[0].best_text_match([["{}", "q"], "b"])\n')
+
+
+def test_texts_of_one_shape_share_its_code():
+    cup = parse(NESTED.format("cup", "cup"))
+    odd = parse(NESTED.format("dog", 'a \\"b\\" \\n\\t\\\\'))
+    assert odd.code is cup.code
+    assert cup.literals == ("cup", (("cup", "q"), "b"))
+    assert odd.literals == ("dog", (('a "b" \n\t\\', "q"), "b"))
+    assert cup.code[0].expr.args == (Slot(0),)
+    assert cup.statements[1].expr.args == (Literal((("cup", "q"), "b")),)
+    assert parse('return image.simple_query("x")\n').code is parse(
+        'return image.simple_query("y")\n').code
+
+
+@pytest.mark.parametrize("text", [
+    'p = image.find("cup")\nreturn p[0].verify_property("red")\n',
+    'p = image.find("cup")\nreturn p[0].verify_property("red", "a", "b")\n',
+    'p = image.find()\nreturn p[0].verify_property("red", "color")\n',
+    'p = image.find("cup", "mug")\nreturn p[0].verify_property("a", "b")\n',
+])
+def test_one_literal_more_or_fewer_raises_the_full_paths_error(text):
+    # Each text is the primed shape's text with one literal added or dropped.
+    parse('p = image.find("cup")\nreturn p[0].verify_property("red", "b")\n')
+    with pytest.raises(ParseError) as full:
+        _parse_full(text)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.kind, err.value.line, err.value.column,
+            err.value.reason) == (full.value.kind, full.value.line,
+                                  full.value.column, full.value.reason)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_a_table_unlike_the_shapes_takes_the_full_path(monkeypatch, extra):
+    # A shape whose table holds one template more or fewer than the text's
+    # literals must not pair with it: the text takes the full path.
+    text = NESTED.format("cup", "mug")
+    real = _parse_full(NESTED.format("", ""))
+    table = real.literals + ("",) if extra > 0 else real.literals[:-1]
+    monkeypatch.setattr(dsl, "_shape", lambda skeleton: Program(
+        real.code, skeleton, real.module_kinds, table))
+    full_path = []
+    monkeypatch.setattr(dsl, "_parse_full", lambda t: full_path.append(
+        t) or _parse_full(t))
+    parse.cache_clear()
+    try:
+        program = parse(text)
+    finally:
+        parse.cache_clear()
+    assert full_path == [text]
+    assert program == _parse_full(text)
+
+
+def test_slots_evaluate_like_the_literals_they_hold(world):
+    # The interpreter reads a Slot from the program's table; the run must
+    # equal that of the same program with its Literals in place, and that of
+    # the full path's program of the text.
+    scene = generate_world(0, world)
+    store = WorldStore()
+    store.add(scene)
+    registry = perfect_registry(store, world)
+    rng = random.Random("slots")
+    texts = sorted(_generated_programs(world)) + [
+        _random_program_source(rng) for _ in range(300)]
+    questions = ['Is the "red" cup here?', "two\nlines", "a\\b",
+                 'all "\n\\ three']
+    programs = [parse(text) for text in texts] + [
+        fallback_program(question) for question in questions]
+    assert [p.literals for p in programs[-4:]] == [(q,) for q in questions]
+    slotted = 0
+    for program in programs:
+        text = program.source_text
+        trace = execute(program, scene, registry)
+        assert trace == execute(Program(program.statements, text,
+                                        program.module_kinds), scene, registry)
+        assert trace == execute(_parse_full(text), scene, registry), text
+        slotted += bool(program.literals)
+    assert slotted > 300
+
+
+def test_the_interpreter_reads_code_not_statements(monkeypatch, world,
+                                                  flower_scene):
+    # `statements` builds a tree per call; a run must not pay for it.
+    def refuse(program):
+        raise AssertionError("statements read")
+    monkeypatch.setattr(Program, "statements", property(refuse))
+    store = WorldStore()
+    store.add(flower_scene)
+    trace = execute(parse(TWO_STATEMENT), flower_scene,
+                    perfect_registry(store, world))
+    assert trace.status == "ok"
 
 
 def test_crlf_line_ends_keep_every_verdict(world):

@@ -226,6 +226,30 @@ class TestStageOrderingAndChecksums:
                      "--out-dir", str(tmp_path / "run")]) == \
             EXIT_MISSING_ARTIFACT
 
+    def test_artifacts_of_another_seed_are_a_config_error(self, tmp_path,
+                                                          tiny_config_file,
+                                                          capsys):
+        out = str(tmp_path / "run")
+        assert _run(["gen-world", "--config", tiny_config_file,
+                     "--out-dir", out, "--seed", "0"]) == EXIT_OK
+        assert _run(["gen-qa", "--config", tiny_config_file,
+                     "--out-dir", out, "--seed", "7"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed 0" in err and "seed 7" in err, err
+        assert not (tmp_path / "run" / "qa_train.jsonl").exists()
+        assert _run(["gen-qa", "--config", tiny_config_file,
+                     "--out-dir", out, "--seed", "0"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", [
+        ["report"], ["evaluate"], ["ablate", "--axis", "visual-pointer"]])
+    def test_reading_a_run_under_another_seed_is_a_config_error(
+            self, full_run, tmp_path, tiny_config_file, command):
+        out = _copy_run(full_run, tmp_path)
+        before = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        assert _run(command + ["--config", tiny_config_file, "--seed", "3",
+                               "--out-dir", str(out)]) == EXIT_CONFIG
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == before
+
     def test_tampered_artifact_fails_checksum(self, tmp_path, tiny_config_file):
         out = tmp_path / "run"
         assert _run(["gen-world", "--config", tiny_config_file,
@@ -273,35 +297,36 @@ class TestArtifactCache:
         monkeypatch.setattr(WorldStore, "load_jsonl", classmethod(counted))
         return calls
 
-    def test_second_load_returns_the_same_objects(self, full_run, load_calls):
-        run = RunPaths(full_run)
-        first = load_world_stores(run)
-        second = load_world_stores(run)
+    def test_second_load_returns_the_same_objects(self, full_run, load_calls,
+                                                  tiny_config_file):
+        run, cfg = RunPaths(full_run), load_config(tiny_config_file)
+        first = load_world_stores(run, cfg)
+        second = load_world_stores(run, cfg)
         assert all(a is b for a, b in zip(first, second, strict=True))
         assert sorted(load_calls) == ["worlds_eval.jsonl", "worlds_train.jsonl"]
         # Every read is still checked and recorded for the manifest.
         assert set(run.verified) == {"worlds_train.jsonl", "worlds_eval.jsonl"}
-        split = read_split(run, "test")
-        again = read_split(run, "test")
+        split = read_split(run, cfg, "test")
+        again = read_split(run, cfg, "test")
         assert again is not split
         assert all(a is b for a, b in zip(split, again, strict=True))
 
     def test_changed_world_file_after_caching_fails_checksum(
             self, full_run, tmp_path, tiny_config_file):
         out = _copy_run(full_run, tmp_path)
-        run = RunPaths(out)
-        load_world_stores(run)
+        run, cfg = RunPaths(out), load_config(tiny_config_file)
+        load_world_stores(run, cfg)
         _append_newline(out / "worlds_train.jsonl")
         with pytest.raises(ChecksumError):
-            stage_ground_eval(run, load_config(tiny_config_file))
+            stage_ground_eval(run, cfg)
 
     def test_regenerated_worlds_are_parsed_again(self, full_run, tmp_path,
                                                  tiny_config_file, load_calls):
         run = RunPaths(_copy_run(full_run, tmp_path))
-        first, _, _ = load_world_stores(run)
+        first, _, _ = load_world_stores(run, load_config(tiny_config_file))
         cfg = load_config(tiny_config_file, seed=1)
         stage_gen_world(run, cfg)
-        second, _, _ = load_world_stores(run)
+        second, _, _ = load_world_stores(run, cfg)
         assert len(load_calls) == 4
         assert sorted(second.scenes) != sorted(first.scenes)
 
