@@ -30,6 +30,8 @@ from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from typing import Union
 
+from .util import shared_set
+
 MODULE_ARITY = {
     "find": 1,
     "exists": 0,
@@ -158,15 +160,29 @@ class Program:
         return _unslot(self.code, self.literals)
 
 
-def _unslot(node: object, literals: tuple) -> object:
-    if type(node) is Slot:
-        return Literal(literals[node.index])
-    if type(node) is tuple:
-        return tuple([_unslot(item, literals) for item in node])
-    if not is_dataclass(node):
-        return node  # a name, operator or index of a node
-    return type(node)(*[_unslot(getattr(node, name), literals)
-                        for name in node.__slots__])
+def _unslot(code: tuple, literals: tuple) -> tuple:
+    """`code` rebuilt bottom-up with a Literal for each Slot. The walk keeps
+    its own stack, not one Python frame per level, since a program that
+    parses may nest thousands of levels deep."""
+    stack: list = [(code, None)]
+    built: list = []
+    while stack:
+        node, parts = stack.pop()
+        if parts is not None:  # its parts are the last `len(parts)` built
+            args = built[len(built) - len(parts):]
+            del built[len(built) - len(parts):]
+            built.append(tuple(args) if type(node) is tuple
+                         else type(node)(*args))
+        elif type(node) is Slot:
+            built.append(Literal(literals[node.index]))
+        elif type(node) is tuple or is_dataclass(node):
+            parts = node if type(node) is tuple else [
+                getattr(node, name) for name in node.__slots__]
+            stack.append((node, parts))
+            stack += [(part, None) for part in reversed(parts)]
+        else:
+            built.append(node)  # a name, operator or index of a node
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +397,6 @@ class _Walker:
                          node.lineno, node.col_offset + 1)
 
 
-# Every cached Program keeps its set of module kinds (about 200 bytes), but
-# programs call few distinct sets, so equal sets are shared.
-_kind_set = lru_cache(maxsize=256)(frozenset)
-
-
 def _parse_full(source: str) -> Program:
     """The line scan, ast.parse and the walk over one text."""
     walker = _Walker()
@@ -403,7 +414,7 @@ def _parse_full(source: str) -> Program:
         raise ParseError("structure", "not every execution path returns",
                          tree.body[-1].end_lineno)
     return Program(statements, source,
-                   _kind_set(frozenset(walker.module_kinds)),
+                   shared_set(frozenset(walker.module_kinds)),
                    tuple(walker.literals))
 
 

@@ -143,6 +143,14 @@ class PipelineConfig:
     def digest(self) -> str:
         return config_digest(self.to_dict())
 
+    def provenance_digest(self) -> str:
+        """Digest of the keys that shape artifacts: a stage refuses the
+        artifacts of a producer whose digest differs. The service timeout
+        and the world's relations (scenes carry none) are left out."""
+        data = self.to_dict()
+        del data["service"]["timeout"], data["world"]["relations"]
+        return config_digest(data)
+
     @property
     def profile(self) -> CorruptionProfile:
         return CorruptionProfile(seed=self.corruption_seed, rho=self.rho)
@@ -352,6 +360,7 @@ def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
     manifest = {
         "command": stage,
         "config_digest": cfg.digest(),
+        "provenance_digest": cfg.provenance_digest(),
         "seed": cfg.seed,
         "inputs": dict(sorted(run.verified.items())),
         "outputs": {name: {"path": str(p.relative_to(run.base)),
@@ -367,21 +376,33 @@ def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
 
 def require_artifacts(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
                       names: list[str]) -> tuple[str, ...]:
-    """Check that a producing stage ran under the seed of `cfg` and its
-    recorded output checksums still match the files on disk; the only way a
-    stage reads an upstream artifact. Each verified file is noted on `run`
-    for the stage manifest. Returns the files' sha256 values, in the order
-    of `names`."""
+    """Check that a producing stage ran under the seed and the provenance
+    digest of `cfg` and its recorded output checksums still match the files
+    on disk; the only way a stage reads an upstream artifact. Each verified
+    file is noted on `run` for the stage manifest. Returns the files' sha256
+    values, in the order of `names`."""
     manifest_path = run.manifest_file(producer_stage)
     if not manifest_path.exists():
         raise MissingArtifactError(
             f"stage {producer_stage!r} has not produced its artifacts "
             f"(missing {manifest_path.name})")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    # The provenance digest covers the seed too; this check comes first only
+    # to name the two seeds.
     if manifest.get("seed") != cfg.seed:
         raise ConfigError(
             f"stage {producer_stage!r} ran with seed {manifest.get('seed')}, "
             f"this run has seed {cfg.seed}")
+    recorded = manifest.get("provenance_digest")
+    digest = cfg.provenance_digest()
+    if recorded is None:
+        raise ConfigError(
+            f"stage {producer_stage!r} records no provenance digest; run it "
+            f"again to record one")
+    if recorded != digest:
+        raise ConfigError(
+            f"stage {producer_stage!r} ran under provenance digest "
+            f"{recorded}, this run's is {digest}")
     outputs = manifest.get("outputs", {})
     hashes = []
     for name in names:

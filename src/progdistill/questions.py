@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -695,13 +696,17 @@ def qa_to_record(qa: QAPair) -> dict:
 
 
 def qa_from_record(record: dict) -> QAPair:
+    """The question a record holds. Its type, scene id and answer come from
+    closed vocabularies and are interned. Its id and texts are open-ended
+    and are not: interning them would only grow the interpreter's table of
+    interned strings, which never shrinks."""
     return QAPair(
         question_id=record["question_id"],
         question=record["question"],
-        ground_truth=record["ground_truth"],
+        ground_truth=sys.intern(record["ground_truth"]),
         program=record["program"],
-        question_type=record["question_type"],
-        scene_id=record["scene_id"],
+        question_type=sys.intern(record["question_type"]),
+        scene_id=sys.intern(record["scene_id"]),
     )
 
 

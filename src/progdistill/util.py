@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
 _SEP = "\x1f"
+
+
+# Records hold few distinct small sets (the module kinds of a program, the
+# attributes of an object), each thousands of times, so equal sets are shared:
+# 200-odd bytes each. The bound keeps open-ended sets from growing it.
+shared_set = lru_cache(maxsize=1024)(frozenset)
 
 
 def stable_hash(*parts: object) -> int:

@@ -13,12 +13,13 @@ functions, so scenes and patches can be shared freely.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .util import read_jsonl, write_jsonl
+from .util import read_jsonl, shared_set, write_jsonl
 
 Rect = tuple[int, int, int, int]  # (x, y, w, h)
 
@@ -399,12 +400,14 @@ def scene_to_record(scene: SceneGraph) -> dict:
     }
 
 
+# Loaded scenes hold a closed vocabulary thousands of times, so object ids
+# and names are interned and equal attribute sets are shared.
 def scene_from_record(record: dict) -> SceneGraph:
     objects = tuple(
         SceneObject(
-            id=od["id"],
-            name=od["name"],
-            attributes=frozenset(od.get("attributes", ())),
+            id=sys.intern(od["id"]),
+            name=sys.intern(od["name"]),
+            attributes=shared_set(frozenset(od.get("attributes", ()))),
             bbox=tuple(od["bbox"]),
         )
         for od in record["objects"]

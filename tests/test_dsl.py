@@ -578,6 +578,16 @@ def test_slots_evaluate_like_the_literals_they_hold(world):
     assert slotted > 300
 
 
+def test_statements_of_a_deep_program():
+    # `parse` accepts a 3,000-term `and` chain and the interpreter runs it;
+    # its statements view must build too, not run out of Python frames.
+    dump = _dump(parse("return " + " and ".join(['"a"'] * 3000) + "\n")
+                 .statements)
+    assert dump.count("BoolOp") == 2999
+    assert dump.count("Literal") == 3000
+    assert "Slot" not in dump
+
+
 def test_the_interpreter_reads_code_not_statements(monkeypatch, world,
                                                   flower_scene):
     # `statements` builds a tree per call; a run must not pay for it.

@@ -4,7 +4,7 @@ import shutil
 import subprocess
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -240,6 +240,67 @@ class TestStageOrderingAndChecksums:
         assert _run(["gen-qa", "--config", tiny_config_file,
                      "--out-dir", out, "--seed", "0"]) == EXIT_OK
 
+    def test_artifacts_of_another_config_are_a_config_error(
+            self, tmp_path, tiny_config_file, short_timeout_config_file,
+            capsys):
+        out = str(tmp_path / "run")
+        assert _run(["gen-world", "--config", tiny_config_file,
+                     "--out-dir", out]) == EXIT_OK
+        capsys.readouterr()
+        assert _run(["gen-qa", "--out-dir", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        for cfg in (load_config(tiny_config_file), PipelineConfig()):
+            assert cfg.provenance_digest() in err, err
+        assert not (tmp_path / "run" / "qa_train.jsonl").exists()
+        # The service timeout shapes no artifact, nor do the world's
+        # relations: scenes carry none.
+        assert _run(["gen-qa", "--config", short_timeout_config_file,
+                     "--out-dir", out]) == EXIT_OK
+        data = load_config(tiny_config_file).to_dict()
+        data["world"]["relations"] = ["near"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert _run(["gen-qa", "--config", str(config),
+                     "--out-dir", out]) == EXIT_OK
+
+    def test_a_producer_without_a_provenance_digest_is_a_config_error(
+            self, tmp_path, tiny_config_file, capsys):
+        out = tmp_path / "run"
+        assert _run(["gen-world", "--config", tiny_config_file,
+                     "--out-dir", str(out)]) == EXIT_OK
+        manifest = out / "manifests" / "gen_world.json"
+        data = json.loads(manifest.read_text())
+        del data["provenance_digest"]
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert _run(["gen-qa", "--config", tiny_config_file,
+                     "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "records no provenance digest" in capsys.readouterr().err
+
+    def test_reading_a_run_under_another_config_is_a_config_error(
+            self, full_run, tmp_path, tiny_config_file):
+        out = _copy_run(full_run, tmp_path)
+        data = json.loads(Path(tiny_config_file).read_text())
+        data["students"] = {"tau": 5}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        before = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        assert _run(["evaluate", "--config", str(config),
+                     "--out-dir", str(out)]) == EXIT_CONFIG
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == before
+
+    def test_provenance_digest_leaves_out_the_timeout_and_relations(
+            self, tiny_config_file, short_timeout_config_file):
+        tiny = load_config(tiny_config_file)
+        short = load_config(short_timeout_config_file)
+        few = replace(tiny, world=replace(tiny.world, relations=("near",)))
+        nouns = replace(tiny, world=replace(tiny.world, nouns=("dog", "cat")))
+        for other in (short, few, nouns):
+            assert other.digest() != tiny.digest()
+        assert short.provenance_digest() == tiny.provenance_digest()
+        assert few.provenance_digest() == tiny.provenance_digest()
+        assert nouns.provenance_digest() != tiny.provenance_digest()
+
     @pytest.mark.parametrize("command", [
         ["report"], ["evaluate"], ["ablate", "--axis", "visual-pointer"]])
     def test_reading_a_run_under_another_seed_is_a_config_error(
@@ -310,6 +371,17 @@ class TestArtifactCache:
         again = read_split(run, cfg, "test")
         assert again is not split
         assert all(a is b for a, b in zip(split, again, strict=True))
+
+    def test_questions_of_a_split_share_their_vocabulary(self, full_run,
+                                                         tiny_config_file):
+        run, cfg = RunPaths(full_run), load_config(tiny_config_file)
+        split = read_split(run, cfg, "train")
+        lines = run.split_file("train").read_text(encoding="utf-8").splitlines()
+        assert [json.dumps(qa_to_record(qa), ensure_ascii=False)
+                for qa in split] == lines
+        for field in ("question_type", "scene_id", "ground_truth"):
+            values = [getattr(qa, field) for qa in split]
+            assert len({id(v) for v in values}) == len(set(values)), field
 
     def test_changed_world_file_after_caching_fails_checksum(
             self, full_run, tmp_path, tiny_config_file):

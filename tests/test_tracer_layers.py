@@ -3,23 +3,23 @@ functions by name. A rename under `src/` must fail here, in the unit tests,
 and not only in the benchmark's smoke run."""
 
 import importlib
-import importlib.util
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
+# The benchmark's modules import each other by bare name.
+sys.path.insert(0, str(BENCH_DIR))
+try:
+    import run as bench
+    import tracer
+    import workloads
+finally:
+    sys.path.remove(str(BENCH_DIR))
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = _load_tracer()
 TRACED = ([(module, path) for module, path, _, _ in tracer.LAYERS]
           + [("pipeline", func) for func in tracer.STAGE_FUNCS])
 
@@ -32,23 +32,33 @@ def test_traced_function_resolves(module_name, path):
     assert callable(raw) or isinstance(raw, classmethod)
 
 
-# The traced benchmark fails when a layer it wraps records no calls. A cache
-# that skipped one of these on `recipe` must fail here first.
-RECIPE_MUST_CALL = ("worlds.load_jsonl", "util.read_jsonl",
-                    "interpreter.trace_from_record")
+# The sizes of the tests' tiny recipe, over the workload's own config.
+TINY = {"scenes": {"train": 20, "eval": 10}, "questions": {"per_scene": [4, 6]},
+        "vp_probe": {"scenes": 5}}
 
 
-def test_tiny_recipe_calls_the_layers_the_traced_benchmark_expects(tmp_path):
-    from progdistill.pipeline import PipelineConfig, run_full_recipe
-    cfg = PipelineConfig.from_dict({
-        "scenes": {"train": 20, "eval": 10}, "questions": {"per_scene": [4, 6]},
-        "dataset": {"per_type_cap": 20}, "vp_probe": {"scenes": 5}})
+@pytest.mark.parametrize("name", ["recipe", "wide-vocab"])
+def test_tiny_workload_passes_the_traced_benchmarks_checks(name, tmp_path):
+    # The traced benchmark run fails when a hook meets a return value it
+    # cannot read, or when a layer, dispatch kind or stage that the workload
+    # runs records no calls. Both must fail here first.
+    workload = workloads.WORKLOADS[name](0, "tiny", tmp_path)
+    for section, values in TINY.items():
+        workload.config_dict[section].update(values)
+    if name == "recipe":
+        workload.config_dict["dataset"]["per_type_cap"] = 20
+    workload.prepare()
     t = tracer.Tracer()
-    t.install([layer for layer in tracer.LAYERS
-               if layer[2] in RECIPE_MUST_CALL])
+    t.install()
     try:
-        run_full_recipe(tmp_path / "run", cfg)
+        it = workload.iterate(0, t, time.perf_counter())
     finally:
         t.uninstall()
-    called = {t.names[i] for i in t.span_name}
-    assert sorted(set(RECIPE_MUST_CALL) - called) == []
+    assert it.failures == []
+    agg = tracer.aggregate([{
+        "names": t.names, "counters": t.counters, "distinct": t.distinct,
+        "arrays": [t.span_name, t.span_parent, t.span_run, t.span_err,
+                   t.span_start, t.span_end]}])
+    agg["cli_process_s"] = 0.0
+    _, coverage = bench.layer_metrics(workload, agg, [it], it)
+    assert coverage == []

@@ -239,6 +239,9 @@ class TestSerialization:
         assert loaded.ids() == store.ids()
         for sid in store.ids():
             assert loaded.get(sid) == store.get(sid)
+        again = tmp_path / "again.jsonl"
+        loaded.save_jsonl(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_gqa_shaped_loader(self):
         record = {
@@ -259,6 +262,32 @@ class TestSerialization:
         flower = scene.object_by_id("1023838")
         assert flower.bbox == (10, 20, 30, 40)
         assert flower.attributes == frozenset({"red"})
+
+    def test_gqa_record_loads_to_its_native_record(self):
+        record = {"image_id": "7", "width": 50, "height": 40, "objects": {
+            "12": {"name": "cup", "attributes": ["red", "small"],
+                   "x": 1, "y": 2, "w": 3, "h": 4},
+            "11": {"name": "cup", "attributes": [], "x": 5, "y": 6, "w": 7,
+                   "h": 8}}}
+        native = {"scene_id": "7", "canvas": [50, 40], "seed": -1, "objects": [
+            {"id": "11", "name": "cup", "attributes": [], "bbox": [5, 6, 7, 8]},
+            {"id": "12", "name": "cup", "attributes": ["red", "small"],
+             "bbox": [1, 2, 3, 4]}]}
+        scene = scene_from_gqa_record(record)
+        assert json.dumps(scene_to_record(scene)) == json.dumps(native)
+        assert scene_from_record(native) == scene
+
+    def test_loaded_objects_share_their_vocabulary(self, world, tmp_path):
+        store = WorldStore()
+        for seed in range(30):
+            store.add(generate_world(seed, world))
+        path = tmp_path / "worlds.jsonl"
+        store.save_jsonl(path)
+        objects = [o for scene in WorldStore.load_jsonl(path).scenes.values()
+                   for o in scene.objects]
+        for field in ("id", "name", "attributes"):
+            values = [getattr(o, field) for o in objects]
+            assert len({id(v) for v in values}) == len(set(values)), field
 
 
 def test_rect_iou_arithmetic():
