@@ -13,9 +13,9 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .backends import (CorruptionProfile, OracleBackend, TableStudent,
                        baseline_registry, consistency_verifier,
@@ -62,77 +62,98 @@ class ChecksumError(PipelineError):
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _span_from(n: int) -> tuple:
+    return (lambda v: len(v) == 2 and n <= v[0] <= v[1],
+            f"a [lo, hi] pair with {n} <= lo <= hi")
+
+
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+
+
+def _key(key: str, default, check: tuple[Callable, str] | None = None):
+    """A field read from the config file at the dotted `key` and, with a
+    `check` (test, what the value must be), range-checked. A callable
+    `default` is a factory."""
+    kind = "default_factory" if callable(default) else "default"
+    return field(metadata={"key": key, "check": check}, **{kind: default})
+
+
 @dataclass
 class PipelineConfig:
-    seed: int = 0
-    world: WorldConfig = field(default_factory=default_world_config)
-    train_scenes: int = 700
-    eval_scenes: int = 300
-    questions_per_scene: tuple[int, int] = (12, 16)
-    fault_rate: float = 0.0
-    visual_pointer: bool = True
-    framework: str = "fine"
-    miss_rate: float = 0.05
-    detector_seed: int = 11
+    seed: int = _key("seed", 0)
+    world: WorldConfig = _key("world", default_world_config)
+    train_scenes: int = _key("scenes.train", 700, _AT_LEAST_1)
+    eval_scenes: int = _key("scenes.eval", 300, _AT_LEAST_1)
+    questions_per_scene: tuple[int, int] = _key(
+        "questions.per_scene", (12, 16), _span_from(1))
+    fault_rate: float = _key("questions.fault_rate", 0.0, _UNIT)
+    visual_pointer: bool = _key("questions.visual_pointer", True)
+    framework: str = _key("questions.framework", "fine", (
+        lambda v: v in ("fine", "coarse"), "'fine' or 'coarse'"))
+    miss_rate: float = _key("detector.miss_rate", 0.05, _UNIT)
+    detector_seed: int = _key("detector.seed", 11)
     # Chosen so the realized corrupted fraction sits at the nominal rho across
     # every question-form family (single draws over small form sets are lumpy).
-    corruption_seed: int = 98
-    rho: float = 0.3
-    tau: int = 3
-    alpha: float = 1.0
-    epochs: int = 1
-    per_type_cap: int = 160
-    val_scene_share: float = 0.65
-    grounding_per_scene: tuple[int, int] = (1, 2)
-    vp_probe_scenes: int = 200
-    vp_probe_ambiguity: float = 0.4
-    trainset_ratios: tuple[int, int, int] = (1, 4, 6)
-    service_timeout: float = 5.0
+    corruption_seed: int = _key("corruption.seed", 98)
+    rho: float = _key("corruption.rho", 0.3, _UNIT)
+    tau: int = _key("students.tau", 3, _AT_LEAST_1)
+    alpha: float = _key("students.alpha", 1.0, _POSITIVE)
+    epochs: int = _key("distill.epochs", 1, (lambda v: v >= 0, ">= 0"))
+    per_type_cap: int = _key("dataset.per_type_cap", 160, _AT_LEAST_1)
+    val_scene_share: float = _key("dataset.val_scene_share", 0.65, _UNIT)
+    grounding_per_scene: tuple[int, int] = _key(
+        "grounding.per_scene", (1, 2), _span_from(0))
+    vp_probe_scenes: int = _key("vp_probe.scenes", 200, _AT_LEAST_1)
+    vp_probe_ambiguity: float = _key("vp_probe.ambiguity_rate", 0.4, _UNIT)
+    trainset_ratios: tuple[int, ...] = _key(
+        "ablation.trainset_ratios", (1, 4, 6),
+        (lambda v: len(v) > 0 and min(v) >= 1, "a non-empty list of values >= 1"))
+    service_timeout: float = _key("service.timeout", 5.0, _POSITIVE)
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for entry in CONFIG_SCHEMA:
-            section, _, leaf = entry.key.rpartition(".")
-            value = getattr(self, entry.field)
-            if isinstance(value, WorldConfig):
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            (out.setdefault(section, {}) if section else out)[leaf] = value
+        for f in fields(self):
+            section, _, leaf = f.metadata["key"].rpartition(".")
+            (out.setdefault(section, {}) if section else out)[leaf] = \
+                _plain(getattr(self, f.name))
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Read every key present in `d` through its schema entry; an unknown
+        """Read every key present in `d` by its field's type; an unknown
         key or a bad section, value or range raises ConfigError naming the
         dotted key."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        present = [name for name in d if name not in _SECTIONS]
-        present += [f"{name}.{leaf}" for name in _SECTIONS
+        keys = [f.metadata["key"] for f in fields(cls)]
+        sections = {key.rpartition(".")[0] for key in keys} - {""}
+        present = [name for name in d if name not in sections]
+        present += [f"{name}.{leaf}" for name in sections
                     if isinstance(d.get(name), dict) for leaf in d[name]]
-        _reject_unknown(present, {entry.key for entry in CONFIG_SCHEMA})
+        _reject_unknown(present, keys)
         values = {}
-        for entry in CONFIG_SCHEMA:
-            section_name, _, leaf = entry.key.rpartition(".")
+        for f, key in zip(fields(cls), keys):
+            section_name, _, leaf = key.rpartition(".")
             section = d.get(section_name, {}) if section_name else d
             if not isinstance(section, dict):
                 raise ConfigError(
                     f"config key {section_name!r} must be a JSON object")
             if leaf not in section:
                 continue
-            raw = section[leaf]
+            raw, read, check = section[leaf], _READERS[f.type], f.metadata["check"]
             try:
-                value = entry.coerce(raw)
-                ok = entry.check is None or entry.check[0](value)
+                value = read(raw)
+                ok = check is None or check[0](value)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise ConfigError(
-                    f"bad config value for {entry.key!r}: {detail}") from exc
+                    f"bad config value for {key!r}: {detail}") from exc
             if not ok:
-                raise ConfigError(f"config key {entry.key!r} must be "
-                                  f"{entry.check[1]}, got {raw!r}")
-            values[entry.field] = value
+                raise ConfigError(f"config key {key!r} must be "
+                                  f"{check[1]}, got {raw!r}")
+            values[f.name] = value
         cfg = cls(**values)
         try:
             cfg.world.validate()
@@ -166,6 +187,8 @@ def load_config(path: str | Path | None, seed: int | None = None) -> PipelineCon
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     cfg = PipelineConfig.from_dict(data)
     if seed is not None:
         cfg.seed = seed
@@ -206,14 +229,6 @@ def _words(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-_WORLD_KEYS: dict[str, Callable] = {
-    "nouns": _words, "relations": _words,
-    "attribute_families": lambda d: {k: _words(v) for k, v in d.items()},
-    "objects_per_scene": _int_list, "canvas": _int_list,
-    "ambiguity_rate": _strict_float,
-}
-
-
 def _reject_unknown(keys, known) -> None:
     """ConfigError naming every dotted key of `keys` not in `known`: a
     mistyped key must not silently keep its default."""
@@ -226,62 +241,33 @@ def _world(d: dict) -> WorldConfig:
     """The `world` section; optional keys it leaves out keep their defaults."""
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object, got {d!r}")
+    world_fields = fields(WorldConfig)
     _reject_unknown((f"world.{key}" for key in d),
-                    (f"world.{key}" for key in _WORLD_KEYS))
-    return WorldConfig(**{key: coerce(d[key]) for key, coerce in
-                          _WORLD_KEYS.items() if key in d})
+                    (f"world.{f.name}" for f in world_fields))
+    return WorldConfig(**{f.name: _READERS[f.type](d[f.name])
+                          for f in world_fields if f.name in d})
 
 
-def _span_from(n: int) -> tuple:
-    return (lambda v: len(v) == 2 and n <= v[0] <= v[1],
-            f"a [lo, hi] pair with {n} <= lo <= hi")
+# A raw JSON value read as a field of PipelineConfig or WorldConfig, by the
+# text of the field's annotation (both modules postpone annotations).
+_READERS: dict[str, Callable] = {
+    "int": _strict_int, "float": _strict_float, "bool": _strict_bool,
+    "str": str, "tuple[int, int]": _int_list, "tuple[int, ...]": _int_list,
+    "tuple[str, ...]": _words,
+    "dict[str, tuple[str, ...]]": lambda d: {k: _words(v) for k, v in d.items()},
+    "WorldConfig": _world,
+}
 
 
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_POSITIVE = (lambda v: v > 0.0, "> 0")
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-
-
-class SchemaEntry(NamedTuple):
-    """One PipelineConfig field's place, reading and range in the file."""
-    field: str          # PipelineConfig attribute
-    key: str            # dotted path in the JSON config file
-    coerce: Callable    # raw JSON value -> field value
-    check: tuple[Callable, str] | None = None  # (test, what value must be)
-
-
-CONFIG_SCHEMA: tuple[SchemaEntry, ...] = (
-    SchemaEntry("seed", "seed", _strict_int),
-    SchemaEntry("world", "world", _world),
-    SchemaEntry("train_scenes", "scenes.train", _strict_int, _AT_LEAST_1),
-    SchemaEntry("eval_scenes", "scenes.eval", _strict_int, _AT_LEAST_1),
-    SchemaEntry("questions_per_scene", "questions.per_scene", _int_list,
-                _span_from(1)),
-    SchemaEntry("fault_rate", "questions.fault_rate", _strict_float, _UNIT),
-    SchemaEntry("visual_pointer", "questions.visual_pointer", _strict_bool),
-    SchemaEntry("framework", "questions.framework", str,
-                (lambda v: v in ("fine", "coarse"), "'fine' or 'coarse'")),
-    SchemaEntry("miss_rate", "detector.miss_rate", _strict_float, _UNIT),
-    SchemaEntry("detector_seed", "detector.seed", _strict_int),
-    SchemaEntry("corruption_seed", "corruption.seed", _strict_int),
-    SchemaEntry("rho", "corruption.rho", _strict_float, _UNIT),
-    SchemaEntry("tau", "students.tau", _strict_int, _AT_LEAST_1),
-    SchemaEntry("alpha", "students.alpha", _strict_float, _POSITIVE),
-    SchemaEntry("epochs", "distill.epochs", _strict_int,
-                (lambda v: v >= 0, ">= 0")),
-    SchemaEntry("per_type_cap", "dataset.per_type_cap", _strict_int,
-                _AT_LEAST_1),
-    SchemaEntry("val_scene_share", "dataset.val_scene_share", _strict_float, _UNIT),
-    SchemaEntry("grounding_per_scene", "grounding.per_scene", _int_list,
-                _span_from(0)),
-    SchemaEntry("vp_probe_scenes", "vp_probe.scenes", _strict_int, _AT_LEAST_1),
-    SchemaEntry("vp_probe_ambiguity", "vp_probe.ambiguity_rate", _strict_float, _UNIT),
-    SchemaEntry("trainset_ratios", "ablation.trainset_ratios", _int_list,
-                (lambda v: len(v) > 0 and min(v) >= 1,
-                 "a non-empty list of values >= 1")),
-    SchemaEntry("service_timeout", "service.timeout", _strict_float, _POSITIVE),
-)
-_SECTIONS = {entry.key.rpartition(".")[0] for entry in CONFIG_SCHEMA} - {""}
+def _plain(value):
+    """`value` as JSON data: a tuple becomes a list, a WorldConfig a dict."""
+    if isinstance(value, WorldConfig):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +372,14 @@ def require_artifacts(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
         raise MissingArtifactError(
             f"stage {producer_stage!r} has not produced its artifacts "
             f"(missing {manifest_path.name})")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError:  # not JSON, or not UTF-8
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise MissingArtifactError(
+            f"stage {producer_stage!r} left an unreadable manifest "
+            f"{manifest_path.name}; run it again")
     # The provenance digest covers the seed too; this check comes first only
     # to name the two seeds.
     if manifest.get("seed") != cfg.seed:
@@ -448,7 +441,10 @@ def _scene_seed(cfg: PipelineConfig, pool: str, index: int) -> int:
 
 
 def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
-    run.base.mkdir(parents=True, exist_ok=True)
+    try:
+        run.base.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"run directory is not a directory: {exc}") from exc
     _write_json(run.config, cfg.to_dict())
     train_store = WorldStore()
     for i in range(cfg.train_scenes):

@@ -71,12 +71,15 @@ def query_key(query: ParsedQuery | None, raw_text: str = "") -> str:
 # Small text helpers
 # ---------------------------------------------------------------------------
 
-# Nouns that are their own plural; every other noun takes a bare "s", and
-# QuestionParser reads plurals back through pluralize. The adapter renders a
-# center word (the noun a find() matched) as plural only if it is in this set.
-PLURAL_IRREGULAR = frozenset({"men", "women", "children", "people", "feet",
-                              "teeth", "geese", "mice", "sheep", "scissors",
-                              "glasses"})
+# Irregular plurals. A plural form used as a noun is its own plural; the
+# adapter renders a center word (the noun a find() matched) as plural only if
+# it is one. QuestionParser reads plurals back through pluralize.
+_PLURALS = {"man": "men", "woman": "women", "child": "children",
+            "person": "people", "foot": "feet", "tooth": "teeth",
+            "goose": "geese", "mouse": "mice", "leaf": "leaves",
+            "knife": "knives", "sheep": "sheep", "scissors": "scissors",
+            "glasses": "glasses"}
+PLURAL_IRREGULAR = frozenset(_PLURALS.values())
 
 
 def article(word: str) -> str:
@@ -84,7 +87,15 @@ def article(word: str) -> str:
 
 
 def pluralize(word: str) -> str:
-    return word if word in PLURAL_IRREGULAR else word + "s"
+    """The English plural: irregular ones from the table, "-es" after s, x,
+    z, ch or sh, "-ies" for a consonant and y, "-s" otherwise."""
+    if word in _PLURALS or word in PLURAL_IRREGULAR:
+        return _PLURALS.get(word, word)
+    if word.endswith(("s", "x", "z", "ch", "sh")):
+        return word + "es"
+    if len(word) > 1 and word[-1] == "y" and word[-2] not in "aeiou":
+        return word[:-1] + "ies"
+    return word + "s"
 
 
 def attribute_sub_question(family: str, name: str, visual_pointer: bool) -> str:
@@ -383,6 +394,8 @@ def _make_pair_exist(op: str):
     lead, var = ("Are there both", "both") if op == "and" else ("Is there", "either")
 
     def make(scene, rng, world, pointer):
+        if len(world.nouns) < 2:
+            return None
         name_a, name_b = rng.sample(world.nouns, 2)
         question = (f"{lead} {article(name_a)} {name_a} "
                     f"{op} {article(name_b)} {name_b}?")

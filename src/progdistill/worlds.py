@@ -187,16 +187,6 @@ class WorldConfig:
                 return family
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "nouns": list(self.nouns),
-            "attribute_families": {k: list(v) for k, v in self.attribute_families.items()},
-            "relations": list(self.relations),
-            "objects_per_scene": list(self.objects_per_scene),
-            "ambiguity_rate": self.ambiguity_rate,
-            "canvas": list(self.canvas),
-        }
-
 
 def default_world_config() -> WorldConfig:
     # Vocabulary sized so question-form/signature keys recur across scenes at

@@ -61,6 +61,9 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("return (\n")
         assert err.value.kind == "syntactic"
+        with pytest.raises(ParseError) as err:
+            parse("x = len\nreturn x\n")  # a keyword is not a value
+        assert err.value.kind == "syntactic"
 
     def test_lexical_errors(self):
         with pytest.raises(ParseError) as err:

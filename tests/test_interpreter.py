@@ -63,6 +63,22 @@ class TestExecute:
         assert trace.answer == "present"
         assert trace.branch_decisions == (True,)
 
+    @pytest.mark.parametrize("noun, answer", [("flower", "present"),
+                                              ("unicorn", "absent")])
+    def test_a_returning_else_leaves_the_then_branch_defined(
+            self, flower_scene, registry, noun, answer):
+        # The else-branch returns, so `ans` from the then-branch is defined
+        # after the if.
+        source = (f'e = image.find("{noun}").exists()\n'
+                  'if e:\n'
+                  '    ans = "present"\n'
+                  'else:\n'
+                  '    return "absent"\n'
+                  'return ans\n')
+        trace = execute(parse(source), flower_scene, registry, "q")
+        assert trace.status == STATUS_OK
+        assert trace.answer == answer
+
     @pytest.mark.parametrize("source", [
         'return len(True)\n',
         'x = "a"\nreturn x[0]\n',

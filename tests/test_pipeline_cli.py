@@ -9,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
                              EXIT_MISSING_ARTIFACT, EXIT_OK, build_parser,
@@ -16,14 +18,14 @@ from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
 from progdistill.evaluation import score
 from progdistill.dsl import parse
 from progdistill.interpreter import execute, trace_to_record
-from progdistill.pipeline import (CONFIG_SCHEMA, ChecksumError, ConfigError,
+from progdistill.pipeline import (_READERS, ChecksumError, ConfigError,
                                   PipelineConfig, RunPaths, load_config,
                                   load_world_stores, read_split,
                                   stage_gen_world, stage_ground_eval,
                                   stage_report, write_stage_manifest)
 from progdistill.questions import QAPair, qa_to_record
 from progdistill.util import read_jsonl, sha256_file, write_jsonl
-from progdistill.worlds import SceneGraph, SceneObject, WorldStore
+from progdistill.worlds import SceneGraph, SceneObject, WorldConfig, WorldStore
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,25 @@ class _Answers:
         return self.answer
 
 
+# Every dotted key of the file, its sections, and a few unknown keys.
+_DEFAULTS = PipelineConfig().to_dict()
+_KNOWN_PATHS = sorted(
+    [f"{name}.{leaf}" for name, section in _DEFAULTS.items()
+     if isinstance(section, dict) for leaf in section]
+    + [name for name, value in _DEFAULTS.items() if not isinstance(value, dict)])
+_CONFIG_PATHS = st.one_of(
+    st.sampled_from(_KNOWN_PATHS),
+    st.sampled_from(sorted(_DEFAULTS)),
+    st.sampled_from(["bogus", "scenes.trian", "world.canvs", "world.nouns.x",
+                     "seed.x", "a.b.c"]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10)
+
+
 class TestConfig:
     def test_missing_config_file(self):
         assert _run(["gen-world", "--config", "/nope/missing.json",
@@ -169,6 +190,7 @@ class TestConfig:
         {"world": {**TINY_WORLD, "canvs": [60, 60]}},
         {"vp_probe": {"scenes": 0}},
         {"vp_probe": {"scenes": -5}},
+        {"world": 5},
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
@@ -184,6 +206,83 @@ class TestConfig:
     def test_unknown_key_is_named(self, payload, key):
         with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
             PipelineConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"world": 5},
+         "bad config value for 'world': expected a JSON object, got 5"),
+        ({"world": {**TINY_WORLD, "nouns": []}},
+         "bad config value for 'world': noun vocabulary is empty"),
+        ({"scenes": None}, "config key 'scenes' must be a JSON object"),
+        ({"scenes": {"train": 0}},
+         "config key 'scenes.train' must be >= 1, got 0"),
+        ({"questions": {"per_scene": "12"}},
+         "bad config value for 'questions.per_scene': expected a JSON array, "
+         "got '12'"),
+        ({"questions": {"framework": "medium"}},
+         "config key 'questions.framework' must be 'fine' or 'coarse', "
+         "got 'medium'"),
+        ([{"seed": 1}], "config must be a JSON object"),
+    ])
+    def test_bad_value_messages(self, payload, message):
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig.from_dict(payload)
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.booleans(), st.lists(st.tuples(_CONFIG_PATHS, _JSON_VALUES),
+                                   max_size=6))
+    def test_any_json_at_any_key_reads_or_is_a_config_error(self, complete,
+                                                            assignments):
+        # Random JSON values put at known and unknown dotted keys, over an
+        # empty file or a complete one, read to a config that survives its
+        # own round trip, or to a ConfigError; never to another exception.
+        data = PipelineConfig().to_dict() if complete else {}
+        for path, value in assignments:
+            *sections, leaf = path.split(".")
+            target = data
+            for name in sections:
+                target = target.setdefault(name, {})
+                if not isinstance(target, dict):
+                    break
+            else:
+                target[leaf] = value
+        try:
+            cfg = PipelineConfig.from_dict(data)
+        except ConfigError:
+            return
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" * 1000 + b"]" * 1000,
+        b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["not-utf-8", "depth-1000", "depth-100000"])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys,
+                                                      content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert _run(["gen-world", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_path_naming_a_directory_is_a_config_error(self, tmp_path,
+                                                              capsys):
+        assert _run(["gen-world", "--config", str(tmp_path),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["gen-world"], ["recipe"]])
+    @pytest.mark.parametrize("below", ["", "run"])
+    def test_out_dir_naming_a_file_is_a_config_error(
+            self, tmp_path, tiny_config_file, capsys, command, below):
+        taken = tmp_path / "taken"
+        taken.write_text("not a run directory")
+        out = taken / below
+        assert _run(command + ["--config", tiny_config_file,
+                               "--out-dir", str(out)]) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+        assert taken.read_text() == "not a run directory"
 
     def test_integral_float_reads_as_int(self):
         cfg = PipelineConfig.from_dict({"scenes": {"train": 3.0}})
@@ -225,6 +324,41 @@ class TestStageOrderingAndChecksums:
         assert _run(["ablate", "--axis", axis, "--config", tiny_config_file,
                      "--out-dir", str(tmp_path / "run")]) == \
             EXIT_MISSING_ARTIFACT
+
+    def test_report_before_evaluate_is_missing_artifact(self, tmp_path,
+                                                        tiny_config_file):
+        out = str(tmp_path / "run")
+        assert _run(["gen-world", "--config", tiny_config_file,
+                     "--out-dir", out]) == EXIT_OK
+        assert _run(["report", "--config", tiny_config_file,
+                     "--out-dir", out]) == EXIT_MISSING_ARTIFACT
+
+    def test_removed_world_file_is_missing_artifact(self, full_run, tmp_path,
+                                                    tiny_config_file, capsys):
+        out = _copy_run(full_run, tmp_path)
+        (out / "worlds_eval.jsonl").unlink()
+        assert _run(["run-programs", "--config", tiny_config_file,
+                     "--out-dir", str(out)]) == EXIT_MISSING_ARTIFACT
+        assert "artifact missing on disk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: json.dumps({**json.loads(text), "outputs": {}}),
+         "did not record artifact"),
+        (lambda text: text[:len(text) // 2],
+         "unreadable manifest gen_world.json; run it again"),
+        (lambda text: "[]", "unreadable manifest gen_world.json; run it again"),
+    ], ids=["output-not-recorded", "truncated", "not-an-object"])
+    def test_bad_producer_manifest_is_missing_artifact(
+            self, tmp_path, tiny_config_file, capsys, edit, message):
+        out = tmp_path / "run"
+        assert _run(["gen-world", "--config", tiny_config_file,
+                     "--out-dir", str(out)]) == EXIT_OK
+        manifest = out / "manifests" / "gen_world.json"
+        manifest.write_text(edit(manifest.read_text()))
+        capsys.readouterr()
+        assert _run(["gen-qa", "--config", tiny_config_file,
+                     "--out-dir", str(out)]) == EXIT_MISSING_ARTIFACT
+        assert message in capsys.readouterr().err
 
     def test_artifacts_of_another_seed_are_a_config_error(self, tmp_path,
                                                           tiny_config_file,
@@ -736,10 +870,13 @@ class TestDefaults:
         assert again.to_dict() == cfg.to_dict()
         assert again.digest() == cfg.digest()
 
-    def test_every_field_has_exactly_one_schema_entry(self):
-        names = [entry.field for entry in CONFIG_SCHEMA]
-        assert sorted(names) == sorted(f.name for f in fields(PipelineConfig))
-        assert len(set(entry.key for entry in CONFIG_SCHEMA)) == len(names)
+    def test_every_key_is_unique(self):
+        keys = [f.metadata["key"] for f in fields(PipelineConfig)]
+        assert len(set(keys)) == len(keys)
+
+    def test_every_field_has_a_reader(self):
+        for f in fields(PipelineConfig) + fields(WorldConfig):
+            assert f.type in _READERS, f.name
 
     def test_non_default_config_round_trips(self):
         """Every key off its default: a mistyped key path leaves its field at
