@@ -27,14 +27,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .interpreter import answer_to_text, execute
-from .dsl import MODULE_KINDS, ParseError, parse
+from .dsl import MODULE_ARITY, MODULE_KINDS, ParseError, parse
 from .questions import (DISTILLABLE_KINDS, ParsedQuery, QAPair,
-                        QuestionParser, TemplateQuery, answer_support,
-                        evaluate_template, query_key)
+                        QuestionParser, RawText)
 from .util import stable_hash, stable_unit
-from .worlds import (ChooseOption, PatchList, SceneGraph, ScenePatch,
-                     UNKNOWN, VerifyAttribute, WorldConfig, WorldStore, crop,
-                     oracle_answer)
+from .worlds import (ChooseOption, PatchList, ScenePatch, VerifyAttribute,
+                     WorldConfig, WorldStore, crop)
 
 
 class BackendError(RuntimeError):
@@ -63,8 +61,9 @@ class SubTaskInput:
 # Query resolution shared by teacher and students
 # ---------------------------------------------------------------------------
 
-def resolve_query(inp: SubTaskInput, parser: QuestionParser) -> ParsedQuery | None:
-    """Normal form of a sub-task input.
+def resolve_query(inp: SubTaskInput,
+                  parser: QuestionParser) -> ParsedQuery | RawText:
+    """Normal form of a sub-task input; text the parser cannot read is RawText.
 
     Structured inputs are canonicalized exactly the way the adapter + question
     parser round trip would render them (in particular: best_text_match keeps
@@ -78,18 +77,8 @@ def resolve_query(inp: SubTaskInput, parser: QuestionParser) -> ParsedQuery | No
         adjective = all(o in parser.attributes for o in inp.options)
         center = inp.patch.origin_label if adjective else None
         return ChooseOption(tuple(inp.options), center)
-    if inp.question is not None:
-        return parser.parse(inp.question)
-    return None
-
-
-def answer_query(scene: SceneGraph, patch: ScenePatch,
-                 query: ParsedQuery | None, world: WorldConfig) -> str:
-    if query is None:
-        return UNKNOWN
-    if isinstance(query, TemplateQuery):
-        return evaluate_template(scene, patch.visible_objects, query, world)
-    return oracle_answer(scene, patch, query, world.attribute_families)
+    query = parser.parse(inp.question) if inp.question is not None else None
+    return query or RawText(inp.question or "")
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +148,7 @@ class OracleBackend:
         if not isinstance(patch, ScenePatch):
             raise BackendError(f"{inp.module_kind} expects a single patch")
         scene = self.store.get(patch.scene_id)
-        query = resolve_query(inp, self.parser)
-        return answer_query(scene, patch, query, self.world)
+        return resolve_query(inp, self.parser).answer(scene, patch, self.world)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +206,6 @@ class CorruptedBackend:
         self.parser = parser or QuestionParser(world)
         self.name = f"corrupted(rho={profile.rho},seed={profile.seed})"
 
-    def question_key(self, inp: SubTaskInput) -> str:
-        query = resolve_query(inp, self.parser)
-        return query_key(query, raw_text=inp.question or "")
-
     def perceived_signature(self, inp: SubTaskInput, corrupted: bool) -> str:
         """Sorted multiset of (name, attribute set) visible in the patch, seen
         through the label permutations when the question key is `corrupted`."""
@@ -244,7 +228,7 @@ class CorruptedBackend:
         return "+".join(sorted(entries))
 
     def student_key(self, inp: SubTaskInput) -> str:
-        key = self.question_key(inp)
+        key = resolve_query(inp, self.parser).key()
         signature = self.perceived_signature(inp, self.profile.corrupts(key))
         return f"{inp.module_kind}|{key}|{signature}"
 
@@ -254,9 +238,9 @@ class CorruptedBackend:
             raise BackendError(f"{inp.module_kind} expects a single patch")
         scene = self.store.get(patch.scene_id)
         query = resolve_query(inp, self.parser)
-        answer = answer_query(scene, patch, query, self.world)
-        if self.profile.corrupts(query_key(query, raw_text=inp.question or "")):
-            answer = self.profile.permute(answer, answer_support(query, self.world))
+        answer = query.answer(scene, patch, self.world)
+        if self.profile.corrupts(query.key()):
+            answer = self.profile.permute(answer, query.support(self.world))
         return answer
 
 
@@ -306,8 +290,7 @@ class TableStudent:
         """The input's student key and its query's answer support: all that
         the smoothed distribution reads of an input."""
         return (self.base.student_key(inp),
-                answer_support(resolve_query(inp, self.base.parser),
-                               self.base.world))
+                resolve_query(inp, self.base.parser).support(self.base.world))
 
     def smoothed_distribution(self, key: str, support: Sequence[str],
                               extra_label: str | None = None) -> dict[str, float]:
@@ -423,50 +406,33 @@ class ModuleRegistry:
             return output
 
     def _dispatch(self, kind: str, receiver, args: tuple):
-        if kind not in self._bindings:
+        if kind not in MODULE_ARITY:
             raise BackendError(f"unknown module kind {kind!r}")
+        patch_types = (ScenePatch, PatchList) if kind == "exists" else ScenePatch
+        if not isinstance(receiver, patch_types):
+            raise BackendError(f"{kind} expects a patch receiver")
+        if len(args) != MODULE_ARITY[kind]:
+            raise BackendError(f"{kind} takes {MODULE_ARITY[kind]} argument(s)")
+        if kind == "best_text_match":
+            # Its one argument is a non-empty list of option strings.
+            args = args[0] if isinstance(args[0], tuple) and args[0] else (None,)
+        if not all(isinstance(a, str) for a in args):
+            raise BackendError(f"{kind} expects string arguments")
+        backend = self._bindings[kind]
         if kind == "find":
-            if not isinstance(receiver, ScenePatch):
-                raise BackendError("find expects a patch receiver")
-            if len(args) != 1 or not isinstance(args[0], str):
-                raise BackendError("find expects one string argument")
-            inp = SubTaskInput("find", receiver, object_name=args[0])
-            answer = self._bindings[kind].predict(inp)
+            answer = backend.predict(SubTaskInput(kind, receiver,
+                                                  object_name=args[0]))
             if not isinstance(answer, PatchList):
                 raise BackendError("find backend returned a non patch list")
             return answer
         if kind == "exists":
-            if not isinstance(receiver, (ScenePatch, PatchList)):
-                raise BackendError("exists expects a patch or patch list")
-            inp = SubTaskInput("exists", receiver)
-            return bool(self._bindings[kind].predict(inp))
+            return bool(backend.predict(SubTaskInput(kind, receiver)))
         if kind == "verify_property":
-            if not isinstance(receiver, ScenePatch):
-                raise BackendError("verify_property expects a patch receiver")
-            if (len(args) != 2 or not isinstance(args[0], str)
-                    or not isinstance(args[1], str)):
-                raise BackendError("verify_property expects two string arguments")
-            inp = SubTaskInput("verify_property", receiver, object_name=args[0],
-                               attribute=args[1])
-            return self._bindings[kind].predict(inp) == "yes"
+            return backend.predict(SubTaskInput(
+                kind, receiver, object_name=args[0], attribute=args[1])) == "yes"
         if kind == "best_text_match":
-            if not isinstance(receiver, ScenePatch):
-                raise BackendError("best_text_match expects a patch receiver")
-            if (len(args) != 1 or not isinstance(args[0], tuple)
-                    or not args[0]
-                    or not all(isinstance(o, str) for o in args[0])):
-                raise BackendError("best_text_match expects a list of strings")
-            inp = SubTaskInput("best_text_match", receiver,
-                               options=tuple(args[0]))
-            return self._bindings[kind].predict(inp)
-        if kind == "simple_query":
-            if not isinstance(receiver, ScenePatch):
-                raise BackendError("simple_query expects a patch receiver")
-            if len(args) != 1 or not isinstance(args[0], str):
-                raise BackendError("simple_query expects one string argument")
-            inp = SubTaskInput("simple_query", receiver, question=args[0])
-            return self._bindings[kind].predict(inp)
-        raise BackendError(f"unknown module kind {kind!r}")
+            return backend.predict(SubTaskInput(kind, receiver, options=args))
+        return backend.predict(SubTaskInput(kind, receiver, question=args[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .adapter import AdapterError, adapt_step
 from .backends import SubTaskInput, TableStudent
 from .interpreter import ExecutionTrace
 from .questions import DISTILLABLE_KINDS
-from .util import iter_jsonl, write_jsonl
+from .util import iter_jsonl, mean, write_jsonl
 from .worlds import Rect, WorldConfig, WorldStore, crop
 
 
@@ -150,7 +150,7 @@ def _mean_training_loss(students: Mapping[str, TableStudent],
     if not by_sample:
         return 0.0
     sample_means = [sample_loss(probs) for probs in by_sample.values()]
-    return sum(sample_means) / len(sample_means)
+    return mean(sample_means)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
                           answer_to_text, run_with_fallback)
 from .questions import (DISTILLABLE_KINDS, GroundingCase, QAPair,
                         generate_qa)
+from .util import mean
 from .worlds import PatchList, ScenePatch, WorldConfig, WorldStore, rect_iou
 
 TAXONOMY_KEYS = ("find_error", "verify_property_error", "best_text_match_error",
@@ -238,8 +239,8 @@ def ablate_distilled_count(base: ModuleRegistry,
             accs_no_nan.append(report.acc_no_nan)
         rows.append({
             "distilled_count": count,
-            "acc_all": sum(accs_all) / len(accs_all),
-            "acc_no_nan": sum(accs_no_nan) / len(accs_no_nan),
+            "acc_all": mean(accs_all),
+            "acc_no_nan": mean(accs_no_nan),
         })
     return {"rows": rows, "runs": dict(sorted(runs.items()))}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -210,9 +211,12 @@ def _strict_int(value) -> int:
 
 
 def _strict_float(value) -> float:
-    """A JSON number as a float: 1 reads as 1.0; true and "0.5" fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+    """A finite JSON number as a float: 1 reads as 1.0; true, "0.5", 1e400,
+    10**400 and the Infinity and NaN tokens fail. (Python compares an int
+    with a float exactly, and NaN compares false.)"""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            -sys.float_info.max <= value <= sys.float_info.max):
+        raise TypeError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -719,7 +723,8 @@ def _coarse_counterparts(cfg: PipelineConfig, eval_store: WorldStore,
     pair with the fine-framework set by construction, and the ground truth
     is shared with the fine counterpart, so nothing is verified."""
     wanted = {qa.question_id for qa in test_set}
-    return [qa for scene_id in eval_store.ids()
+    scenes = {qa.scene_id for qa in test_set}
+    return [qa for scene_id in eval_store.ids() if scene_id in scenes
             for qa in generate_qa(eval_store.get(scene_id), cfg.world, cfg.seed,
                                   cfg.questions_per_scene,
                                   visual_pointer=cfg.visual_pointer,

@@ -19,8 +19,9 @@ from typing import Callable, Sequence
 from . import dsl
 from .util import stable_unit
 from .worlds import (AskAttributeFamily, AskName, ChooseOption, Exists,
-                     SceneGraph, SceneObject, StructuredQuery, UNKNOWN,
-                     VerifyAttribute, WorldConfig, Rect)
+                     SceneGraph, SceneObject, ScenePatch, UNKNOWN,
+                     VerifyAttribute, WorldConfig, YES_NO, Rect,
+                     attribute_value)
 
 DISTILLABLE_KINDS = ("verify_property", "best_text_match", "simple_query")
 
@@ -31,40 +32,47 @@ DISTILLABLE_KINDS = ("verify_property", "best_text_match", "simple_query")
 
 @dataclass(frozen=True)
 class TemplateQuery:
-    """A full template question, answerable by evaluating the template's
-    semantics over a patch's visible objects."""
+    """A full template question, answered by evaluating the template's
+    semantics over a patch's visible objects. The parser reads only
+    templates that declare `evaluate` and `support`."""
     template_id: str
     slots: tuple[tuple[str, str], ...]
 
     def slot(self, key: str) -> str:
-        for k, v in self.slots:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.slots)[key]
+
+    def key(self) -> str:
+        slots = ",".join(f"{k}={v}" for k, v in self.slots)
+        return f"tmpl|{self.template_id}|{slots}"
+
+    def support(self, world: WorldConfig) -> tuple[str, ...]:
+        return TEMPLATES[self.template_id].support(self, world)
+
+    def answer(self, scene: SceneGraph, patch: ScenePatch,
+               world: WorldConfig) -> str:
+        return TEMPLATES[self.template_id].evaluate(
+            scene, patch.visible_objects, self, world)
 
 
-ParsedQuery = StructuredQuery | TemplateQuery
+@dataclass(frozen=True)
+class RawText:
+    """Text that no other form reads: keyed by its words, with no answer
+    support, and answered UNKNOWN."""
+    text: str
+
+    def key(self) -> str:
+        return "raw|" + " ".join(self.text.casefold().split())
+
+    def support(self, world: WorldConfig) -> tuple[str, ...]:
+        return ()
+
+    def answer(self, scene: SceneGraph, patch: ScenePatch,
+               world: WorldConfig) -> str:
+        return UNKNOWN
 
 
-def query_key(query: ParsedQuery | None, raw_text: str = "") -> str:
-    """Canonical string for a question form; corruption and student tables key
-    on this."""
-    if query is None:
-        return "raw|" + " ".join(raw_text.casefold().split())
-    if isinstance(query, VerifyAttribute):
-        return f"verify|{query.name}|{query.attribute}"
-    if isinstance(query, ChooseOption):
-        return f"choose|{','.join(query.options)}|{query.center or '-'}"
-    if isinstance(query, AskAttributeFamily):
-        return f"askfam|{query.family}|{query.center or '-'}"
-    if isinstance(query, AskName):
-        return f"askname|{query.center or '-'}"
-    if isinstance(query, Exists):
-        return f"exists|{query.name}"
-    if isinstance(query, TemplateQuery):
-        slots = ",".join(f"{k}={v}" for k, v in query.slots)
-        return f"tmpl|{query.template_id}|{slots}"
-    raise TypeError(f"unsupported query {query!r}")
+ParsedQuery = (VerifyAttribute | ChooseOption | AskAttributeFamily | AskName
+               | Exists | TemplateQuery)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +130,6 @@ def _unique_names(scene: SceneGraph) -> list[str]:
 def _absent_nouns(scene: SceneGraph, world: WorldConfig) -> list[str]:
     present = scene.names
     return sorted(n for n in world.nouns if n not in present)
-
-
-def _attr_of(obj: SceneObject, family: str, world: WorldConfig) -> str:
-    values = set(world.attribute_families.get(family, ()))
-    for attr in sorted(obj.attributes):
-        if attr in values:
-            return attr
-    return UNKNOWN
 
 
 def _visible_named(scene: SceneGraph, visible_ids: Sequence[str],
@@ -223,7 +223,7 @@ def _make_attr_query(direct: bool):
         fine = f"return image.simple_query({_s(question)})\n" if direct else coarse
         return MadeQuestion(
             question=question,
-            ground_truth=_attr_of(obj, family, world),
+            ground_truth=attribute_value(obj, family, world),
             fine_program=fine,
             coarse_program=coarse,
         )
@@ -237,7 +237,7 @@ def _make_attr_query_guarded(scene, rng, world, pointer):
         return None
     name = rng.choice(sorted(candidates))
     objs = scene.objects_named(name)
-    gt = _attr_of(objs[0], family, world) if objs else "none"
+    gt = attribute_value(objs[0], family, world) if objs else "none"
     program = _if_found(name, f"ans = {_ask('ps', family, name, pointer)}",
                         '"none"')
     return MadeQuestion(
@@ -268,7 +268,7 @@ def _make_verify_attr(scene, rng, world, pointer):
     objs = scene.objects_named(name)
     hold = rng.random() < 0.5
     if objs:
-        true_attr = _attr_of(objs[0], family, world)
+        true_attr = attribute_value(objs[0], family, world)
         if true_attr == UNKNOWN:
             return None
         attr = _held_or_other(rng, world, family, true_attr, hold)
@@ -318,7 +318,7 @@ def _make_btm_attr(scene, rng, world, pointer):
     name = rng.choice(names)
     family = rng.choice(_families(world))
     obj = scene.objects_named(name)[0]
-    true_attr = _attr_of(obj, family, world)
+    true_attr = attribute_value(obj, family, world)
     others = _other_values(world, family, true_attr)
     if true_attr == UNKNOWN or not others:
         return None
@@ -342,7 +342,7 @@ def _eval_two_hop(scene, visible_ids, tq, world) -> str:
     obj = objs[0]
     if tq.slot("cond_attr") not in obj.attributes:
         return "none"
-    return _attr_of(obj, tq.slot("family"), world)
+    return attribute_value(obj, tq.slot("family"), world)
 
 
 def _make_two_hop(scene, rng, world, pointer):
@@ -353,13 +353,14 @@ def _make_two_hop(scene, rng, world, pointer):
     obj = scene.objects_named(name)[0]
     cond_family = rng.choice(_families(world))
     ask_family = rng.choice(_families(world))
-    true_attr = _attr_of(obj, cond_family, world)
+    true_attr = attribute_value(obj, cond_family, world)
     hold = rng.random() < 0.5
     cond_attr = _held_or_other(rng, world, cond_family, true_attr,
                                hold or true_attr == UNKNOWN)
     if cond_attr == UNKNOWN:
         return None
-    gt = _attr_of(obj, ask_family, world) if cond_attr in obj.attributes else "none"
+    gt = (attribute_value(obj, ask_family, world)
+          if cond_attr in obj.attributes else "none")
     found = f"ps = image.find({_s(name)})\ne = ps.exists()\n"
     answer = f"ans = {_ask('ps', ask_family, name, pointer)}"
     verify = f"cond = ps[0].verify_property({_s(name)}, {_s(cond_attr)})"
@@ -417,7 +418,8 @@ def _eval_compare(scene, visible_ids, tq, world) -> str:
     if not a or not b:
         return "no"
     family = tq.slot("family")
-    return "yes" if _attr_of(a[0], family, world) == _attr_of(b[0], family, world) else "no"
+    return "yes" if (attribute_value(a[0], family, world)
+                     == attribute_value(b[0], family, world)) else "no"
 
 
 def _make_compare(scene, rng, world, pointer):
@@ -428,7 +430,8 @@ def _make_compare(scene, rng, world, pointer):
     family = rng.choice(_families(world))
     obj_a = scene.objects_named(name_a)[0]
     obj_b = scene.objects_named(name_b)[0]
-    gt = "yes" if _attr_of(obj_a, family, world) == _attr_of(obj_b, family, world) else "no"
+    gt = "yes" if (attribute_value(obj_a, family, world)
+                   == attribute_value(obj_b, family, world)) else "no"
     program = (f"a = image.find({_s(name_a)})\n"
                f"b = image.find({_s(name_b)})\n"
                f"va = {_ask('a', family, name_a, pointer)}\n"
@@ -458,13 +461,8 @@ def _make_count(scene, rng, world, pointer):
     )
 
 
-def _yes_no_support(tq, world):
-    return ("no", "yes")
-
-
 def _attr_none_support(tq, world):
-    family = tq.slot("family")
-    return tuple(sorted(world.attribute_families.get(family, ()))) + ("none",)
+    return AskAttributeFamily(tq.slot("family")).support(world) + ("none",)
 
 
 COUNT_SUPPORT = tuple(str(i) for i in range(16))
@@ -483,10 +481,11 @@ TEMPLATES: dict[str, TemplateSpec] = {spec.template_id: spec for spec in (
     TemplateSpec("two_hop_verify_query", 1.75, _make_two_hop, _eval_two_hop,
                  _attr_none_support),
     TemplateSpec("both_exist", 0.5, _make_pair_exist("and"),
-                 _eval_pair_exist("and"), _yes_no_support),
+                 _eval_pair_exist("and"), lambda tq, world: YES_NO),
     TemplateSpec("either_exist", 0.5, _make_pair_exist("or"),
-                 _eval_pair_exist("or"), _yes_no_support),
-    TemplateSpec("compare_attr", 2.0, _make_compare, _eval_compare, _yes_no_support),
+                 _eval_pair_exist("or"), lambda tq, world: YES_NO),
+    TemplateSpec("compare_attr", 2.0, _make_compare, _eval_compare,
+                 lambda tq, world: YES_NO),
     TemplateSpec("count", 0.5, _make_count, _eval_count, lambda tq, world: COUNT_SUPPORT),
 )}
 
@@ -494,38 +493,60 @@ ALL_TEMPLATE_IDS = tuple(TEMPLATES)
 _TEMPLATE_WEIGHTS = [spec.weight for spec in TEMPLATES.values()]
 
 
-def evaluate_template(scene: SceneGraph, visible_ids: Sequence[str],
-                      query: TemplateQuery, world: WorldConfig) -> str:
-    spec = TEMPLATES.get(query.template_id)
-    if spec is None or spec.evaluate is None:
-        return UNKNOWN
-    return spec.evaluate(scene, visible_ids, query, world)
-
-
-def answer_support(query: ParsedQuery | None, world: WorldConfig) -> tuple[str, ...]:
-    """Candidate answer vocabulary for a query, used for corruption
-    permutations and smoothed loss distributions."""
-    if query is None:
-        return ()
-    if isinstance(query, (VerifyAttribute, Exists)):
-        return ("no", "yes")
-    if isinstance(query, AskAttributeFamily):
-        return tuple(sorted(world.attribute_families.get(query.family, ())))
-    if isinstance(query, AskName):
-        return tuple(sorted(world.nouns))
-    if isinstance(query, ChooseOption):
-        return query.options
-    if isinstance(query, TemplateQuery):
-        spec = TEMPLATES.get(query.template_id)
-        if spec is not None and spec.support is not None:
-            return spec.support(query, world)
-        return ()
-    raise TypeError(f"unsupported query {query!r}")
-
-
 # ---------------------------------------------------------------------------
 # Question-text parsing
 # ---------------------------------------------------------------------------
+
+def _choose(options: str, center: str | None = None) -> ChooseOption:
+    """A choice among the " or "-separated `options`."""
+    return ChooseOption(tuple(o.strip() for o in options.split(" or ")), center)
+
+
+def _template(template_id: str, **slots: str) -> TemplateQuery:
+    return TemplateQuery(template_id, tuple(slots.items()))
+
+
+# (pattern, reader) pairs in the order they are tried on casefolded text. A
+# reader maps the parser and a full match to a form, or to None when a word
+# is outside the world's vocabulary, and the next pattern is tried.
+_PATTERN_READERS = (
+    (r"are there both an? (\w+) and an? (\w+)",
+     lambda p, m: _template("both_exist", name_a=m[1], name_b=m[2])),
+    (r"is there an? (\w+) or an? (\w+)",
+     lambda p, m: _template("either_exist", name_a=m[1], name_b=m[2])),
+    (r"is there an? (\w+)", lambda p, m: Exists(m[1])),
+    (r"how many (\w+) are there",
+     lambda p, m: _template("count", name=p._noun(m[1]))),
+    (r"do the (\w+) and the (\w+) have the same (\w+)",
+     lambda p, m: _template("compare_attr", name_a=m[1], name_b=m[2],
+                            family=m[3]) if m[3] in p.families else None),
+    (r"what (\w+) is the (\w+) (\w+)",
+     lambda p, m: _template("two_hop_verify_query", name=m[3],
+                            cond_attr=m[2], family=m[1])
+     if m[1] in p.families and m[2] in p.attributes and m[3] in p.nouns
+     else None),
+    (r"what (\w+) (?:is|are) (?:this|the|these) (\w+)",
+     lambda p, m: AskAttributeFamily(m[1], p._noun(m[2]))
+     if m[1] in p.families else None),
+    (r"what (\w+) is this",
+     lambda p, m: AskAttributeFamily(m[1]) if m[1] in p.families else None),
+    (r"what is (?:this|the) (\w+)(?: called)?",
+     lambda p, m: AskName(noun) if (noun := p._noun(m[1])) in p.nouns
+     else None),
+    (r"what is this(?: called| object)?", lambda p, m: AskName()),
+    (r"(?:is this|are these) an? (.+ or .+)", lambda p, m: _choose(m[1])),
+    # A center word is followed by an option, never by "or": in "are these
+    # cup or dog or glasses", "cup" is the first of three options.
+    (r"(?:is this|is the|are these) (\w+) (?!or )(.+ or .+)",
+     lambda p, m: _choose(m[2], noun) if (noun := p._noun(m[1])) in p.nouns
+     else None),
+    (r"are these (.+ or .+)", lambda p, m: _choose(m[1])),
+    (r"(?:is this|is the) (\w+) (.+)",
+     lambda p, m: VerifyAttribute(m[1], m[2]) if m[1] in p.nouns else None),
+)
+_QUESTION_FORMS = tuple((re.compile(pattern), read)
+                        for pattern, read in _PATTERN_READERS)
+
 
 class QuestionParser:
     """Maps question text (top-level questions and adapted sub-questions) to a
@@ -556,65 +577,10 @@ class QuestionParser:
         if not text:
             return None
         t = " ".join(text.casefold().replace("?", " ").split())
-
-        m = re.fullmatch(r"are there both an? (\w+) and an? (\w+)", t)
-        if m:
-            return TemplateQuery("both_exist", (("name_a", m.group(1)),
-                                                ("name_b", m.group(2))))
-        m = re.fullmatch(r"is there an? (\w+) or an? (\w+)", t)
-        if m:
-            return TemplateQuery("either_exist", (("name_a", m.group(1)),
-                                                  ("name_b", m.group(2))))
-        m = re.fullmatch(r"is there an? (\w+)", t)
-        if m:
-            return Exists(m.group(1))
-        m = re.fullmatch(r"how many (\w+) are there", t)
-        if m:
-            return TemplateQuery("count", (("name", self._noun(m.group(1))),))
-        m = re.fullmatch(r"do the (\w+) and the (\w+) have the same (\w+)", t)
-        if m and m.group(3) in self.families:
-            return TemplateQuery("compare_attr", (("name_a", m.group(1)),
-                                                  ("name_b", m.group(2)),
-                                                  ("family", m.group(3))))
-        m = re.fullmatch(r"what (\w+) is the (\w+) (\w+)", t)
-        if (m and m.group(1) in self.families and m.group(2) in self.attributes
-                and m.group(3) in self.nouns):
-            return TemplateQuery("two_hop_verify_query",
-                                 (("name", m.group(3)),
-                                  ("cond_attr", m.group(2)),
-                                  ("family", m.group(1))))
-        m = re.fullmatch(r"what (\w+) (?:is|are) (?:this|the|these) (\w+)", t)
-        if m and m.group(1) in self.families:
-            return AskAttributeFamily(m.group(1), self._noun(m.group(2)))
-        m = re.fullmatch(r"what (\w+) is this", t)
-        if m and m.group(1) in self.families:
-            return AskAttributeFamily(m.group(1), None)
-        m = re.fullmatch(r"what is (?:this|the) (\w+)(?: called)?", t)
-        if m and (noun := self._noun(m.group(1))) in self.nouns:
-            return AskName(noun)
-        if t in ("what is this", "what is this called", "what is this object"):
-            return AskName(None)
-        m = re.fullmatch(r"(?:is this|are these) an? (.+ or .+)", t)
-        if m:
-            options = tuple(o.strip() for o in m.group(1).split(" or "))
-            if len(options) >= 2:
-                return ChooseOption(options, None)
-        # A center word is followed by an option, never by "or": in "are
-        # these cup or dog or glasses", "cup" is the first of three options.
-        m = re.fullmatch(
-            r"(?:is this|is the|are these) (\w+) (?!or )(.+ or .+)", t)
-        if m and (noun := self._noun(m.group(1))) in self.nouns:
-            options = tuple(o.strip() for o in m.group(2).split(" or "))
-            if len(options) >= 2:
-                return ChooseOption(options, noun)
-        m = re.fullmatch(r"are these (.+ or .+)", t)
-        if m:
-            options = tuple(o.strip() for o in m.group(1).split(" or "))
-            if len(options) >= 2:
-                return ChooseOption(options, None)
-        m = re.fullmatch(r"(?:is this|is the) (\w+) (.+)", t)
-        if m and m.group(1) in self.nouns:
-            return VerifyAttribute(m.group(1), m.group(2))
+        for pattern, read in _QUESTION_FORMS:
+            m = pattern.fullmatch(t)
+            if m and (query := read(self, m)) is not None:
+                return query
         return None
 
 
@@ -748,7 +714,8 @@ def _discrimination_candidates(scene: SceneGraph,
     for name in sorted(n for n, c in counts.items() if c == 2):
         a, b = sorted(scene.objects_named(name), key=lambda o: o.id)
         for family in world.attribute_families:
-            if _attr_of(a, family, world) != _attr_of(b, family, world):
+            if (attribute_value(a, family, world)
+                    != attribute_value(b, family, world)):
                 out.append((name, family))
                 break
     return out
@@ -780,7 +747,7 @@ def generate_grounding(scene: SceneGraph, world: WorldConfig, seed: int,
             name, family = rng.choice(pairs)
             a, b = sorted(scene.objects_named(name), key=lambda o: o.id)
             target_obj = rng.choice((a, b))
-            attr = _attr_of(target_obj, family, world)
+            attr = attribute_value(target_obj, family, world)
             program = (f"ps = image.find({_s(name)})\n"
                        f"ok = ps[0].verify_property({_s(name)}, {_s(attr)})\n"
                        + _if_else("ok", "ans = ps[0]", "ans = ps[1]")

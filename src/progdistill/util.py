@@ -6,7 +6,7 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 _SEP = "\x1f"
 
@@ -32,6 +32,16 @@ def stable_hash(*parts: object) -> int:
 def stable_unit(*parts: object) -> float:
     """Deterministic pseudo-uniform draw in [0, 1) keyed by the parts."""
     return stable_hash(*parts) / 2.0**64
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean summed left to right, as the builtin sum() did through
+    Python 3.11 (3.12 compensates), so reports are the same bytes on every
+    supported Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def canonical_json(obj: object) -> str:

@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, Union
 
 from .util import read_jsonl, shared_set, write_jsonl
 
@@ -275,13 +274,45 @@ def full_patch(scene: SceneGraph) -> ScenePatch:
 
 
 # ---------------------------------------------------------------------------
-# Structured queries and the oracle
+# Query forms and the oracle. Each form states its `key()`, which corruption
+# and student tables key on; its answer vocabulary `support(world)`; and its
+# exact `answer(scene, patch, world)` from the ground truth seen in the patch,
+# which is what the oracle teacher says.
 # ---------------------------------------------------------------------------
+
+YES_NO = ("no", "yes")
+
+
+def attribute_value(obj: SceneObject, family: str, world: WorldConfig) -> str:
+    """The object's value in an attribute family, or UNKNOWN if it has none."""
+    values = world.attribute_families.get(family, ())
+    for attr in sorted(obj.attributes):
+        if attr in values:
+            return attr
+    return UNKNOWN
+
+
+def _visible(scene: SceneGraph, patch: ScenePatch) -> list[SceneObject]:
+    return [scene.object_by_id(oid) for oid in patch.visible_objects]
+
 
 @dataclass(frozen=True)
 class VerifyAttribute:
     name: str
     attribute: str
+
+    def key(self) -> str:
+        return f"verify|{self.name}|{self.attribute}"
+
+    def support(self, world: WorldConfig) -> tuple[str, ...]:
+        return YES_NO
+
+    def answer(self, scene: SceneGraph, patch: ScenePatch,
+               world: WorldConfig) -> str:
+        target = resolve_target(scene, patch, self.name)
+        if target is None:
+            return UNKNOWN
+        return "yes" if self.attribute in target.attributes else "no"
 
 
 @dataclass(frozen=True)
@@ -289,84 +320,83 @@ class ChooseOption:
     options: tuple[str, ...]
     center: str | None = None
 
+    def key(self) -> str:
+        return f"choose|{','.join(self.options)}|{self.center or '-'}"
+
+    def support(self, world: WorldConfig) -> tuple[str, ...]:
+        return self.options
+
+    def answer(self, scene: SceneGraph, patch: ScenePatch,
+               world: WorldConfig) -> str:
+        """The first option naming the target or one of its attributes, else
+        the first naming any visible object or attribute, else the first."""
+        visible = _visible(scene, patch)
+        target = resolve_target(scene, patch, self.center)
+        for pool in ([target] if target is not None else [], visible):
+            for option in self.options:
+                if any(option == o.name or option in o.attributes for o in pool):
+                    return option
+        return self.options[0] if self.options else UNKNOWN
+
 
 @dataclass(frozen=True)
 class AskAttributeFamily:
     family: str
     center: str | None = None
 
+    def key(self) -> str:
+        return f"askfam|{self.family}|{self.center or '-'}"
+
+    def support(self, world: WorldConfig) -> tuple[str, ...]:
+        return tuple(sorted(world.attribute_families.get(self.family, ())))
+
+    def answer(self, scene: SceneGraph, patch: ScenePatch,
+               world: WorldConfig) -> str:
+        target = resolve_target(scene, patch, self.center)
+        if target is None:
+            return UNKNOWN
+        return attribute_value(target, self.family, world)
+
 
 @dataclass(frozen=True)
 class AskName:
     center: str | None = None
+
+    def key(self) -> str:
+        return f"askname|{self.center or '-'}"
+
+    def support(self, world: WorldConfig) -> tuple[str, ...]:
+        return tuple(sorted(world.nouns))
+
+    def answer(self, scene: SceneGraph, patch: ScenePatch,
+               world: WorldConfig) -> str:
+        target = resolve_target(scene, patch, self.center)
+        return target.name if target is not None else UNKNOWN
 
 
 @dataclass(frozen=True)
 class Exists:
     name: str
 
+    def key(self) -> str:
+        return f"exists|{self.name}"
 
-StructuredQuery = Union[VerifyAttribute, ChooseOption, AskAttributeFamily,
-                        AskName, Exists]
+    def support(self, world: WorldConfig) -> tuple[str, ...]:
+        return YES_NO
+
+    def answer(self, scene: SceneGraph, patch: ScenePatch,
+               world: WorldConfig) -> str:
+        return "yes" if any(o.name == self.name
+                            for o in _visible(scene, patch)) else "no"
 
 
 def resolve_target(scene: SceneGraph, patch: ScenePatch,
                    center: str | None) -> SceneObject | None:
-    """Pick the queried object among the patch's visible objects.
-
-    Center token match first; otherwise all visible objects are candidates.
-    Ties break to the smallest object id so resolution is deterministic.
-    """
-    visible = [scene.object_by_id(oid) for oid in patch.visible_objects]
-    if center is not None:
-        candidates = [o for o in visible if o.name == center]
-    else:
-        candidates = visible
-    if not candidates:
-        return None
-    return min(candidates, key=lambda o: o.id)
-
-
-def oracle_answer(scene: SceneGraph, patch: ScenePatch, query: StructuredQuery,
-                  attribute_families: Mapping[str, Sequence[str]]) -> str:
-    """Exact answer from the ground-truth scene restricted to the patch."""
-    if isinstance(query, VerifyAttribute):
-        target = resolve_target(scene, patch, query.name)
-        if target is None:
-            return UNKNOWN
-        return "yes" if query.attribute in target.attributes else "no"
-
-    if isinstance(query, AskAttributeFamily):
-        target = resolve_target(scene, patch, query.center)
-        if target is None:
-            return UNKNOWN
-        family_values = set(attribute_families.get(query.family, ()))
-        for attr in sorted(target.attributes):
-            if attr in family_values:
-                return attr
-        return UNKNOWN
-
-    if isinstance(query, AskName):
-        target = resolve_target(scene, patch, query.center)
-        return target.name if target is not None else UNKNOWN
-
-    if isinstance(query, Exists):
-        visible = [scene.object_by_id(oid) for oid in patch.visible_objects]
-        return "yes" if any(o.name == query.name for o in visible) else "no"
-
-    if isinstance(query, ChooseOption):
-        visible = [scene.object_by_id(oid) for oid in patch.visible_objects]
-        target = resolve_target(scene, patch, query.center)
-        if target is not None:
-            for option in query.options:
-                if option == target.name or option in target.attributes:
-                    return option
-        for option in query.options:
-            if any(option == o.name or option in o.attributes for o in visible):
-                return option
-        return query.options[0] if query.options else UNKNOWN
-
-    raise TypeError(f"unsupported query: {query!r}")
+    """The queried object among the patch's visible objects: those named
+    `center` if given, else all; ties break to the smallest object id."""
+    candidates = [o for o in _visible(scene, patch)
+                  if center is None or o.name == center]
+    return min(candidates, key=lambda o: o.id) if candidates else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from progdistill.backends import (BackendError, CorruptedBackend,
                                   perfect_registry, resolve_query)
 from progdistill.distill import harvest, train
 from progdistill.interpreter import ExecutionTrace, StepRecord
-from progdistill.questions import (QuestionParser, generate_qa,
-                                   query_key)
+from progdistill.questions import QuestionParser, RawText, generate_qa
 from progdistill.worlds import (ChooseOption, PatchList, SceneGraph,
                                 SceneObject, ScenePatch, VerifyAttribute,
                                 WorldConfig, crop, full_patch, generate_world,
@@ -198,7 +197,18 @@ class TestResolveQueryCanonicalization:
         via_text = resolve_query(
             SubTaskInput("simple_query", None, question="Is this flower red?"),
             parser)
-        assert query_key(structured) == query_key(via_text)
+        assert structured.key() == via_text.key()
+
+    def test_unreadable_text_is_raw_text(self, flower_scene, world):
+        parser = QuestionParser(world)
+        store = store_for(flower_scene)
+        patch = full_patch(flower_scene)
+        inp = SubTaskInput("simple_query", patch, question="Why is  the Sky?")
+        assert resolve_query(inp, parser) == RawText("Why is  the Sky?")
+        assert resolve_query(SubTaskInput("simple_query", patch),
+                             parser) == RawText("")
+        assert resolve_query(inp, parser).key() == "raw|why is the sky?"
+        assert OracleBackend(store, world, parser).predict(inp) == "unknown"
 
     def test_plurale_tantum_center_keys_agree(self, world):
         # Dispatch keys a best_text_match step by its options; harvest keys
@@ -410,16 +420,23 @@ class TestRegistry:
     def test_dispatch_validates_inputs(self, flower_scene, world):
         registry = perfect_registry(store_for(flower_scene), world)
         patch = full_patch(flower_scene)
-        with pytest.raises(BackendError):
-            registry.dispatch("find", "not a patch", ("flower",))
-        with pytest.raises(BackendError):
-            registry.dispatch("find", patch, (3,))
-        with pytest.raises(BackendError):
-            registry.dispatch("verify_property", patch, ("flower",))
-        with pytest.raises(BackendError):
-            registry.dispatch("best_text_match", patch, ("notalist",))
-        with pytest.raises(BackendError):
-            registry.dispatch("levitate", patch, ())
+        found = registry.dispatch("find", patch, ("flower",))
+        for kind, receiver, args in [
+                ("find", "not a patch", ("flower",)),
+                ("find", patch, (3,)),
+                ("find", patch, ("flower", "table")),
+                ("exists", "not a patch", ()),
+                ("verify_property", patch, ("flower",)),
+                ("verify_property", patch, ("flower", 3)),
+                ("verify_property", found, ("flower", "red")),
+                ("best_text_match", patch, ("notalist",)),
+                ("best_text_match", patch, ((),)),
+                ("best_text_match", patch, (("red", 3),)),
+                ("simple_query", patch, (None,)),
+                ("simple_query", found, ("What color is this?",)),
+                ("levitate", patch, ())]:
+            with pytest.raises(BackendError):
+                registry.dispatch(kind, receiver, args)
 
     def test_dispatch_coerces_module_level_types(self, flower_scene, world):
         registry = perfect_registry(store_for(flower_scene), world)

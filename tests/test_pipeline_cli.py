@@ -9,12 +9,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
-                             EXIT_MISSING_ARTIFACT, EXIT_OK, build_parser,
-                             main)
+                             EXIT_MISSING_ARTIFACT, EXIT_OK, EXIT_SERVICE,
+                             build_parser, main)
 from progdistill.evaluation import score
 from progdistill.dsl import parse
 from progdistill.interpreter import execute, trace_to_record
@@ -24,6 +24,7 @@ from progdistill.pipeline import (_READERS, ChecksumError, ConfigError,
                                   stage_gen_world, stage_ground_eval,
                                   stage_report, write_stage_manifest)
 from progdistill.questions import QAPair, qa_to_record
+from progdistill.service import ENDPOINT_ENV_VAR
 from progdistill.util import read_jsonl, sha256_file, write_jsonl
 from progdistill.worlds import SceneGraph, SceneObject, WorldConfig, WorldStore
 
@@ -283,6 +284,22 @@ class TestConfig:
                                "--out-dir", str(out)]) == EXIT_CONFIG
         assert str(out) in capsys.readouterr().err
         assert taken.read_text() == "not a run directory"
+
+    @pytest.mark.parametrize("number", [
+        "1e400", "1" + "0" * 400, "Infinity", "-Infinity", "NaN"],
+        ids=["1e400", "10**400", "Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("key", ["students.alpha", "service.timeout"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key,
+                                                 number):
+        # JSON 1e400 reads as infinity, and 10**400 as an integer too large
+        # for a float; Python's reader also accepts the Infinity and NaN
+        # tokens. A socket timeout of infinity overflows.
+        section, leaf = key.split(".")
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"{section}": {{"{leaf}": {number}}}}}')
+        assert _run(["gen-world", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
 
     def test_integral_float_reads_as_int(self):
         cfg = PipelineConfig.from_dict({"scenes": {"train": 3.0}})
@@ -619,6 +636,25 @@ class TestEndToEnd:
         assert sha256_file(run.report_csv) == (
             "62125d1bc73764837488baeed00c0ef42f3ad1d3bfa608ccd683b26fb5ce8925")
 
+    @pytest.mark.parametrize("path, digest", [
+        ("students/best_text_match.json",
+         "2977a5659a46ae58fefa474ac8558309c4e87fd75c2dab0644da6c339a3bcd72"),
+        ("students/simple_query.json",
+         "d1459a6ec043466635220d0a4be8ae221fc7554be7eb0a8c97e11dd1bf2286cc"),
+        ("students/verify_property.json",
+         "6eb6a551d902fe22e600bd31931d73d890821eab8613852861a705f8ddcba334"),
+        ("triples.jsonl",
+         "a028346d221a3668478ed0da3713bc8ab4aaa527e330a89488af366e890e50fe"),
+        ("eval_baseline.json",
+         "d4b665a16d9e0e9154f140ed21d356f53d70563b174dbf5a6c87252e3d2d2e4f"),
+        ("eval_distilled.json",
+         "b9fe1e8d93de938bc6ec651fdda77c4962ca363afae5614b4d3c55bdcad0a9be"),
+    ])
+    def test_distillation_artifacts_are_pinned(self, full_run, path, digest):
+        """Every student key, teacher label, answer and error-taxonomy count
+        of the tiny run; a drift in any of them shows here."""
+        assert sha256_file(full_run / path) == digest
+
     def test_deleting_downstream_artifacts_leaves_upstream_intact(
             self, tmp_path, tiny_config_file):
         out = tmp_path / "run"
@@ -861,6 +897,55 @@ def test_parser_matches_the_cli():
                      for a in parser._actions if a.dest != "help"])
              for name, parser in sub.choices.items()]
     assert shape == [(name, COMMON_FLAGS + flags) for name, flags in CLI_FLAGS]
+
+
+# A config smaller than the tiny one, so that a random example runs a dozen
+# commands in well under a second.
+SMALL_CONFIG = {"seed": 0, "scenes": {"train": 8, "eval": 6},
+                "questions": {"per_scene": [3, 4]},
+                "dataset": {"per_type_cap": 8}, "vp_probe": {"scenes": 4}}
+
+
+def _flag_values(flag, choices, default, required, kind):
+    """Command-line words for one flag: left out (unless required) or given
+    one of its choices. --registries takes one or two registry names; a
+    flag without choices is left out."""
+    if choices is not None:
+        values = st.sampled_from(choices)
+    elif flag == "--registries":
+        values = st.lists(st.sampled_from(REGISTRIES), min_size=1,
+                          max_size=2).map(",".join)
+    else:
+        return st.just([])
+    given_flag = values.map(lambda value: [flag, value])
+    return given_flag if required else st.just([]) | given_flag
+
+
+_COMMAND_LINES = st.one_of([
+    st.tuples(st.just([name]), st.sampled_from([[], ["--seed", "1"]]),
+              *(_flag_values(*flag) for flag in flags)).map(
+        lambda parts: [word for part in parts for word in part])
+    for name, flags in CLI_FLAGS])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, len(FULL_SEQUENCE)),
+       st.lists(_COMMAND_LINES, min_size=1, max_size=4))
+def test_random_stage_orders_end_in_an_exit_code(tmp_path_factory, monkeypatch,
+                                                 prefix, lines):
+    # The first `prefix` steps of FULL_SEQUENCE, then random commands with
+    # random flags, over one run directory: every command ends in one of the
+    # documented exit codes, never in an uncaught exception.
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    base = tmp_path_factory.mktemp("random")
+    config = base / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    for line in FULL_SEQUENCE[:prefix] + lines:
+        code = _run(line + ["--config", str(config),
+                            "--out-dir", str(base / "run")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_MISSING_ARTIFACT,
+                        EXIT_CHECKSUM, EXIT_SERVICE), line
 
 
 class TestDefaults:

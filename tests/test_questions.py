@@ -15,13 +15,12 @@ from progdistill.dsl import ParseError, parse
 from progdistill.evaluation import question_correct
 from progdistill.interpreter import answer_to_text, execute
 from progdistill.questions import (ALL_TEMPLATE_IDS, DISTILLABLE_KINDS,
-                                   QuestionParser, TEMPLATES, TemplateQuery,
-                                   answer_support, corrupt_program,
-                                   evaluate_template, generate_grounding,
-                                   generate_qa, pluralize, qa_from_record,
-                                   qa_to_record, query_key)
+                                   QuestionParser, RawText, TEMPLATES,
+                                   TemplateQuery, corrupt_program,
+                                   generate_grounding, generate_qa, pluralize,
+                                   qa_from_record, qa_to_record)
 from progdistill.worlds import (AskAttributeFamily, AskName, ChooseOption,
-                                Exists, VerifyAttribute, WorldConfig,
+                                Exists, UNKNOWN, VerifyAttribute, WorldConfig,
                                 WorldStore, default_world_config, full_patch,
                                 generate_world)
 
@@ -104,7 +103,7 @@ class TestGeneration:
         # brute-force check for evaluable templates over the full scene
         for sid in small_store.ids():
             scene = small_store.get(sid)
-            visible = full_patch(scene).visible_objects
+            patch = full_patch(scene)
             for qa in generate_qa(scene, world, 5):
                 spec = TEMPLATES[qa.question_type]
                 if spec.evaluate is None:
@@ -112,8 +111,7 @@ class TestGeneration:
                 parser = QuestionParser(world)
                 parsed = parser.parse(qa.question)
                 assert isinstance(parsed, TemplateQuery), qa.question
-                assert evaluate_template(scene, visible, parsed, world) == \
-                    qa.ground_truth
+                assert parsed.answer(scene, patch, world) == qa.ground_truth
 
     def test_fault_rate_one_breaks_every_program(self, world, small_store):
         scene = small_store.get(small_store.ids()[0])
@@ -405,26 +403,34 @@ def test_unverified_candidates_answer_their_ground_truth(world, seed):
 class TestQueryKey:
     def test_canonical_and_distinct(self, world):
         keys = {
-            query_key(VerifyAttribute("flower", "red")),
-            query_key(ChooseOption(("red", "blue"), "flower")),
-            query_key(ChooseOption(("red", "blue"), None)),
-            query_key(AskAttributeFamily("color", "flower")),
-            query_key(AskAttributeFamily("color", None)),
-            query_key(AskName(None)),
-            query_key(Exists("dog")),
-            query_key(TemplateQuery("count", (("name", "dog"),))),
-            query_key(None, raw_text="Mystery  Text"),
+            VerifyAttribute("flower", "red").key(),
+            ChooseOption(("red", "blue"), "flower").key(),
+            ChooseOption(("red", "blue"), None).key(),
+            AskAttributeFamily("color", "flower").key(),
+            AskAttributeFamily("color", None).key(),
+            AskName(None).key(),
+            Exists("dog").key(),
+            TemplateQuery("count", (("name", "dog"),)).key(),
+            RawText("Mystery  Text").key(),
+            RawText("").key(),
         }
-        assert len(keys) == 9
-        assert query_key(None, raw_text="Mystery  Text") == "raw|mystery text"
+        assert len(keys) == 10
+        assert RawText("Mystery  Text").key() == "raw|mystery text"
+        assert RawText(" MYSTERY text ").key() == "raw|mystery text"
+        assert RawText("").key() == "raw|"
 
     def test_answer_support(self, world):
-        assert answer_support(VerifyAttribute("a", "b"), world) == ("no", "yes")
-        assert answer_support(AskAttributeFamily("color", None), world) == \
+        assert VerifyAttribute("a", "b").support(world) == ("no", "yes")
+        assert AskAttributeFamily("color", None).support(world) == \
             ("blue", "green", "red")
-        assert answer_support(ChooseOption(("x", "y"), None), world) == ("x", "y")
-        assert "5" in answer_support(TemplateQuery("count", (("name", "dog"),)), world)
-        assert answer_support(None, world) == ()
+        assert ChooseOption(("x", "y"), None).support(world) == ("x", "y")
+        assert "5" in TemplateQuery("count", (("name", "dog"),)).support(world)
+        assert RawText("Mystery text").support(world) == ()
+        assert RawText("").support(world) == ()
+
+    def test_raw_text_answers_unknown(self, world, flower_scene):
+        assert RawText("Mystery text").answer(
+            flower_scene, full_patch(flower_scene), world) == UNKNOWN
 
 
 class TestGrounding:

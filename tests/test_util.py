@@ -1,6 +1,6 @@
 import types
 
-from progdistill.util import iter_jsonl, read_jsonl, write_jsonl
+from progdistill.util import iter_jsonl, mean, read_jsonl, write_jsonl
 
 
 def test_iter_jsonl_skips_blank_lines_like_read_jsonl(tmp_path):
@@ -21,3 +21,11 @@ def test_iter_jsonl_is_lazy_and_round_trips_write_jsonl(tmp_path):
     assert next(stream) == records[0]
     assert [records[0], *stream] == records
     assert read_jsonl(path) == records
+
+
+def test_mean_sums_left_to_right():
+    # Python 3.12's sum() compensates: it gives 1.0 here, so the mean would
+    # be 1/3. Left to right, 1e16 + 1.0 rounds back to 1e16.
+    assert mean([1e16, 1.0, -1e16]) == 0.0
+    assert mean([0.1] * 10) == 0.09999999999999999
+    assert mean([3, 4]) == 3.5

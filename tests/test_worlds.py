@@ -9,7 +9,7 @@ from progdistill.worlds import (AskAttributeFamily, AskName, ChooseOption,
                                 UNKNOWN, VerifyAttribute, WorldConfig,
                                 WorldConfigError, WorldStore, crop,
                                 default_world_config, full_patch,
-                                generate_world, oracle_answer, overlap_ratio,
+                                generate_world, overlap_ratio,
                                 rect_iou, scene_from_gqa_record,
                                 scene_from_record, scene_to_record)
 
@@ -135,15 +135,15 @@ class TestCrop:
 class TestOracle:
     def test_verify_attribute_on_red_flower(self, flower_scene, world):
         patch = crop(flower_scene, flower_scene.objects[0].bbox)
-        fams = world.attribute_families
-        assert oracle_answer(flower_scene, patch, VerifyAttribute("flower", "red"), fams) == "yes"
-        assert oracle_answer(flower_scene, patch, VerifyAttribute("flower", "blue"), fams) == "no"
+        red, blue = VerifyAttribute("flower", "red"), VerifyAttribute("flower", "blue")
+        assert red.answer(flower_scene, patch, world) == "yes"
+        assert blue.answer(flower_scene, patch, world) == "no"
 
     def test_ask_attribute_family(self, flower_scene, world):
         patch = crop(flower_scene, flower_scene.objects[0].bbox)
-        fams = world.attribute_families
-        assert oracle_answer(flower_scene, patch, AskAttributeFamily("color", "flower"), fams) == "red"
-        assert oracle_answer(flower_scene, patch, AskAttributeFamily("size", None), fams) == "small"
+        color, size = AskAttributeFamily("color", "flower"), AskAttributeFamily("size", None)
+        assert color.answer(flower_scene, patch, world) == "red"
+        assert size.answer(flower_scene, patch, world) == "small"
 
     def test_choose_option_falls_back_to_any_visible_match(self, world):
         scene = SceneGraph("s", (100, 100), (
@@ -152,30 +152,30 @@ class TestOracle:
         ), seed=-1)
         patch = full_patch(scene)
         query = ChooseOption(("bread", "sandwich"), center="food-class")
-        assert oracle_answer(scene, patch, query, world.attribute_families) == "bread"
+        assert query.answer(scene, patch, world) == "bread"
 
     def test_unresolved_center_answers_unknown(self, flower_scene, world):
         patch = crop(flower_scene, flower_scene.objects[0].bbox)
         q = AskAttributeFamily("color", "dog")
-        assert oracle_answer(flower_scene, patch, q, world.attribute_families) == UNKNOWN
+        assert q.answer(flower_scene, patch, world) == UNKNOWN
 
     def test_exists_and_askname(self, flower_scene, world):
         patch = full_patch(flower_scene)
-        fams = world.attribute_families
-        assert oracle_answer(flower_scene, patch, Exists("flower"), fams) == "yes"
-        assert oracle_answer(flower_scene, patch, Exists("dog"), fams) == "no"
-        assert oracle_answer(flower_scene, patch, AskName("table"), fams) == "table"
+        assert Exists("flower").answer(flower_scene, patch, world) == "yes"
+        assert Exists("dog").answer(flower_scene, patch, world) == "no"
+        assert AskName("table").answer(flower_scene, patch, world) == "table"
 
     def test_tie_break_smallest_id(self):
         scene = SceneGraph("s", (100, 100), (
             SceneObject("o07", "cup", frozenset({"red", "small"}), (0, 0, 12, 12)),
             SceneObject("o02", "cup", frozenset({"blue", "small"}), (6, 0, 12, 12)),
         ), seed=-1)
-        fams = {"color": ("red", "blue"), "size": ("small", "large")}
+        world = WorldConfig(("cup",), {"color": ("red", "blue"),
+                                       "size": ("small", "large")}, ())
         patch = crop(scene, (0, 0, 20, 12))
         assert set(patch.visible_objects) == {"o07", "o02"}
         q = AskAttributeFamily("color", "cup")
-        assert oracle_answer(scene, patch, q, fams) == "blue"  # o02 < o07
+        assert q.answer(scene, patch, world) == "blue"  # o02 < o07
 
     def test_oracle_matches_independent_brute_force(self, world):
         # Brute-force re-implementation, kept independent of the oracle code.
@@ -201,7 +201,6 @@ class TestOracle:
                 return hits[0] if hits else UNKNOWN
             raise AssertionError(query)
 
-        fams = world.attribute_families
         for seed in range(15):
             scene = generate_world(seed, world)
             patch = full_patch(scene)
@@ -209,7 +208,7 @@ class TestOracle:
                 for query in (Exists(noun), AskName(noun),
                               AskAttributeFamily("color", noun),
                               VerifyAttribute(noun, "red")):
-                    assert oracle_answer(scene, patch, query, fams) == \
+                    assert query.answer(scene, patch, world) == \
                         brute(scene, patch, query), (scene.scene_id, query)
 
 
