@@ -282,11 +282,12 @@ class RunPaths:
     def __init__(self, base: str | Path):
         self.base = Path(base)
         # Artifacts the running stage has verified: run-relative path ->
-        # sha256. The stage's manifest records them as its inputs.
+        # sha256. The stage's manifest records them as its inputs. Each stage
+        # clears them first: what a failed stage verified is no one's input.
         self.verified: dict[str, str] = {}
-        # Artifacts parsed in this process (see `_load_once`): (producer
-        # stage, artifact names) -> (their sha256 values, parsed value).
-        self.loaded: dict[tuple[str, ...], tuple[tuple[str, ...], object]] = {}
+        # Artifacts parsed in this process (see `_load_once`): their paths
+        # -> (their sha256 values, parsed value).
+        self.loaded: dict[tuple[Path, ...], tuple[tuple[str, ...], object]] = {}
 
     # artifacts
     @property
@@ -344,33 +345,31 @@ def _write_json(path: Path, value) -> None:
 
 
 def write_stage_manifest(run: RunPaths, stage: str, cfg: PipelineConfig,
-                         outputs: dict[str, Path]) -> None:
-    """Record the stage's outputs with their checksums, and as its inputs
-    the artifacts it verified (then forget those)."""
+                         paths: list[Path]) -> None:
+    """Record the stage's outputs, each run-relative path with its sha256,
+    and in the same shape as its inputs the artifacts it verified."""
     manifest = {
         "command": stage,
         "config_digest": cfg.digest(),
         "provenance_digest": cfg.provenance_digest(),
         "seed": cfg.seed,
-        "inputs": dict(sorted(run.verified.items())),
-        "outputs": {name: {"path": str(p.relative_to(run.base)),
-                           "sha256": sha256_file(p)}
-                    for name, p in sorted(outputs.items())},
+        "inputs": run.verified,
+        "outputs": {str(p.relative_to(run.base)): sha256_file(p)
+                    for p in paths},
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    run.verified.clear()
     path = run.manifest_file(stage)
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, manifest)
 
 
 def require_artifacts(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
-                      names: list[str]) -> tuple[str, ...]:
+                      paths: list[Path]) -> tuple[str, ...]:
     """Check that a producing stage ran under the seed and the provenance
-    digest of `cfg` and its recorded output checksums still match the files
-    on disk; the only way a stage reads an upstream artifact. Each verified
-    file is noted on `run` for the stage manifest. Returns the files' sha256
-    values, in the order of `names`."""
+    digest of `cfg` and recorded `paths` among its outputs with the sha256
+    they still have on disk; the only way a stage reads an upstream artifact.
+    Each verified file is noted on `run` for the stage manifest. Returns the
+    files' sha256 values, in the order of `paths`."""
     manifest_path = run.manifest_file(producer_stage)
     if not manifest_path.exists():
         raise MissingArtifactError(
@@ -380,7 +379,11 @@ def require_artifacts(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError:  # not JSON, or not UTF-8
         manifest = None
-    if not isinstance(manifest, dict):
+    # Outputs map run-relative paths to sha256 values; run directories
+    # written before that, which keyed them by artifact name, are refused.
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(outputs, dict) or not all(
+            isinstance(digest, str) for digest in outputs.values()):
         raise MissingArtifactError(
             f"stage {producer_stage!r} left an unreadable manifest "
             f"{manifest_path.name}; run it again")
@@ -400,38 +403,36 @@ def require_artifacts(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
         raise ConfigError(
             f"stage {producer_stage!r} ran under provenance digest "
             f"{recorded}, this run's is {digest}")
-    outputs = manifest.get("outputs", {})
     hashes = []
-    for name in names:
-        entry = outputs.get(name)
-        if entry is None:
+    for path in paths:
+        name = str(path.relative_to(run.base))
+        expected = outputs.get(name)
+        if expected is None:
             raise MissingArtifactError(
-                f"stage {producer_stage!r} did not record artifact {name!r}")
-        path = run.base / entry["path"]
+                f"stage {producer_stage!r} did not record artifact {name!r} "
+                f"in {manifest_path.name}")
         if not path.exists():
             raise MissingArtifactError(f"artifact missing on disk: {path}")
         actual = sha256_file(path)
-        if actual != entry["sha256"]:
+        if actual != expected:
             raise ChecksumError(
                 f"artifact {name!r} changed since {producer_stage!r} ran "
-                f"({actual[:12]} != {entry['sha256'][:12]})")
-        run.verified[entry["path"]] = actual
+                f"({actual[:12]} != {expected[:12]})")
+        run.verified[name] = actual
         hashes.append(actual)
     return tuple(hashes)
 
 
 def _load_once(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
-               names: list[str],
-               load: Callable[[], object]):
-    """`load()` after `require_artifacts(run, cfg, producer_stage, names)`, or
+               paths: list[Path], load: Callable[[], object]):
+    """`load()` after `require_artifacts(run, cfg, producer_stage, paths)`, or
     the value it returned before on `run` while those files had the same sha256
     values: a changed file is never served from memory. Callers share the
     value and must not change it."""
-    hashes = require_artifacts(run, cfg, producer_stage, names)
-    key = (producer_stage, *names)
-    entry = run.loaded.get(key)
+    hashes = require_artifacts(run, cfg, producer_stage, paths)
+    entry = run.loaded.get(tuple(paths))
     if entry is None or entry[0] != hashes:
-        entry = run.loaded[key] = (hashes, load())
+        entry = run.loaded[tuple(paths)] = (hashes, load())
     return entry[1]
 
 
@@ -445,6 +446,7 @@ def _scene_seed(cfg: PipelineConfig, pool: str, index: int) -> int:
 
 
 def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
+    run.verified.clear()
     try:
         run.base.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
@@ -458,10 +460,8 @@ def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
         eval_store.add(generate_world(_scene_seed(cfg, "eval", i), cfg.world))
     train_store.save_jsonl(run.worlds_train)
     eval_store.save_jsonl(run.worlds_eval)
-    write_stage_manifest(run, "gen-world", cfg, {
-        "worlds_train": run.worlds_train,
-        "worlds_eval": run.worlds_eval,
-    })
+    write_stage_manifest(run, "gen-world", cfg,
+                         [run.config, run.worlds_train, run.worlds_eval])
 
 
 def load_world_stores(run: RunPaths, cfg: PipelineConfig
@@ -476,29 +476,30 @@ def load_world_stores(run: RunPaths, cfg: PipelineConfig
         combined.scenes.update(train_store.scenes)
         combined.scenes.update(eval_store.scenes)
         return train_store, eval_store, combined
-    return _load_once(run, cfg, "gen-world", ["worlds_train", "worlds_eval"],
-                      load)
+    return _load_once(run, cfg, "gen-world",
+                      [run.worlds_train, run.worlds_eval], load)
 
 
 def read_split(run: RunPaths, cfg: PipelineConfig, name: str) -> list[QAPair]:
     """The questions of one split, after checking the build-dataset
     checksum: a fresh list over the QAPairs parsed once per `run`."""
+    path = run.split_file(name)
     def load():
-        return tuple(qa_from_record(r) for r in read_jsonl(run.split_file(name)))
-    return list(_load_once(run, cfg, "build-dataset", [f"split_{name}"], load))
+        return tuple(qa_from_record(r) for r in read_jsonl(path))
+    return list(_load_once(run, cfg, "build-dataset", [path], load))
 
 
 def read_traces(run: RunPaths, cfg: PipelineConfig, split: str,
                 registry_name: str) -> Iterator[ExecutionTrace]:
     """The traces run-programs stored for one split and registry, after
     checking their checksum; streamed one record at a time."""
-    require_artifacts(run, cfg, f"run-programs:{split}:{registry_name}",
-                      ["traces"])
-    return (trace_from_record(r)
-            for r in iter_jsonl(run.traces_file(split, registry_name)))
+    path = run.traces_file(split, registry_name)
+    require_artifacts(run, cfg, f"run-programs:{split}:{registry_name}", [path])
+    return (trace_from_record(r) for r in iter_jsonl(path))
 
 
 def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
+    run.verified.clear()
     train_store, eval_store, _ = load_world_stores(run, cfg)
     for store, path in ((train_store, run.qa_train), (eval_store, run.qa_eval)):
         # Pointer-less questions on ambiguous patches are unanswerable even by
@@ -512,37 +513,34 @@ def stage_gen_qa(run: RunPaths, cfg: PipelineConfig) -> None:
                                visual_pointer=cfg.visual_pointer,
                                coarse=cfg.framework == "coarse",
                                fault_rate=cfg.fault_rate, verifier=verifier)))
-    write_stage_manifest(run, "gen-qa", cfg,
-                         {"qa_train": run.qa_train, "qa_eval": run.qa_eval})
+    write_stage_manifest(run, "gen-qa", cfg, [run.qa_train, run.qa_eval])
 
 
 def stage_build_dataset(run: RunPaths, cfg: PipelineConfig) -> dict:
-    require_artifacts(run, cfg, "gen-qa", ["qa_train", "qa_eval"])
+    run.verified.clear()
+    require_artifacts(run, cfg, "gen-qa", [run.qa_train, run.qa_eval])
     train_pool, eval_pool = ([qa_from_record(r) for r in iter_jsonl(path)]
                              for path in (run.qa_train, run.qa_eval))
     result = make_splits(train_pool, eval_pool, cfg.seed, cfg.per_type_cap,
                          cfg.val_scene_share)
-    outputs = {}
     for name, qas in result.splits.items():
-        path = run.split_file(name)
-        write_jsonl(path, (qa_to_record(qa) for qa in qas))
-        outputs[f"split_{name}"] = path
+        write_jsonl(run.split_file(name), (qa_to_record(qa) for qa in qas))
     manifest = result.manifest()
     manifest["stats"] = {name: stats(qas) for name, qas in
                          sorted(result.splits.items())}
     _write_json(run.split_manifest, manifest)
-    outputs["split_manifest"] = run.split_manifest
-    write_stage_manifest(run, "build-dataset", cfg, outputs)
+    write_stage_manifest(run, "build-dataset", cfg, [
+        run.split_manifest, *map(run.split_file, result.splits)])
     return manifest
 
 
 def _load_students(run: RunPaths, cfg: PipelineConfig,
                   store: WorldStore) -> dict[str, TableStudent]:
     """The students the distill stage saved, after checking their checksums."""
-    require_artifacts(run, cfg, "distill",
-                      [f"student_{k}" for k in DISTILLABLE_KINDS])
-    return {kind: TableStudent.load(run.student_file(kind), store, cfg.world)
-            for kind in DISTILLABLE_KINDS}
+    paths = {kind: run.student_file(kind) for kind in DISTILLABLE_KINDS}
+    require_artifacts(run, cfg, "distill", list(paths.values()))
+    return {kind: TableStudent.load(path, store, cfg.world)
+            for kind, path in paths.items()}
 
 
 def build_registry(name: str, run: RunPaths, cfg: PipelineConfig,
@@ -567,6 +565,7 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
                        program_source: str = "templates",
                        service_client: ProgramServiceClient | None = None,
                        on_service_error: str = "fail") -> None:
+    run.verified.clear()
     qapairs = read_split(run, cfg, split)
     _, _, store = load_world_stores(run, cfg)
 
@@ -593,10 +592,11 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
     path = run.traces_file(split, registry_name)
     write_jsonl(path, (trace_to_record(t) for t in traces))
     write_stage_manifest(run, f"run-programs:{split}:{registry_name}", cfg,
-                         {"traces": path})
+                         [path])
 
 
 def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
+    run.verified.clear()
     traces = read_traces(run, cfg, "train", "baseline")
     _, _, store = load_world_stores(run, cfg)
     qapairs = read_split(run, cfg, "train")
@@ -608,27 +608,24 @@ def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
     save_triples(run.triples, triples)
     audit_path = run.base / "adapter_audit.jsonl"
     write_jsonl(audit_path, audit)
-    write_stage_manifest(run, "harvest", cfg,
-                         {"triples": run.triples, "adapter_audit": audit_path})
+    write_stage_manifest(run, "harvest", cfg, [run.triples, audit_path])
     return len(triples)
 
 
 def stage_distill(run: RunPaths, cfg: PipelineConfig) -> dict:
-    require_artifacts(run, cfg, "harvest", ["triples"])
+    run.verified.clear()
+    require_artifacts(run, cfg, "harvest", [run.triples])
     _, _, store = load_world_stores(run, cfg)
     triples = load_triples(run.triples)
     students = fresh_students(store, cfg.world, cfg.profile, tau=cfg.tau,
                               alpha=cfg.alpha)
     _, report = train(students, triples, store, epochs=cfg.epochs,
                       seed=cfg.seed)
-    outputs = {}
-    for kind, student in sorted(students.items()):
-        path = run.student_file(kind)
-        student.save(path)
-        outputs[f"student_{kind}"] = path
+    for kind, student in students.items():
+        student.save(run.student_file(kind))
     _write_json(run.training_report, report.to_dict())
-    outputs["training_report"] = run.training_report
-    write_stage_manifest(run, "distill", cfg, outputs)
+    write_stage_manifest(run, "distill", cfg, [
+        run.training_report, *map(run.student_file, students)])
     return report.to_dict()
 
 
@@ -641,6 +638,7 @@ def _write_csv(path: Path, rows) -> None:
 def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
                    registry_name: str) -> EvalReport:
     """Accounting over traces stored by run-programs for the test split."""
+    run.verified.clear()
     traces = read_traces(run, cfg, "test", registry_name)
     _, _, store = load_world_stores(run, cfg)
     qapairs = read_split(run, cfg, "test")
@@ -653,34 +651,35 @@ def stage_evaluate(run: RunPaths, cfg: PipelineConfig,
                    metadata={"registry": registry_name, "split": "test",
                              "config_digest": cfg.digest(), "seed": cfg.seed},
                    store=store, world=cfg.world)
-    outputs = {"eval_json": run.eval_file(registry_name),
-               "eval_csv": run.eval_file(registry_name, "csv"),
-               "eval_txt": run.eval_file(registry_name, "txt")}
-    _write_json(outputs["eval_json"], report.to_dict())
-    _write_csv(outputs["eval_csv"], report.to_csv_rows())
-    outputs["eval_txt"].write_text(report.to_text(), encoding="utf-8")
+    outputs = [run.eval_file(registry_name, suffix)
+               for suffix in ("json", "csv", "txt")]
+    json_path, csv_path, txt_path = outputs
+    _write_json(json_path, report.to_dict())
+    _write_csv(csv_path, report.to_csv_rows())
+    txt_path.write_text(report.to_text(), encoding="utf-8")
     write_stage_manifest(run, f"evaluate:{registry_name}", cfg, outputs)
     return report
 
 
 def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
+    run.verified.clear()
     if axis not in ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}")
     if axis == "visual-pointer":
         # The probe makes its own scenes, but like every ablation it runs
         # over a built dataset.
-        require_artifacts(run, cfg, "build-dataset", ["split_test"])
+        require_artifacts(run, cfg, "build-dataset", [run.split_file("test")])
     else:
         _, eval_store, store = load_world_stores(run, cfg)
         test_set = read_split(run, cfg, "test")
         base = build_registry("baseline", run, cfg, store)
-    outputs = {"ablation": run.ablation_file(axis)}
+    outputs = [run.ablation_file(axis)]
 
     if axis == "distilled-count":
         result = ablate_distilled_count(base, _load_students(run, cfg, store),
                                         test_set, store)
     elif axis == "trainset-size":
-        require_artifacts(run, cfg, "harvest", ["triples"])
+        require_artifacts(run, cfg, "harvest", [run.triples])
         triples = load_triples(run.triples)
         total = len(triples)
         hi = max(cfg.trainset_ratios)
@@ -692,11 +691,12 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         _write_csv(run.curve_csv, [["size", "acc_all", "acc_no_nan"]] + [
             [point["size"], f"{point['acc_all']:.6f}",
              f"{point['acc_no_nan']:.6f}"] for point in result["curve"]])
-        outputs["curve_csv"] = run.curve_csv
+        outputs.append(run.curve_csv)
     elif axis == "cross-framework":
-        require_artifacts(run, cfg, "distill", ["student_simple_query"])
+        student = run.student_file("simple_query")
+        require_artifacts(run, cfg, "distill", [student])
         coarse_test = _coarse_counterparts(cfg, eval_store, test_set)
-        reports = cross_framework(base, run.student_file("simple_query"),
+        reports = cross_framework(base, student,
                                   coarse_test, store, cfg.world,
                                   cfg.visual_pointer)
         result = {name: rep.to_dict() for name, rep in reports.items()}
@@ -712,7 +712,7 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
                                        miss_rate=cfg.miss_rate,
                                        detector_seed=cfg.detector_seed)
 
-    _write_json(outputs["ablation"], result)
+    _write_json(run.ablation_file(axis), result)
     write_stage_manifest(run, f"ablate:{axis}", cfg, outputs)
     return result
 
@@ -734,6 +734,7 @@ def _coarse_counterparts(cfg: PipelineConfig, eval_store: WorldStore,
 
 def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,
                       registries: tuple[str, ...] = ("baseline", "distilled")) -> dict:
+    run.verified.clear()
     _, eval_store, store = load_world_stores(run, cfg)
     cases = []
     for scene_id in eval_store.ids():
@@ -747,7 +748,7 @@ def stage_ground_eval(run: RunPaths, cfg: PipelineConfig,
         result[name] = {"mean_iou": outcome["mean_iou"]}
     path = run.grounding_file()
     _write_json(path, result)
-    write_stage_manifest(run, "ground-eval", cfg, {"grounding": path})
+    write_stage_manifest(run, "ground-eval", cfg, [path])
     return result
 
 
@@ -759,18 +760,19 @@ def _fmt_pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
-def _stored_json(run: RunPaths, cfg: PipelineConfig, path: Path, stage: str,
-                 name: str):
-    """The JSON artifact `name` of `stage` after checking its checksum, or
-    None when the file is not there."""
-    if not path.exists():
+def _stored_json(run: RunPaths, cfg: PipelineConfig, stage: str, path: Path):
+    """The JSON artifact `path` of `stage` after checking its checksum, or
+    None when `stage` has not run: it left no manifest. A `path` there that
+    no manifest records is read, and refused (exit 3), not skipped."""
+    if not (run.manifest_file(stage).exists() or path.exists()):
         return None
-    require_artifacts(run, cfg, stage, [name])
+    require_artifacts(run, cfg, stage, [path])
     return json.loads(path.read_text(encoding="utf-8"))
 
 
 def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     """Render stored eval/ablation artifacts into one deterministic report."""
+    run.verified.clear()
     sections: list[str] = [
         "# Run report",
         "",
@@ -781,11 +783,10 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     csv_rows: list[list] = [["table", "row", "acc_all", "acc_no_nan"]]
 
     def ablation(axis: str):
-        return _stored_json(run, cfg, run.ablation_file(axis),
-                            f"ablate:{axis}", "ablation")
+        return _stored_json(run, cfg, f"ablate:{axis}", run.ablation_file(axis))
 
-    evals = {name: _stored_json(run, cfg, run.eval_file(name),
-                                f"evaluate:{name}", "eval_json")
+    evals = {name: _stored_json(run, cfg, f"evaluate:{name}",
+                                run.eval_file(name))
              for name in REGISTRY_NAMES}
     available = [name for name in REGISTRY_NAMES if evals[name] is not None]
     if not available:
@@ -841,8 +842,7 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
         csv_rows.append(["visual_pointer", "pointer_off",
                          f"{data['acc_plain_ambiguous']:.6f}", ""])
 
-    data = _stored_json(run, cfg, run.grounding_file(), "ground-eval",
-                        "grounding")
+    data = _stored_json(run, cfg, "ground-eval", run.grounding_file())
     if data is not None:
         sections.append("## Grounding (mean IoU)")
         sections.append("")
@@ -852,7 +852,8 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
                              f"{data[name]['mean_iou']:.6f}", ""])
         sections.append("")
 
-    case_docs = _example_case_reports(run, cfg)
+    case_docs = _example_case_reports(run, cfg) if all(
+        evals[name] is not None for name in ("baseline", "distilled")) else []
     if case_docs:
         sections.append("## Example trace diffs (baseline vs distilled)")
         sections.append("")
@@ -864,23 +865,17 @@ def stage_report(run: RunPaths, cfg: PipelineConfig) -> str:
     text = "\n".join(sections).rstrip() + "\n"
     run.report_md.write_text(text, encoding="utf-8")
     _write_csv(run.report_csv, csv_rows)
-    write_stage_manifest(run, "report", cfg,
-                         {"report_md": run.report_md,
-                          "report_csv": run.report_csv})
+    write_stage_manifest(run, "report", cfg, [run.report_md, run.report_csv])
     return text
 
 
 def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
                           limit: int = 2) -> list[str]:
-    """Render the stored baseline and distilled traces of the first
-    questions, in split order, that the baseline gets wrong and the
-    distilled framework gets right; empty when the needed artifacts are not
-    there yet. Traces are streamed; only the baseline's wrong ones and the
-    distilled framework's fixes of them are kept."""
-    needed = [run.traces_file("test", "baseline"),
-              run.traces_file("test", "distilled"), run.split_file("test")]
-    if not all(p.exists() for p in needed):
-        return []
+    """Render the stored baseline and distilled test traces, which both
+    `evaluate` runs scored, of the first questions, in split order, that the
+    baseline gets wrong and the distilled framework gets right. Traces are
+    streamed; only the baseline's wrong ones and the distilled framework's
+    fixes of them are kept."""
     baseline = read_traces(run, cfg, "test", "baseline")
     distilled = read_traces(run, cfg, "test", "distilled")
     qapairs = read_split(run, cfg, "test")

@@ -86,7 +86,7 @@ _PLURALS = {"man": "men", "woman": "women", "child": "children",
             "person": "people", "foot": "feet", "tooth": "teeth",
             "goose": "geese", "mouse": "mice", "leaf": "leaves",
             "knife": "knives", "sheep": "sheep", "scissors": "scissors",
-            "glasses": "glasses"}
+            "glasses": "glasses", "pants": "pants"}
 PLURAL_IRREGULAR = frozenset(_PLURALS.values())
 
 

@@ -101,7 +101,7 @@ class TestPluralityAndArticles:
     @pytest.mark.parametrize("center,adjectives,nouns", [
         ("glasses", "Are these glasses red or blue?", "Are these cup or glasses?"),
         ("bus", "Is this bus red or blue?", "Is this a bus or cup?"),
-        ("pants", "Is this pants red or blue?", "Is this a cup or pants?"),
+        ("pants", "Are these pants red or blue?", "Are these cup or pants?"),
         ("flower", "Is this flower red or blue?", "Is this a cup or flower?"),
     ], ids=["glasses", "bus", "pants", "flower"])
     def test_plural_center_is_a_noun_that_is_its_own_plural(

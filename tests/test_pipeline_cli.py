@@ -19,10 +19,13 @@ from progdistill.evaluation import score
 from progdistill.dsl import parse
 from progdistill.interpreter import execute, trace_to_record
 from progdistill.pipeline import (_READERS, ChecksumError, ConfigError,
-                                  PipelineConfig, RunPaths, load_config,
-                                  load_world_stores, read_split,
+                                  MissingArtifactError, PipelineConfig,
+                                  RunPaths, load_config, load_world_stores,
+                                  read_split, stage_ablate,
+                                  stage_build_dataset, stage_gen_qa,
                                   stage_gen_world, stage_ground_eval,
-                                  stage_report, write_stage_manifest)
+                                  stage_report, stage_run_programs,
+                                  write_stage_manifest)
 from progdistill.questions import QAPair, qa_to_record
 from progdistill.service import ENDPOINT_ENV_VAR
 from progdistill.util import read_jsonl, sha256_file, write_jsonl
@@ -98,6 +101,20 @@ def _copy_run(full_run: Path, tmp_path: Path) -> Path:
 
 def _append_newline(path: Path) -> None:
     path.write_text(path.read_text() + "\n")
+
+
+def _with_outputs(text: str, edit) -> str:
+    """The manifest `text` with its `outputs` replaced by `edit(outputs)`."""
+    manifest = json.loads(text)
+    return json.dumps({**manifest, "outputs": edit(manifest["outputs"])})
+
+
+def _key_based(outputs: dict) -> dict:
+    """`outputs` in the shape of run directories written before outputs
+    were keyed by path: an artifact name -> {path, sha256}."""
+    return {path.partition(".")[0].replace("/", "_"):
+            {"path": path, "sha256": digest}
+            for path, digest in outputs.items()}
 
 
 class _Answers:
@@ -359,12 +376,24 @@ class TestStageOrderingAndChecksums:
         assert "artifact missing on disk" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda text: json.dumps({**json.loads(text), "outputs": {}}),
-         "did not record artifact"),
+        (lambda text: _with_outputs(text, lambda outputs: {}),
+         "did not record artifact 'worlds_train.jsonl' in gen_world.json"),
+        (lambda text: _with_outputs(text, lambda outputs: {
+            path.partition(".")[0]: path for path in outputs}),
+         "did not record artifact 'worlds_train.jsonl' in gen_world.json"),
         (lambda text: text[:len(text) // 2],
          "unreadable manifest gen_world.json; run it again"),
         (lambda text: "[]", "unreadable manifest gen_world.json; run it again"),
-    ], ids=["output-not-recorded", "truncated", "not-an-object"])
+        (lambda text: _with_outputs(text, lambda outputs: []),
+         "unreadable manifest gen_world.json; run it again"),
+        (lambda text: _with_outputs(text, lambda outputs: {
+            path: None for path in outputs}),
+         "unreadable manifest gen_world.json; run it again"),
+        (lambda text: _with_outputs(text, _key_based),
+         "unreadable manifest gen_world.json; run it again"),
+    ], ids=["output-not-recorded", "keyed-by-name", "truncated",
+            "not-an-object", "outputs-a-list", "digest-not-a-string",
+            "key-based"])
     def test_bad_producer_manifest_is_missing_artifact(
             self, tmp_path, tiny_config_file, capsys, edit, message):
         out = tmp_path / "run"
@@ -480,6 +509,35 @@ class TestStageOrderingAndChecksums:
         _append_newline(out / "worlds_train.jsonl")
         assert _run(command + ["--config", tiny_config_file,
                                "--out-dir", str(out)]) == EXIT_CHECKSUM
+
+    @pytest.mark.parametrize("path, edit", [
+        ("eval_distilled.json", None),
+        ("grounding.json", None),
+        ("ablate_trainset_size.json", None),
+        ("traces_test_distilled.jsonl", None),
+        # the file is still there, but no manifest records it
+        ("manifests/evaluate_distilled.json", None),
+        ("manifests/ground_eval.json", None),
+        ("manifests/evaluate_baseline.json",
+         lambda text: _with_outputs(text, lambda outputs: [])),
+        ("manifests/ablate_distilled_count.json",
+         lambda text: _with_outputs(text, _key_based)),
+    ], ids=["eval-deleted", "grounding-deleted", "ablation-deleted",
+            "traces-deleted", "eval-unrecorded", "grounding-unrecorded",
+            "outputs-a-list", "key-based"])
+    def test_report_over_an_incomplete_run_is_missing_artifact(
+            self, full_run, tmp_path, tiny_config_file, path, edit):
+        # The manifests say which sections a report has; an artifact they
+        # record that is gone, or one they do not record, is an error.
+        out = _copy_run(full_run, tmp_path)
+        if edit is None:
+            (out / path).unlink()
+        else:
+            (out / path).write_text(edit((out / path).read_text()))
+        before = (out / "report.md").read_bytes()
+        assert _run(["report", "--config", tiny_config_file,
+                     "--out-dir", str(out)]) == EXIT_MISSING_ARTIFACT
+        assert (out / "report.md").read_bytes() == before
 
     @pytest.mark.parametrize("changed, command", [
         ("split_test.jsonl", ["evaluate"]),
@@ -604,7 +662,35 @@ class TestManifests:
     def test_outputs_are_every_written_file(self, full_run, stage, expected):
         run = RunPaths(full_run)
         outputs = json.loads(run.manifest_file(stage).read_text())["outputs"]
-        assert {entry["path"] for entry in outputs.values()} == expected
+        assert set(outputs) == expected
+        for path, digest in outputs.items():
+            assert digest == sha256_file(full_run / path), path
+
+    def test_every_file_is_the_output_of_one_manifest(self, full_run):
+        manifests = [json.loads(path.read_text()) for path in
+                     sorted((full_run / "manifests").iterdir())]
+        outputs = sorted(path for m in manifests for path in m["outputs"])
+        files = sorted(str(path.relative_to(full_run))
+                       for path in full_run.rglob("*") if path.is_file()
+                       and path.relative_to(full_run).parts[0] != "manifests")
+        assert outputs == files
+        assert {path for m in manifests for path in m["inputs"]} <= set(files)
+
+    def test_a_failed_stage_leaves_no_inputs_behind(self, tmp_path,
+                                                    tiny_config_file):
+        # The trainset-size ablation verifies the worlds and the test split
+        # before it finds no harvest; run-programs then reads neither the
+        # test split nor anything else the failed stage verified.
+        run, cfg = RunPaths(tmp_path / "run"), load_config(tiny_config_file)
+        stage_gen_world(run, cfg)
+        stage_gen_qa(run, cfg)
+        stage_build_dataset(run, cfg)
+        with pytest.raises(MissingArtifactError):
+            stage_ablate(run, cfg, "trainset-size")
+        stage_run_programs(run, cfg, "train", "baseline")
+        manifest = run.manifest_file("run-programs:train:baseline")
+        assert set(json.loads(manifest.read_text())["inputs"]) == \
+            self.WORLDS | {"split_train.jsonl"}
 
 
 class TestEndToEnd:
@@ -724,7 +810,7 @@ class TestEndToEnd:
                     question_type="attr_query", scene_id="s0")
         write_jsonl(run.split_file("test"), [qa_to_record(qa)])
         write_stage_manifest(run, "build-dataset", cfg,
-                             {"split_test": run.split_file("test")})
+                             [run.split_file("test")])
         scene = SceneGraph("s0", (100, 100), (SceneObject(
             "o00", "flower", frozenset({"red"}), (5, 5, 14, 14)),), seed=-1)
         program = parse('return image.simple_query("What color is the flower?")\n')
@@ -732,11 +818,11 @@ class TestEndToEnd:
             trace = execute(program, scene, _Answers(answer), qa.question_id)
             write_jsonl(run.traces_file("test", name), [trace_to_record(trace)])
             write_stage_manifest(run, f"run-programs:test:{name}", cfg,
-                                 {"traces": run.traces_file("test", name)})
+                                 [run.traces_file("test", name)])
             run.eval_file(name).write_text(
                 json.dumps(score([qa], [trace]).to_dict()))
             write_stage_manifest(run, f"evaluate:{name}", cfg,
-                                 {"eval_json": run.eval_file(name)})
+                                 [run.eval_file(name)])
         text = stage_report(run, cfg)
         assert text.split("```\n")[1] == (
             "question s0:q000 [attr_query]\n"

@@ -283,7 +283,7 @@ class TestQuestionParser:
         ("dog", "dogs"), ("bus", "buses"), ("box", "boxes"), ("bench", "benches"),
         ("dish", "dishes"), ("city", "cities"), ("toy", "toys"),
         ("leaf", "leaves"), ("mouse", "mice"), ("glasses", "glasses"),
-        ("sheep", "sheep"), ("men", "men"),
+        ("sheep", "sheep"), ("men", "men"), ("pants", "pants"),
     ])
     def test_pluralize(self, word, plural):
         assert pluralize(word) == plural
@@ -294,10 +294,12 @@ class TestQuestionParser:
         ("What color is this glasses?", AskAttributeFamily("color", "glasses")),
         ("How many glasses are there?",
          TemplateQuery("count", (("name", "glasses"),))),
+        ("How many pants are there?",
+         TemplateQuery("count", (("name", "pants"),))),
     ])
     def test_plurale_tantum_noun_keeps_its_s(self, world, text, expected):
-        glasses_world = replace(world, nouns=world.nouns + ("glasses",))
-        assert QuestionParser(glasses_world).parse(text) == expected
+        plural_world = replace(world, nouns=world.nouns + ("glasses", "pants"))
+        assert QuestionParser(plural_world).parse(text) == expected
 
 
 # Nouns whose plural is not the singular plus "s", or whose singular ends in
