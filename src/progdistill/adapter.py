@@ -1,27 +1,28 @@
-"""Teacher input adapter: turns an intermediate module call into the
-(sub-question, sub-image) pair the teacher answers.
+"""Teacher input adapter: turns a distillable module call into the
+sub-question the teacher answers, on the call's receiver patch unchanged.
 
 The three templating rules are pinned byte-for-byte by tests:
 
-    verify_property(object_name, attribute)  ->  "Is this {object_name} {attribute}?"
+    verify_property(name, attribute)          ->  "Is this {name} {attribute}?"
     best_text_match(options) on a noun list  ->  "Is this a/an {opt0} or {opt1}?"
                               plural center  ->  "Are these {opt0} or {opt1}?"
                          on adjective list   ->  "Is this {center} {opt0} or {opt1}?"
     simple_query(question)                    ->  question, ending in exactly one "?"
 
-A center word is the world noun a find() matched; it is a plural center only
-if the noun is its own plural (in `PLURAL_IRREGULAR`, e.g. "glasses").
+A center word is the world noun a find() matched (the receiver's
+origin_label); it is a plural center only if the noun is its own plural (in
+`PLURAL_IRREGULAR`, e.g. "glasses").
 
-The sub-image is always the receiver patch of the step, unchanged.
+Harvest labels this text, and dispatch keys a call by it
+(`backends.resolve_query`), so a call the adapter rejects has no answer.
 All functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .interpreter import StepRecord
+from .dsl import MODULE_ARITY
 from .questions import DISTILLABLE_KINDS, PLURAL_IRREGULAR, article
 from .worlds import ScenePatch
 
@@ -30,20 +31,13 @@ class AdapterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TeacherInput:
-    sub_question: str
-    sub_image: ScenePatch
-    source: tuple[str, int, str]  # (question_id, step_index, module_kind)
-
-
-def adapt_verify_property(object_name: str, attribute: str) -> str:
-    if not object_name or not attribute:
+def adapt_verify_property(name: str, attribute: str) -> str:
+    if not name or not attribute:
         raise AdapterError("verify_property needs a non-empty name and attribute")
-    return f"Is this {object_name} {attribute}?"
+    return f"Is this {name} {attribute}?"
 
 
-def adapt_best_text_match(options: Sequence[str], center_word: str | None = None,
+def adapt_best_text_match(options: Sequence[str], center: str | None = None,
                           plural: bool = False, *,
                           attribute_vocab: Collection[str] = ()) -> str:
     """Option-list sub-question.
@@ -57,18 +51,16 @@ def adapt_best_text_match(options: Sequence[str], center_word: str | None = None
         raise AdapterError("best_text_match needs at least two options")
     if any(not o for o in options):
         raise AdapterError("empty option")
-    vocab = set(attribute_vocab)
-    adjective_flags = [o in vocab for o in options]
+    adjective_flags = [o in attribute_vocab for o in options]
+    joined = " or ".join(options)
     if all(adjective_flags):
-        if not center_word:
+        if not center:
             raise AdapterError("adjective options need a center word")
-        joined = " or ".join(options)
         if plural:
-            return f"Are these {center_word} {joined}?"
-        return f"Is this {center_word} {joined}?"
+            return f"Are these {center} {joined}?"
+        return f"Is this {center} {joined}?"
     if any(adjective_flags):
         raise AdapterError(f"options mix nouns and adjectives: {options}")
-    joined = " or ".join(options)
     if plural:
         return f"Are these {joined}?"
     return f"Is this {article(options[0])} {joined}?"
@@ -78,7 +70,7 @@ def adapt_simple_query(question: str) -> str:
     """Pass the question through, normalized to end with exactly one "?".
 
     An empty question is returned as-is with a warning record; adapt_step
-    treats it as a rejection so TeacherInput stays non-empty.
+    treats it as a rejection, so a sub-question is never empty.
     """
     if not question.strip():
         # Imported on the warning path only: a CLI process never loads
@@ -89,32 +81,25 @@ def adapt_simple_query(question: str) -> str:
     return question.rstrip().rstrip("?").rstrip() + "?"
 
 
-def adapt_step(step: StepRecord, *, attribute_vocab: Collection[str],
-               question_id: str = "") -> TeacherInput:
-    """Dispatch a distillable step through the templating rules.
-
-    The center word comes from the receiver's find() provenance; the
-    sub-image is the receiver patch itself.
-    """
-    if step.module_kind not in DISTILLABLE_KINDS:
-        raise AdapterError(f"step kind {step.module_kind!r} is not adaptable")
-    if not isinstance(step.receiver, ScenePatch):
+def adapt_step(module_kind: str, receiver, args: tuple, *,
+               attribute_vocab: Collection[str]) -> str:
+    """The sub-question of a distillable call on a single patch `receiver`;
+    the center word is the receiver's find() provenance."""
+    if module_kind not in DISTILLABLE_KINDS:
+        raise AdapterError(f"step kind {module_kind!r} is not adaptable")
+    if not isinstance(receiver, ScenePatch):
         raise AdapterError("adaptable steps take a single patch receiver")
-    if step.module_kind == "verify_property":
-        name, attribute = step.args
-        sub_question = adapt_verify_property(str(name), str(attribute))
-    elif step.module_kind == "best_text_match":
-        options = [str(o) for o in step.args[0]]
-        sub_question = adapt_best_text_match(
-            options, center_word=step.center_word,
-            plural=step.center_word in PLURAL_IRREGULAR,
-            attribute_vocab=attribute_vocab)
-    else:
-        sub_question = adapt_simple_query(str(step.args[0]))
-        if not sub_question:
-            raise AdapterError("empty simple_query question")
-    return TeacherInput(
-        sub_question=sub_question,
-        sub_image=step.receiver,
-        source=(question_id, step.step_index, step.module_kind),
-    )
+    if len(args) != MODULE_ARITY[module_kind]:
+        raise AdapterError(f"wrong argument count for {module_kind}")
+    if module_kind == "verify_property":
+        name, attribute = args
+        return adapt_verify_property(str(name), str(attribute))
+    if module_kind == "best_text_match":
+        center = receiver.origin_label
+        return adapt_best_text_match(
+            [str(o) for o in args[0]], center=center,
+            plural=center in PLURAL_IRREGULAR, attribute_vocab=attribute_vocab)
+    sub_question = adapt_simple_query(str(args[0]))
+    if not sub_question:
+        raise AdapterError("empty simple_query question")
+    return sub_question

@@ -6,10 +6,13 @@ are served by a ground-truth oracle (the teacher), by systematically corrupted
 students, or by count-table students trained on pseudo-labels.
 
 Every backend's predict() returns the answer itself: a PatchList (find), a
-bool (exists) or the answer text. Table students are single-writer during
-training; freezing a student (done when a registry is assembled for
-evaluation) makes further update() calls raise, which is how the pipeline
-enforces the train/evaluate phase separation.
+bool (exists) or the answer text. A distillable backend reads a call as the
+adapter's sub-question, the text harvest has the teacher label, so a student
+is keyed at evaluation on the sub-task it was trained on (`resolve_query`).
+Table students are single-writer during training; freezing a student (done
+when a registry is assembled for evaluation) makes further update() calls
+raise, which is how the pipeline enforces the train/evaluate phase
+separation.
 
 Every sub-module call is a pure function of its backend and inputs, so
 ModuleRegistry.dispatch memoizes its coerced output per (backend, kind,
@@ -26,13 +29,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .adapter import AdapterError, adapt_step
 from .interpreter import answer_to_text, execute
 from .dsl import MODULE_ARITY, MODULE_KINDS, ParseError, parse
 from .questions import (DISTILLABLE_KINDS, ParsedQuery, QAPair,
                         QuestionParser, RawText)
 from .util import stable_hash, stable_unit
-from .worlds import (ChooseOption, PatchList, ScenePatch, VerifyAttribute,
-                     WorldConfig, WorldStore, crop)
+from .worlds import PatchList, ScenePatch, WorldConfig, WorldStore, crop
 
 
 class BackendError(RuntimeError):
@@ -52,9 +55,7 @@ class SubTaskInput:
     module_kind: str
     patch: ScenePatch | PatchList
     question: str | None = None
-    object_name: str | None = None
-    attribute: str | None = None
-    options: tuple[str, ...] | None = None
+    args: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +64,17 @@ class SubTaskInput:
 
 def resolve_query(inp: SubTaskInput,
                   parser: QuestionParser) -> ParsedQuery | RawText:
-    """Normal form of a sub-task input; text the parser cannot read is RawText.
-
-    Structured inputs are canonicalized exactly the way the adapter + question
-    parser round trip would render them (in particular: best_text_match keeps
-    its center word iff the options are attribute tokens), so training-time
-    keys from sub-question text coincide with evaluation-time keys from
-    structured arguments.
-    """
-    if inp.module_kind == "verify_property" and inp.object_name is not None:
-        return VerifyAttribute(inp.object_name, inp.attribute or "")
-    if inp.module_kind == "best_text_match" and inp.options is not None:
-        adjective = all(o in parser.attributes for o in inp.options)
-        center = inp.patch.origin_label if adjective else None
-        return ChooseOption(tuple(inp.options), center)
-    query = parser.parse(inp.question) if inp.question is not None else None
-    return query or RawText(inp.question or "")
+    """The form of an input's question, or else of the adapter's
+    sub-question for its call (BackendError if it has none); text the parser
+    cannot read is RawText."""
+    text = inp.question
+    if text is None:
+        try:
+            text = adapt_step(inp.module_kind, inp.patch, inp.args,
+                              attribute_vocab=parser.attributes)
+        except AdapterError as exc:
+            raise BackendError(f"no sub-question: {exc}") from exc
+    return parser.parse(text) or RawText(text)
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +100,10 @@ class DetectorBackend:
         return stable_unit("miss", self.seed, scene_id, object_id) < self.miss_rate
 
     def predict(self, inp: SubTaskInput) -> PatchList | bool:
+        receiver = inp.patch
         if inp.module_kind == "find":
-            receiver = inp.patch
-            if not isinstance(receiver, ScenePatch):
-                raise BackendError("find expects a patch receiver")
             scene = self.store.get(receiver.scene_id)
-            name = inp.object_name or ""
+            name = inp.args[0]
             patches = []
             for oid in sorted(receiver.visible_objects):
                 obj = scene.object_by_id(oid)
@@ -118,12 +112,7 @@ class DetectorBackend:
                 patches.append(crop(scene, obj.bbox, origin_label=name))
             return PatchList(tuple(patches), origin_label=name)
         if inp.module_kind == "exists":
-            receiver = inp.patch
-            if isinstance(receiver, PatchList):
-                return len(receiver) > 0
-            if isinstance(receiver, ScenePatch):
-                return True
-            raise BackendError("exists expects a patch or patch list")
+            return not isinstance(receiver, PatchList) or len(receiver) > 0
         raise BackendError(f"detector cannot serve {inp.module_kind}")
 
 
@@ -133,8 +122,7 @@ class DetectorBackend:
 
 class OracleBackend:
     """Answers exactly from the ground-truth scene graph; the desk-scale
-    teacher. Accepts structured arguments (registry dispatch) or bare
-    sub-question text (teacher queries during harvesting)."""
+    teacher. Reads a call's sub-question (see `resolve_query`)."""
 
     def __init__(self, store: WorldStore, world: WorldConfig,
                  parser: QuestionParser | None = None):
@@ -144,11 +132,9 @@ class OracleBackend:
         self.name = "oracle"
 
     def predict(self, inp: SubTaskInput) -> str:
-        patch = inp.patch
-        if not isinstance(patch, ScenePatch):
-            raise BackendError(f"{inp.module_kind} expects a single patch")
-        scene = self.store.get(patch.scene_id)
-        return resolve_query(inp, self.parser).answer(scene, patch, self.world)
+        scene = self.store.get(inp.patch.scene_id)
+        return resolve_query(inp, self.parser).answer(scene, inp.patch,
+                                                      self.world)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +195,9 @@ class CorruptedBackend:
     def perceived_signature(self, inp: SubTaskInput, corrupted: bool) -> str:
         """Sorted multiset of (name, attribute set) visible in the patch, seen
         through the label permutations when the question key is `corrupted`."""
-        patch = inp.patch
-        if not isinstance(patch, ScenePatch):
-            raise BackendError(f"{inp.module_kind} expects a single patch")
-        scene = self.store.get(patch.scene_id)
+        scene = self.store.get(inp.patch.scene_id)
         entries = []
-        for oid in patch.visible_objects:
+        for oid in inp.patch.visible_objects:
             obj = scene.object_by_id(oid)
             name = obj.name
             attrs = sorted(obj.attributes)
@@ -233,12 +216,9 @@ class CorruptedBackend:
         return f"{inp.module_kind}|{key}|{signature}"
 
     def predict(self, inp: SubTaskInput) -> str:
-        patch = inp.patch
-        if not isinstance(patch, ScenePatch):
-            raise BackendError(f"{inp.module_kind} expects a single patch")
-        scene = self.store.get(patch.scene_id)
+        scene = self.store.get(inp.patch.scene_id)
         query = resolve_query(inp, self.parser)
-        answer = query.answer(scene, patch, self.world)
+        answer = query.answer(scene, inp.patch, self.world)
         if self.profile.corrupts(query.key()):
             answer = self.profile.permute(answer, query.support(self.world))
         return answer
@@ -413,26 +393,18 @@ class ModuleRegistry:
             raise BackendError(f"{kind} expects a patch receiver")
         if len(args) != MODULE_ARITY[kind]:
             raise BackendError(f"{kind} takes {MODULE_ARITY[kind]} argument(s)")
-        if kind == "best_text_match":
-            # Its one argument is a non-empty list of option strings.
-            args = args[0] if isinstance(args[0], tuple) and args[0] else (None,)
-        if not all(isinstance(a, str) for a in args):
+        # best_text_match's one argument is a non-empty list of option strings.
+        strings = args if kind != "best_text_match" else (
+            args[0] if isinstance(args[0], tuple) and args[0] else (None,))
+        if not all(isinstance(a, str) for a in strings):
             raise BackendError(f"{kind} expects string arguments")
-        backend = self._bindings[kind]
-        if kind == "find":
-            answer = backend.predict(SubTaskInput(kind, receiver,
-                                                  object_name=args[0]))
-            if not isinstance(answer, PatchList):
-                raise BackendError("find backend returned a non patch list")
-            return answer
+        answer = self._bindings[kind].predict(SubTaskInput(kind, receiver,
+                                                           args=args))
+        if kind == "find" and not isinstance(answer, PatchList):
+            raise BackendError("find backend returned a non patch list")
         if kind == "exists":
-            return bool(backend.predict(SubTaskInput(kind, receiver)))
-        if kind == "verify_property":
-            return backend.predict(SubTaskInput(
-                kind, receiver, object_name=args[0], attribute=args[1])) == "yes"
-        if kind == "best_text_match":
-            return backend.predict(SubTaskInput(kind, receiver, options=args))
-        return backend.predict(SubTaskInput(kind, receiver, question=args[0]))
+            return bool(answer)
+        return answer == "yes" if kind == "verify_property" else answer
 
 
 # ---------------------------------------------------------------------------

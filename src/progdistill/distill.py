@@ -78,30 +78,29 @@ def harvest(traces: Iterable[ExecutionTrace], teacher, world: WorldConfig,
             if step.module_kind not in DISTILLABLE_KINDS:
                 continue
             try:
-                teacher_input = adapt_step(step, attribute_vocab=attribute_vocab,
-                                           question_id=trace.question_id)
+                sub_question = adapt_step(step.module_kind, step.receiver,
+                                          step.args,
+                                          attribute_vocab=attribute_vocab)
             except AdapterError as exc:
                 skipped += 1
                 _warn("harvest: skipped step %s/%d: %s",
                       trace.question_id, step.step_index, exc)
                 continue
             label = teacher.predict(SubTaskInput(
-                module_kind=step.module_kind,
-                patch=teacher_input.sub_image,
-                question=teacher_input.sub_question,
-            ))
+                step.module_kind, step.receiver, question=sub_question))
             triples.append(Triple(
-                scene_id=teacher_input.sub_image.scene_id,
-                region=teacher_input.sub_image.region,
-                sub_question=teacher_input.sub_question,
+                scene_id=step.receiver.scene_id,
+                region=step.receiver.region,
+                sub_question=sub_question,
                 pseudo_label=label,
                 module_kind=step.module_kind,
                 source_qid=trace.question_id,
                 question_type=(question_types or {}).get(trace.question_id, ""),
             ))
             if audit is not None:
-                records.append({"source": list(teacher_input.source),
-                                "sub_question": teacher_input.sub_question})
+                records.append({"source": [trace.question_id, step.step_index,
+                                           step.module_kind],
+                                "sub_question": sub_question})
     if skipped:
         _warn("harvest: %d step(s) skipped by the adapter", skipped)
     # A stable sort keeps each trace's steps in step order.

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .backends import (CorruptionProfile, ModuleRegistry, TableStudent,
-                       baseline_registry, consistency_verifier,
+from .backends import (BackendError, CorruptionProfile, ModuleRegistry,
+                       TableStudent, baseline_registry, consistency_verifier,
                        distilled_registry, fresh_students, perfect_registry)
 from .dsl import ParseError, parse
 from .distill import Triple, train
@@ -183,8 +183,8 @@ def evaluate(registry: ModuleRegistry, eval_set: Sequence[QAPair],
 def error_taxonomy(failures: Sequence[tuple[QAPair, ExecutionTrace]],
                    store: WorldStore, world: WorldConfig) -> dict[str, int]:
     """Attribute each failed question to its first step that diverges from the
-    oracle on the same (patch, structured query); fallback runs count as
-    parse_fallback, and failures with no divergence as program logic errors.
+    oracle on the same call; fallback runs count as parse_fallback, and
+    failures with no divergence as program logic errors.
 
     Each step is replayed through the all-oracle registry; find outputs are
     compared by their sorted patch regions. Replay is deterministic given the
@@ -198,9 +198,15 @@ def error_taxonomy(failures: Sequence[tuple[QAPair, ExecutionTrace]],
             continue
         attributed = None
         for step in trace.steps:
-            expected = oracle.dispatch(step.module_kind, step.receiver, step.args)
+            try:
+                expected = oracle.dispatch(step.module_kind, step.receiver,
+                                           step.args)
+            except BackendError:
+                # A stored trace may hold a call that an earlier version
+                # answered and dispatch now refuses: it diverges.
+                expected = None
             actual = step.output
-            if step.module_kind == "find":
+            if step.module_kind == "find" and expected is not None:
                 expected = sorted(p.region for p in expected)
                 actual = sorted(p.region for p in actual)
             if expected != actual:

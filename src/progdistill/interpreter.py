@@ -49,11 +49,6 @@ class StepRecord:
     args: tuple
     output: object
 
-    @property
-    def center_word(self) -> str | None:
-        """The word the receiver was found by (None for the full image)."""
-        return self.receiver.origin_label
-
 
 @dataclass(frozen=True, slots=True)
 class ExecutionTrace:

@@ -73,6 +73,12 @@ _POSITIVE = (lambda v: v > 0.0, "> 0")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 
 
+def _count_to(n: int) -> tuple:
+    # Scene seeds are pool offset + index (`_scene_seed`, the probe's in
+    # `stage_ablate`), so a pool larger than its seed range runs into the next.
+    return (lambda v: 1 <= v <= n, f">= 1 and <= {n:,}")
+
+
 def _key(key: str, default, check: tuple[Callable, str] | None = None):
     """A field read from the config file at the dotted `key` and, with a
     `check` (test, what the value must be), range-checked. A callable
@@ -85,8 +91,8 @@ def _key(key: str, default, check: tuple[Callable, str] | None = None):
 class PipelineConfig:
     seed: int = _key("seed", 0)
     world: WorldConfig = _key("world", default_world_config)
-    train_scenes: int = _key("scenes.train", 700, _AT_LEAST_1)
-    eval_scenes: int = _key("scenes.eval", 300, _AT_LEAST_1)
+    train_scenes: int = _key("scenes.train", 700, _count_to(500_000))
+    eval_scenes: int = _key("scenes.eval", 300, _count_to(400_000))
     questions_per_scene: tuple[int, int] = _key(
         "questions.per_scene", (12, 16), _span_from(1))
     fault_rate: float = _key("questions.fault_rate", 0.0, _UNIT)
@@ -106,7 +112,7 @@ class PipelineConfig:
     val_scene_share: float = _key("dataset.val_scene_share", 0.65, _UNIT)
     grounding_per_scene: tuple[int, int] = _key(
         "grounding.per_scene", (1, 2), _span_from(0))
-    vp_probe_scenes: int = _key("vp_probe.scenes", 200, _AT_LEAST_1)
+    vp_probe_scenes: int = _key("vp_probe.scenes", 200, _count_to(100_000))
     vp_probe_ambiguity: float = _key("vp_probe.ambiguity_rate", 0.4, _UNIT)
     trainset_ratios: tuple[int, ...] = _key(
         "ablation.trainset_ratios", (1, 4, 6),
@@ -876,8 +882,17 @@ def _example_case_reports(run: RunPaths, cfg: PipelineConfig,
     baseline gets wrong and the distilled framework gets right. Traces are
     streamed; only the baseline's wrong ones and the distilled framework's
     fixes of them are kept."""
-    baseline = read_traces(run, cfg, "test", "baseline")
-    distilled = read_traces(run, cfg, "test", "distilled")
+    names = ("baseline", "distilled")
+    baseline, distilled = [read_traces(run, cfg, "test", name) for name in names]
+    for name in names:
+        # Only the file that `evaluate` scored; one rewritten since exits 4.
+        path = str(run.traces_file("test", name).relative_to(run.base))
+        scored = json.loads(run.manifest_file(f"evaluate:{name}").read_text(
+            encoding="utf-8")).get("inputs")
+        if (not isinstance(scored, dict)
+                or scored.get(path) != run.verified[path]):
+            raise ChecksumError(f"artifact {path!r} is not the file that "
+                                f"'evaluate:{name}' scored; run it again")
     qapairs = read_split(run, cfg, "test")
     by_id = {qa.question_id: qa for qa in qapairs}
     base_wrong = {t.question_id: t for t in baseline if t.question_id in by_id

@@ -330,9 +330,11 @@ class ChooseOption:
                world: WorldConfig) -> str:
         """The first option naming the target or one of its attributes, else
         the first naming any visible object or attribute, else the first."""
-        visible = _visible(scene, patch)
+        # The patch's objects are listed only if the target does not decide.
         target = resolve_target(scene, patch, self.center)
-        for pool in ([target] if target is not None else [], visible):
+        for listed in (False, True):
+            pool = (_visible(scene, patch) if listed
+                    else [target] if target is not None else [])
             for option in self.options:
                 if any(option == o.name or option in o.attributes for o in pool):
                     return option

@@ -50,7 +50,7 @@ def _eval_report(run, name: str) -> EvalReport:
 def test_c01_adapter_golden_strings():
     attrs = {"red", "blue", "green", "small", "large"}
     assert adapt_verify_property("flower", "red") == "Is this flower red?"
-    assert adapt_best_text_match(["bread", "sandwich"], center_word="food",
+    assert adapt_best_text_match(["bread", "sandwich"], center="food",
                                  plural=False, attribute_vocab=attrs) == \
         "Is this a bread or sandwich?"
     assert adapt_simple_query("What color is this table") == \

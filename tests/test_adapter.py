@@ -2,12 +2,13 @@ import logging
 
 import pytest
 
-from progdistill.adapter import (AdapterError, TeacherInput,
-                                 adapt_best_text_match, adapt_simple_query,
-                                 adapt_step, adapt_verify_property)
-from progdistill.backends import perfect_registry
+from progdistill.adapter import (AdapterError, adapt_best_text_match,
+                                 adapt_simple_query, adapt_step,
+                                 adapt_verify_property)
+from progdistill.backends import OracleBackend, perfect_registry
+from progdistill.distill import harvest
 from progdistill.dsl import parse
-from progdistill.interpreter import StepRecord, execute
+from progdistill.interpreter import execute
 from progdistill.questions import article, generate_qa
 from progdistill.worlds import ScenePatch, crop
 
@@ -35,33 +36,33 @@ class TestVerifyPropertyTemplate:
 
 class TestBestTextMatchTemplate:
     def test_golden_noun_singular(self):
-        out = adapt_best_text_match(["bread", "sandwich"], center_word="food",
+        out = adapt_best_text_match(["bread", "sandwich"], center="food",
                                     plural=False, attribute_vocab=ATTRS)
         assert out == "Is this a bread or sandwich?"
 
     def test_adjective_singular_uses_center_word(self):
-        out = adapt_best_text_match(["red", "blue"], center_word="flower",
+        out = adapt_best_text_match(["red", "blue"], center="flower",
                                     plural=False, attribute_vocab=ATTRS)
         assert out == "Is this flower red or blue?"
 
     def test_noun_plural_drops_article(self):
-        out = adapt_best_text_match(["apple", "orange"], center_word="fruits",
+        out = adapt_best_text_match(["apple", "orange"], center="fruits",
                                     plural=True, attribute_vocab=ATTRS)
         assert out == "Are these apple or orange?"
 
     def test_adjective_plural(self):
-        out = adapt_best_text_match(["red", "blue"], center_word="flowers",
+        out = adapt_best_text_match(["red", "blue"], center="flowers",
                                     plural=True, attribute_vocab=ATTRS)
         assert out == "Are these flowers red or blue?"
 
     def test_article_an_for_vowel_first_option(self):
-        out = adapt_best_text_match(["apple", "pear"], center_word="fruit",
+        out = adapt_best_text_match(["apple", "pear"], center="fruit",
                                     plural=False, attribute_vocab=ATTRS)
         assert out == "Is this an apple or pear?"
 
     def test_three_options_join_with_or(self):
         out = adapt_best_text_match(["bread", "sandwich", "cake"],
-                                    center_word="food", plural=False,
+                                    center="food", plural=False,
                                     attribute_vocab=ATTRS)
         assert out == "Is this a bread or sandwich or cake?"
 
@@ -69,10 +70,10 @@ class TestBestTextMatchTemplate:
         with pytest.raises(AdapterError):
             adapt_best_text_match(["bread"], attribute_vocab=ATTRS)
         with pytest.raises(AdapterError):
-            adapt_best_text_match(["bread", "red"], center_word="x",
+            adapt_best_text_match(["bread", "red"], center="x",
                                   attribute_vocab=ATTRS)
         with pytest.raises(AdapterError):
-            adapt_best_text_match(["red", "blue"], center_word=None,
+            adapt_best_text_match(["red", "blue"], center=None,
                                   attribute_vocab=ATTRS)
         with pytest.raises(AdapterError):
             adapt_best_text_match(["bread", ""], attribute_vocab=ATTRS)
@@ -110,8 +111,8 @@ class TestPluralityAndArticles:
                            visible_objects=("o00",))
         for options, text in ((("red", "blue"), adjectives),
                               (tuple(sorted(("cup", center))), nouns)):
-            step = StepRecord(0, "best_text_match", patch, (options,), options[0])
-            assert adapt_step(step, attribute_vocab=ATTRS).sub_question == text
+            assert adapt_step("best_text_match", patch, (options,),
+                              attribute_vocab=ATTRS) == text
 
     def test_article(self):
         assert article("apple") == "an"
@@ -124,44 +125,37 @@ class TestAdaptStep:
                           visible_objects=("o00",))
 
     def test_verify_step(self):
-        step = StepRecord(2, "verify_property", self._patch(),
-                          ("flower", "red"), True)
-        out = adapt_step(step, attribute_vocab=ATTRS, question_id="q7")
-        assert isinstance(out, TeacherInput)
-        assert out.sub_question == "Is this flower red?"
-        assert out.sub_image is step.receiver
-        assert out.source == ("q7", 2, "verify_property")
+        out = adapt_step("verify_property", self._patch(), ("flower", "red"),
+                         attribute_vocab=ATTRS)
+        assert out == "Is this flower red?"
 
     def test_btm_step_center_and_plural_from_receiver(self):
-        step = StepRecord(0, "best_text_match", self._patch(),
-                          (("red", "blue"),), "red")
-        out = adapt_step(step, attribute_vocab=ATTRS)
-        assert out.sub_question == "Is this flower red or blue?"
+        out = adapt_step("best_text_match", self._patch(), (("red", "blue"),),
+                         attribute_vocab=ATTRS)
+        assert out == "Is this flower red or blue?"
 
     def test_simple_query_step(self):
-        step = StepRecord(1, "simple_query", self._patch(),
-                          ("What color is this flower",), "red")
-        out = adapt_step(step, attribute_vocab=ATTRS)
-        assert out.sub_question == "What color is this flower?"
+        out = adapt_step("simple_query", self._patch(),
+                         ("What color is this flower",), attribute_vocab=ATTRS)
+        assert out == "What color is this flower?"
 
     def test_sub_image_region_identity(self, flower_scene, world):
-        registry = perfect_registry(store_for(flower_scene), world)
+        # The sub-image of a harvested step is its receiver patch.
+        store = store_for(flower_scene)
         source = ('ps = image.find("flower")\n'
                   'return ps[0].verify_property("flower", "red")\n')
-        trace = execute(parse(source), flower_scene, registry, "q")
-        step = trace.steps[1]
-        out = adapt_step(step, attribute_vocab=world.all_attributes())
-        assert out.sub_image.region == step.receiver.region
+        trace = execute(parse(source), flower_scene,
+                        perfect_registry(store, world), "q")
+        triple, = harvest([trace], OracleBackend(store, world), world)
+        assert triple.region == trace.steps[1].receiver.region
 
     def test_non_distillable_kind_rejected(self):
-        step = StepRecord(0, "find", self._patch(), ("flower",), None)
         with pytest.raises(AdapterError):
-            adapt_step(step, attribute_vocab=ATTRS)
+            adapt_step("find", self._patch(), ("flower",), attribute_vocab=ATTRS)
 
     def test_empty_question_step_rejected(self):
-        step = StepRecord(0, "simple_query", self._patch(), ("",), "x")
         with pytest.raises(AdapterError):
-            adapt_step(step, attribute_vocab=ATTRS)
+            adapt_step("simple_query", self._patch(), ("",), attribute_vocab=ATTRS)
 
     def test_totality_over_generated_traces(self, world, small_store):
         """Every distillable step from generated programs adapts cleanly."""
@@ -176,9 +170,7 @@ class TestAdaptStep:
                 for step in trace.steps:
                     if step.module_kind in ("verify_property",
                                             "best_text_match", "simple_query"):
-                        out = adapt_step(step, attribute_vocab=vocab,
-                                         question_id=qa.question_id)
-                        assert out.sub_question
-                        assert out.sub_image.region == step.receiver.region
+                        assert adapt_step(step.module_kind, step.receiver,
+                                          step.args, attribute_vocab=vocab)
                         adapted += 1
         assert adapted > 150

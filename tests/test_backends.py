@@ -15,7 +15,9 @@ from progdistill.backends import (BackendError, CorruptedBackend,
                                   fresh_students, oracle_registry,
                                   perfect_registry, resolve_query)
 from progdistill.distill import harvest, train
-from progdistill.interpreter import ExecutionTrace, StepRecord
+from progdistill.dsl import parse
+from progdistill.interpreter import (STATUS_NAN, ExecutionTrace, StepRecord,
+                                      execute)
 from progdistill.questions import QuestionParser, RawText, generate_qa
 from progdistill.worlds import (ChooseOption, PatchList, SceneGraph,
                                 SceneObject, ScenePatch, VerifyAttribute,
@@ -38,7 +40,7 @@ class TestDetector:
     def test_find_two_flowers(self, two_flower_scene):
         detector = DetectorBackend(store_for(two_flower_scene), miss_rate=0.0)
         out = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                            object_name="flower"))
+                                            args=("flower",)))
         assert isinstance(out, PatchList)
         assert len(out) == 2
         assert out.origin_label == "flower"
@@ -49,14 +51,14 @@ class TestDetector:
     def test_find_unknown_name_is_empty(self, two_flower_scene):
         detector = DetectorBackend(store_for(two_flower_scene), miss_rate=0.0)
         out = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                            object_name="unicorn"))
+                                            args=("unicorn",)))
         assert len(out) == 0
         assert out.origin_label == "unicorn"
 
     def test_miss_rate_one_finds_nothing(self, two_flower_scene):
         detector = DetectorBackend(store_for(two_flower_scene), miss_rate=1.0)
         out = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                            object_name="flower"))
+                                            args=("flower",)))
         assert len(out) == 0
 
     def test_misses_are_deterministic_per_object(self, world):
@@ -66,7 +68,7 @@ class TestDetector:
         for sid in store.ids():
             patch = full_patch(store.get(sid))
             for noun in world.nouns:
-                inp = SubTaskInput("find", patch, object_name=noun)
+                inp = SubTaskInput("find", patch, args=(noun,))
                 assert [p.region for p in a.predict(inp)] == \
                     [p.region for p in b.predict(inp)]
 
@@ -80,7 +82,7 @@ class TestDetector:
             receiver = crop(scene, (0, 0, 60, 60))
             for noun in world.nouns:
                 out = detector.predict(SubTaskInput("find", receiver,
-                                                    object_name=noun))
+                                                    args=(noun,)))
                 for patch in out:
                     obj = next(o for o in scene.objects if o.bbox == patch.region)
                     assert obj.name == noun
@@ -91,7 +93,7 @@ class TestDetector:
         empty = PatchList((), origin_label="x")
         assert detector.predict(SubTaskInput("exists", empty)) is False
         full = detector.predict(SubTaskInput("find", full_patch(two_flower_scene),
-                                             object_name="flower"))
+                                             args=("flower",)))
         assert detector.predict(SubTaskInput("exists", full)) is True
 
 
@@ -101,7 +103,7 @@ class TestOracleBackend:
         patch = crop(flower_scene, flower_scene.objects[0].bbox,
                      origin_label="flower")
         pred = oracle.predict(SubTaskInput("verify_property", patch,
-                                           object_name="flower", attribute="red"))
+                                           args=("flower", "red")))
         assert pred == "yes"
 
     def test_question_text_path_matches_structured_path(self, flower_scene, world):
@@ -109,7 +111,7 @@ class TestOracleBackend:
         patch = crop(flower_scene, flower_scene.objects[0].bbox,
                      origin_label="flower")
         structured = oracle.predict(SubTaskInput(
-            "verify_property", patch, object_name="flower", attribute="red"))
+            "verify_property", patch, args=("flower", "red")))
         via_text = oracle.predict(SubTaskInput(
             "simple_query", patch, question="Is this flower red?"))
         assert structured == via_text == "yes"
@@ -137,7 +139,7 @@ class TestCorruption:
                                    CorruptionProfile(seed=1, rho=0.0))
         patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         pred = backend.predict(SubTaskInput("verify_property", patch,
-                                            object_name="flower", attribute="red"))
+                                            args=("flower", "red")))
         assert pred == "yes"
 
     def test_corrupted_key_flips_verify_answer(self, flower_scene, world):
@@ -145,7 +147,7 @@ class TestCorruption:
         backend = CorruptedBackend(store_for(flower_scene), world, profile)
         patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         pred = backend.predict(SubTaskInput("verify_property", patch,
-                                            object_name="flower", attribute="red"))
+                                            args=("flower", "red")))
         assert pred == "no"  # yes<->no rotation
 
     def test_corruption_determinism_across_backends(self, world, small_store):
@@ -158,7 +160,7 @@ class TestCorruption:
             for noun in world.nouns:
                 for attr in ("red", "small"):
                     inp = SubTaskInput("verify_property", crop(scene, patch.region, noun),
-                                       object_name=noun, attribute=attr)
+                                       args=(noun, attr))
                     assert a.predict(inp) == b.predict(inp)
 
     def test_signature_perceived_through_permutation_only_when_corrupted(
@@ -166,8 +168,7 @@ class TestCorruption:
         patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         clean = CorruptedBackend(store_for(flower_scene), world,
                                  CorruptionProfile(seed=1, rho=0.0))
-        inp = SubTaskInput("verify_property", patch, object_name="flower",
-                           attribute="red")
+        inp = SubTaskInput("verify_property", patch, args=("flower", "red"))
         assert clean.student_key(inp).endswith("|flower(red,small)")
         corrupted = CorruptedBackend(store_for(flower_scene), world,
                                      CorruptionProfile(seed=1, rho=1.0))
@@ -181,21 +182,21 @@ class TestResolveQueryCanonicalization:
         parser = QuestionParser(world)
         patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         noun_inp = SubTaskInput("best_text_match", patch,
-                                options=("flower", "table"))
+                                args=(("flower", "table"),))
         assert resolve_query(noun_inp, parser) == \
             ChooseOption(("flower", "table"), None)
         adj_inp = SubTaskInput("best_text_match", patch,
-                               options=("red", "blue"))
+                               args=(("red", "blue"),))
         assert resolve_query(adj_inp, parser) == \
             ChooseOption(("red", "blue"), "flower")
 
-    def test_structured_and_text_paths_share_keys(self, world):
+    def test_structured_and_text_paths_share_keys(self, flower_scene, world):
         parser = QuestionParser(world)
+        patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         structured = resolve_query(
-            SubTaskInput("verify_property", None, object_name="flower",
-                         attribute="red"), parser)
+            SubTaskInput("verify_property", patch, args=("flower", "red")), parser)
         via_text = resolve_query(
-            SubTaskInput("simple_query", None, question="Is this flower red?"),
+            SubTaskInput("simple_query", patch, question="Is this flower red?"),
             parser)
         assert structured.key() == via_text.key()
 
@@ -205,8 +206,9 @@ class TestResolveQueryCanonicalization:
         patch = full_patch(flower_scene)
         inp = SubTaskInput("simple_query", patch, question="Why is  the Sky?")
         assert resolve_query(inp, parser) == RawText("Why is  the Sky?")
-        assert resolve_query(SubTaskInput("simple_query", patch),
-                             parser) == RawText("")
+        # An input with neither a question nor a call has no sub-question.
+        with pytest.raises(BackendError):
+            resolve_query(SubTaskInput("simple_query", patch), parser)
         assert resolve_query(inp, parser).key() == "raw|why is the sky?"
         assert OracleBackend(store, world, parser).predict(inp) == "unknown"
 
@@ -219,11 +221,10 @@ class TestResolveQueryCanonicalization:
                         (10, 10, 16, 16)),), seed=-1)
         patch = crop(scene, scene.objects[0].bbox, "glasses")
         options = ("blue", "red")
-        question = adapt_step(
-            StepRecord(0, "best_text_match", patch, (options,), "red"),
-            attribute_vocab=glasses_world.all_attributes()).sub_question
+        question = adapt_step("best_text_match", patch, (options,),
+                              attribute_vocab=glasses_world.all_attributes())
         assert question == "Are these glasses blue or red?"
-        dispatched = SubTaskInput("best_text_match", patch, options=options)
+        dispatched = SubTaskInput("best_text_match", patch, args=(options,))
         harvested = SubTaskInput("best_text_match", patch, question=question)
         base = CorruptedBackend(store_for(scene), glasses_world,
                                 CorruptionProfile(seed=1, rho=0.3))
@@ -246,7 +247,7 @@ class TestResolveQueryCanonicalization:
         question = adapt_best_text_match(
             options, "glasses", plural,
             attribute_vocab=glasses_world.all_attributes())
-        dispatched = SubTaskInput("best_text_match", patch, options=options)
+        dispatched = SubTaskInput("best_text_match", patch, args=(options,))
         harvested = SubTaskInput("best_text_match", patch, question=question)
         base = CorruptedBackend(store_for(scene), glasses_world,
                                 CorruptionProfile(seed=1, rho=0.3))
@@ -263,8 +264,7 @@ class TestTableStudent:
 
     def _inp(self, scene):
         patch = crop(scene, scene.objects[0].bbox, "flower")
-        return SubTaskInput("verify_property", patch, object_name="flower",
-                            attribute="red")
+        return SubTaskInput("verify_property", patch, args=("flower", "red"))
 
     def test_below_threshold_predicts_exactly_like_base(self, flower_scene, world):
         student = self._student(flower_scene, world)
@@ -518,8 +518,7 @@ class TestDispatchMemo:
         patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
         args = ("flower", "red")
         assert registry.dispatch("verify_property", patch, args) is False
-        inp = SubTaskInput("verify_property", patch, object_name="flower",
-                           attribute="red")
+        inp = SubTaskInput("verify_property", patch, args=("flower", "red"))
         for _ in range(3):
             student.update(inp, "yes")
         assert registry.dispatch("verify_property", patch, args) is True
@@ -564,3 +563,27 @@ class TestDispatchMemo:
                                              StepRecord, ExecutionTrace]
         for value in values:
             assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+@pytest.mark.parametrize("call", [
+    'ps[0].verify_property("", "red")',
+    'ps[0].best_text_match(["flower"])',
+    'ps[0].best_text_match(["flower", "red"])',
+    'image.best_text_match(["red", "blue"])',
+    'ps[0].simple_query("  ")',
+], ids=["empty-name", "one-option", "mixed-options", "no-center",
+        "blank-question"])
+def test_a_call_the_adapter_rejects_ends_as_nan(call, flower_scene, world,
+                                                profile):
+    # Dispatch keys a call by the adapter's sub-question, as harvest does, so
+    # a call with no sub-question is a bad call under every registry.
+    store = store_for(flower_scene)
+    base = baseline_registry(store, world, profile, miss_rate=0.0)
+    registries = [base, oracle_registry(store, world, miss_rate=0.0),
+                  perfect_registry(store, world),
+                  distilled_registry(base, fresh_students(store, world, profile))]
+    program = parse(f'ps = image.find("flower")\nreturn {call}\n')
+    for registry in registries:
+        trace = execute(program, flower_scene, registry, "q0")
+        assert trace.status == STATUS_NAN, registry.describe()
+        assert [step.module_kind for step in trace.steps] == ["find"]

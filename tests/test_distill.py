@@ -12,9 +12,11 @@ from progdistill.distill import (Triple, harvest, load_triples,
                                  triple_from_record, triple_input,
                                  triple_to_record)
 from progdistill.dsl import parse
-from progdistill.interpreter import STATUS_NAN, execute
+from progdistill.interpreter import (STATUS_NAN, STATUS_OK, ExecutionTrace,
+                                      StepRecord, execute)
 from progdistill.questions import generate_qa
 from progdistill.util import read_jsonl
+from progdistill.worlds import crop
 
 from conftest import store_for
 
@@ -121,14 +123,28 @@ class TestHarvest:
         assert triples[0].pseudo_label == "blue"
 
     def test_adapter_rejection_skips_with_warning(self, flower_scene, world, caplog):
+        # Dispatch refuses such a call, but traces come from disk: one stored
+        # by an earlier version may still hold it.
         store = store_for(flower_scene)
-        trace = _trace(flower_scene, store, world,
-                       'ps = image.find("flower")\n'
-                       'return ps[0].simple_query("")\n')
+        patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
+        trace = ExecutionTrace("q0", "<stored>", (StepRecord(
+            0, "simple_query", patch, ("",), "unknown"),), "unknown", STATUS_OK)
         teacher = OracleBackend(store, world)
         with caplog.at_level(logging.WARNING):
             triples = harvest([trace], teacher, world)
         assert triples == []
+        assert "skipped" in caplog.text
+
+    def test_stored_step_of_the_wrong_arity_is_skipped(self, flower_scene,
+                                                       world, caplog):
+        # A stored trace is outside input: a call of the wrong arity in it is
+        # skipped like any step the adapter rejects, not a traceback.
+        store = store_for(flower_scene)
+        patch = crop(flower_scene, flower_scene.objects[0].bbox, "flower")
+        trace = ExecutionTrace("q0", "<stored>", (StepRecord(
+            0, "verify_property", patch, ("flower",), True),), True, STATUS_OK)
+        with caplog.at_level(logging.WARNING):
+            assert harvest([trace], OracleBackend(store, world), world) == []
         assert "skipped" in caplog.text
 
     def test_audit_log_records_sources(self, flower_scene, world):

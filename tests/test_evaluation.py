@@ -13,10 +13,13 @@ from progdistill.evaluation import (EvalReport, TAXONOMY_KEYS,
                                     run_programs, score,
                                     validate_coarse_programs,
                                     visual_pointer_effect)
-from progdistill.interpreter import run_with_fallback
+from progdistill.interpreter import (STATUS_OK, ExecutionTrace, StepRecord,
+                                      run_with_fallback, trace_from_record,
+                                      trace_to_record)
 from progdistill.questions import (GroundingCase, generate_grounding,
                                    generate_qa, qa_from_record, qa_to_record)
-from progdistill.worlds import SceneGraph, SceneObject, WorldStore, generate_world
+from progdistill.worlds import (SceneGraph, SceneObject, WorldStore,
+                                full_patch, generate_world)
 
 from conftest import store_for
 
@@ -158,6 +161,35 @@ class TestTaxonomy:
                                   qa.question_id)
         counts = error_taxonomy([(qa, trace)], store, eval_world)
         assert counts["program_logic_error"] == 1
+
+    @pytest.mark.parametrize("args, output", [(("", "red"), False),
+                                              (("flower",), True)],
+                             ids=["no-sub-question", "wrong-arity"])
+    def test_a_stored_step_the_oracle_cannot_serve_is_its_kinds_error(
+            self, eval_world, args, output):
+        # A trace stored by an earlier version may hold a step that dispatch
+        # now refuses; its replay is that kind's error, not a traceback.
+        scene = SceneGraph("tx4", (100, 100), (
+            SceneObject("o00", "flower", frozenset({"red", "small"}),
+                        (5, 5, 14, 14)),
+        ), seed=-1)
+        store = store_for(scene)
+        image = full_patch(scene)
+        found = perfect_registry(store, eval_world).dispatch(
+            "find", image, ("flower",))
+        steps = (StepRecord(0, "find", image, ("flower",), found),
+                 StepRecord(1, "verify_property", found[0], args, output))
+        trace = trace_from_record(trace_to_record(ExecutionTrace(
+            "tx4:q0", "<stored>", steps, output, STATUS_OK)))
+        qa = qa_from_record({
+            "question_id": "tx4:q0", "question": "Is the flower red?",
+            "ground_truth": "no" if output else "yes",
+            "question_type": "verify_attr", "scene_id": "tx4",
+            "program": ('ps = image.find("flower")\n'
+                        'return ps[0].verify_property("flower", "red")\n'),
+        })
+        counts = error_taxonomy([(qa, trace)], store, eval_world)
+        assert counts["verify_property_error"] == 1
 
     def test_fallback_failures_counted_separately(self, eval_world):
         scene = SceneGraph("tx3", (100, 100), (

@@ -39,7 +39,6 @@ class TestExecute:
         assert find_step.module_kind == "find"
         assert isinstance(find_step.output, PatchList)
         assert verify_step.module_kind == "verify_property"
-        assert verify_step.center_word == "flower"
         assert isinstance(verify_step.receiver, ScenePatch)
         assert verify_step.receiver.origin_label == "flower"
 
@@ -126,8 +125,7 @@ class TestProvenance:
                         assert step.output.origin_label == step.args[0]
                     elif isinstance(step.receiver, ScenePatch) \
                             and step.receiver.origin_label is not None:
-                        assert step.center_word == step.receiver.origin_label
-                        assert step.center_word in find_labels
+                        assert step.receiver.origin_label in find_labels
 
 
 class TestTraceCompleteness:
@@ -302,7 +300,7 @@ class TestSerialization:
             step["center_word"] = stored
         again = trace_from_record(record)
         assert again == trace
-        assert [s.center_word for s in again.steps] == [None, "flower"]
+        assert [s.receiver.origin_label for s in again.steps] == [None, "flower"]
 
 
 def test_answer_to_text():

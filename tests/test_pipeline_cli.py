@@ -24,8 +24,8 @@ from progdistill.pipeline import (_READERS, ChecksumError, ConfigError,
                                   read_split, stage_ablate,
                                   stage_build_dataset, stage_gen_qa,
                                   stage_gen_world, stage_ground_eval,
-                                  stage_report, stage_run_programs,
-                                  write_stage_manifest)
+                                  require_artifacts, stage_report,
+                                  stage_run_programs, write_stage_manifest)
 from progdistill.questions import QAPair, qa_to_record
 from progdistill.service import ENDPOINT_ENV_VAR
 from progdistill.util import read_jsonl, sha256_file, write_jsonl
@@ -232,7 +232,7 @@ class TestConfig:
          "bad config value for 'world': noun vocabulary is empty"),
         ({"scenes": None}, "config key 'scenes' must be a JSON object"),
         ({"scenes": {"train": 0}},
-         "config key 'scenes.train' must be >= 1, got 0"),
+         "config key 'scenes.train' must be >= 1 and <= 500,000, got 0"),
         ({"questions": {"per_scene": "12"}},
          "bad config value for 'questions.per_scene': expected a JSON array, "
          "got '12'"),
@@ -245,6 +245,25 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             PipelineConfig.from_dict(payload)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("key, bound", [("scenes.train", 500_000),
+                                            ("scenes.eval", 400_000),
+                                            ("vp_probe.scenes", 100_000)])
+    def test_scene_counts_keep_the_seed_pools_apart(self, tmp_path, key, bound):
+        # Eval scene seeds start 500,000 after the train ones, and the
+        # probe's 400,000 after those: a larger pool runs into the next one.
+        # Only the config is read; no stage runs at these sizes.
+        section, leaf = key.split(".")
+        cfg = PipelineConfig.from_dict({section: {leaf: bound}})
+        assert cfg.to_dict()[section][leaf] == bound
+        for value in (bound + 1, 10**400):
+            with pytest.raises(ConfigError, match=f"'{key}' must be"):
+                PipelineConfig.from_dict({section: {leaf: value}})
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({section: {leaf: value}}))
+            with pytest.raises(ConfigError, match=f"'{key}' must be") as err:
+                load_config(path)
+            assert err.value.exit_code == EXIT_CONFIG
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.booleans(), st.lists(st.tuples(_CONFIG_PATHS, _JSON_VALUES),
@@ -819,6 +838,10 @@ class TestEndToEnd:
             write_jsonl(run.traces_file("test", name), [trace_to_record(trace)])
             write_stage_manifest(run, f"run-programs:test:{name}", cfg,
                                  [run.traces_file("test", name)])
+            # evaluate records the traces it scored among its inputs.
+            run.verified.clear()
+            require_artifacts(run, cfg, f"run-programs:test:{name}",
+                              [run.traces_file("test", name)])
             run.eval_file(name).write_text(
                 json.dumps(score([qa], [trace]).to_dict()))
             write_stage_manifest(run, f"evaluate:{name}", cfg,
@@ -837,6 +860,24 @@ class TestEndToEnd:
             "      step 0: simple_query('What color is the flower?') -> 'red'\n"
             "  verdict: baseline: wrong; distilled: correct\n"
             "\n")
+
+    def test_report_refuses_traces_that_evaluate_did_not_score(
+            self, full_run, tmp_path, tiny_config_file, capsys):
+        # run-programs rewrote the distilled test traces (here, in reverse
+        # order) after `evaluate` scored them: their own manifest agrees with
+        # the new file, evaluate's does not.
+        out = _copy_run(full_run, tmp_path)
+        run = RunPaths(out)
+        traces = run.traces_file("test", "distilled")
+        write_jsonl(traces, read_jsonl(traces)[::-1])
+        manifest = run.manifest_file("run-programs:test:distilled")
+        manifest.write_text(_with_outputs(manifest.read_text(), lambda outputs: {
+            **outputs, traces.name: sha256_file(traces)}))
+        report = run.report_md.read_bytes()
+        assert _run(["report", "--config", tiny_config_file,
+                     "--out-dir", str(out)]) == EXIT_CHECKSUM
+        assert "traces_test_distilled.jsonl" in capsys.readouterr().err
+        assert run.report_md.read_bytes() == report
 
     def test_distilled_run_requires_students(self, tmp_path, tiny_config_file):
         out = str(tmp_path / "run")

@@ -308,17 +308,6 @@ AWKWARD_NOUNS = ("cactus", "pants", "men", "bus", "lens", "glasses", "sheep",
                  "mouse", "bench")
 
 
-def _dispatch_input(step) -> SubTaskInput:
-    """The sub-task input ModuleRegistry builds for a step at dispatch."""
-    if step.module_kind == "verify_property":
-        return SubTaskInput("verify_property", step.receiver,
-                            object_name=step.args[0], attribute=step.args[1])
-    if step.module_kind == "best_text_match":
-        return SubTaskInput("best_text_match", step.receiver,
-                            options=tuple(step.args[0]))
-    return SubTaskInput("simple_query", step.receiver, question=step.args[0])
-
-
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(default_world_config().nouns), min_size=2,
                 max_size=3, unique=True),
@@ -346,11 +335,15 @@ def test_generated_questions_round_trip_for_any_noun(nouns, awkward, seed):
             for step in trace.steps:
                 if step.module_kind not in DISTILLABLE_KINDS:
                     continue
-                adapted = adapt_step(step, attribute_vocab=vocab)
-                harvested = SubTaskInput(step.module_kind, adapted.sub_image,
-                                         question=adapted.sub_question)
+                sub_question = adapt_step(step.module_kind, step.receiver,
+                                          step.args, attribute_vocab=vocab)
+                harvested = SubTaskInput(step.module_kind, step.receiver,
+                                         question=sub_question)
+                # The input ModuleRegistry builds for the step at dispatch.
+                dispatched = SubTaskInput(step.module_kind, step.receiver,
+                                          args=step.args)
                 assert keys.student_key(harvested) == \
-                    keys.student_key(_dispatch_input(step)), adapted.sub_question
+                    keys.student_key(dispatched), sub_question
 
 
 # Attribute values for random worlds; none is a noun or a family name.
