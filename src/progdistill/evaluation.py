@@ -1,5 +1,5 @@
-"""Composite-task evaluation, ablations, transfer experiments, error
-taxonomy, and before/after case reports.
+"""Composite-task evaluation, the distilled-count and visual-pointer
+ablations, grounding, error taxonomy, and before/after case reports.
 
 Accounting follows the All / No-NaN convention: NaN predictions always count
 wrong in acc_all and are excluded from the acc_no_nan denominator. Answer
@@ -17,9 +17,8 @@ from typing import Mapping, Sequence
 
 from .backends import (BackendError, CorruptionProfile, ModuleRegistry,
                        TableStudent, baseline_registry, consistency_verifier,
-                       distilled_registry, fresh_students, perfect_registry)
+                       distilled_registry, perfect_registry)
 from .dsl import ParseError, parse
-from .distill import Triple, train
 from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
                           answer_to_text, run_with_fallback)
 from .questions import (DISTILLABLE_KINDS, GroundingCase, QAPair,
@@ -249,49 +248,6 @@ def ablate_distilled_count(base: ModuleRegistry,
             "acc_no_nan": mean(accs_no_nan),
         })
     return {"rows": rows, "runs": dict(sorted(runs.items()))}
-
-
-def ablate_trainset_size(sizes: Sequence[int], triples: Sequence[Triple],
-                         base: ModuleRegistry, store: WorldStore,
-                         world: WorldConfig, profile: CorruptionProfile,
-                         eval_set: Sequence[QAPair], tau: int = 3,
-                         alpha: float = 1.0, seed: int = 0,
-                         epochs: int = 1) -> dict:
-    """Nested training subsets (each smaller set contained in every larger
-    one); one distillation of `epochs` epochs plus evaluation per size."""
-    import random as _random
-    order = list(range(len(triples)))
-    _random.Random(f"subset:{seed}").shuffle(order)
-    curve = []
-    for size in sorted(sizes):
-        size = min(size, len(triples))
-        subset = [triples[i] for i in order[:size]]
-        students = fresh_students(store, world, profile, tau=tau, alpha=alpha)
-        train(students, subset, store, epochs=epochs, seed=seed)
-        report = evaluate(distilled_registry(base, students), eval_set, store)
-        curve.append({"size": size, "acc_all": report.acc_all,
-                      "acc_no_nan": report.acc_no_nan})
-    return {"curve": curve}
-
-
-def cross_framework(base: ModuleRegistry, student_path,
-                    coarse_eval: Sequence[QAPair], store: WorldStore,
-                    world: WorldConfig, visual_pointer: bool) -> dict:
-    """Coarse framework, the baseline registry `base` vs `base` with a
-    transplanted distilled simple_query student loaded from serialized state
-    (not retrained). `visual_pointer` is the setting the questions were
-    generated under; both reports record it."""
-    student = TableStudent.load(student_path, store, world)
-    if student.module_kind != "simple_query":
-        raise ValueError("cross-framework transplant expects the simple_query student")
-    student.freeze()
-    registries = {"baseline": base,
-                  "transplanted": base.replace("simple_query", student)}
-    return {name: evaluate(registry, coarse_eval, store, coarse=True,
-                           world=world,
-                           metadata={"mode": f"coarse_{name}",
-                                     "visual_pointer": visual_pointer})
-            for name, registry in registries.items()}
 
 
 def grounding_eval(registry: ModuleRegistry, cases: Sequence[GroundingCase],

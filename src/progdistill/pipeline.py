@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -24,10 +25,9 @@ from .backends import (CorruptionProfile, OracleBackend, TableStudent,
                        perfect_registry)
 from .datasets import make_splits, stats
 from .distill import harvest, load_triples, save_triples, train
-from .evaluation import (EvalReport, ablate_distilled_count,
-                         ablate_trainset_size, case_report, cross_framework,
-                         grounding_eval, question_correct, run_programs, score,
-                         visual_pointer_effect)
+from .evaluation import (EvalReport, ablate_distilled_count, case_report,
+                         evaluate, grounding_eval, question_correct,
+                         run_programs, score, visual_pointer_effect)
 from .interpreter import ExecutionTrace, trace_from_record, trace_to_record
 from .questions import (DISTILLABLE_KINDS, QAPair,
                         generate_grounding, generate_qa, qa_from_record,
@@ -63,20 +63,34 @@ class ChecksumError(PipelineError):
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _span_from(n: int) -> tuple:
-    return (lambda v: len(v) == 2 and n <= v[0] <= v[1],
-            f"a [lo, hi] pair with {n} <= lo <= hi")
+def _span(lo: int, hi: int) -> tuple:
+    return (lambda v: len(v) == 2 and lo <= v[0] <= v[1] <= hi,
+            f"a [lo, hi] pair with {lo} <= lo <= hi <= {hi:,}")
+
+
+def _count(lo: int, hi: int) -> tuple:
+    return (lambda v: lo <= v <= hi, f">= {lo} and <= {hi:,}")
 
 
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _POSITIVE = (lambda v: v > 0.0, "> 0")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 
+# A run's scene seeds are `seed * _SEEDS_PER_RUN` plus the scene's pool
+# offset plus its index in the pool.
+_SEEDS_PER_RUN = 1_000_000
+_SEED_POOLS = {"train": 0, "eval": 500_000, "probe": 900_000}
 
-def _count_to(n: int) -> tuple:
-    # Scene seeds are pool offset + index (`_scene_seed`, the probe's in
-    # `stage_ablate`), so a pool larger than its seed range runs into the next.
-    return (lambda v: 1 <= v <= n, f">= 1 and <= {n:,}")
+
+def _scene_seed(cfg: PipelineConfig, pool: str, index: int) -> int:
+    return cfg.seed * _SEEDS_PER_RUN + _SEED_POOLS[pool] + index
+
+
+def _pool_size(pool: str) -> tuple:
+    """A pool's scene count, at most the gap to the next pool's offset."""
+    start = _SEED_POOLS[pool]
+    end = min(o for o in (*_SEED_POOLS.values(), _SEEDS_PER_RUN) if o > start)
+    return _count(1, end - start)
 
 
 def _key(key: str, default, check: tuple[Callable, str] | None = None):
@@ -91,10 +105,10 @@ def _key(key: str, default, check: tuple[Callable, str] | None = None):
 class PipelineConfig:
     seed: int = _key("seed", 0)
     world: WorldConfig = _key("world", default_world_config)
-    train_scenes: int = _key("scenes.train", 700, _count_to(500_000))
-    eval_scenes: int = _key("scenes.eval", 300, _count_to(400_000))
+    train_scenes: int = _key("scenes.train", 700, _pool_size("train"))
+    eval_scenes: int = _key("scenes.eval", 300, _pool_size("eval"))
     questions_per_scene: tuple[int, int] = _key(
-        "questions.per_scene", (12, 16), _span_from(1))
+        "questions.per_scene", (12, 16), _span(1, 100))
     fault_rate: float = _key("questions.fault_rate", 0.0, _UNIT)
     visual_pointer: bool = _key("questions.visual_pointer", True)
     framework: str = _key("questions.framework", "fine", (
@@ -107,16 +121,17 @@ class PipelineConfig:
     rho: float = _key("corruption.rho", 0.3, _UNIT)
     tau: int = _key("students.tau", 3, _AT_LEAST_1)
     alpha: float = _key("students.alpha", 1.0, _POSITIVE)
-    epochs: int = _key("distill.epochs", 1, (lambda v: v >= 0, ">= 0"))
+    epochs: int = _key("distill.epochs", 1, _count(0, 1_000))
     per_type_cap: int = _key("dataset.per_type_cap", 160, _AT_LEAST_1)
     val_scene_share: float = _key("dataset.val_scene_share", 0.65, _UNIT)
     grounding_per_scene: tuple[int, int] = _key(
-        "grounding.per_scene", (1, 2), _span_from(0))
-    vp_probe_scenes: int = _key("vp_probe.scenes", 200, _count_to(100_000))
+        "grounding.per_scene", (1, 2), _span(0, 100))
+    vp_probe_scenes: int = _key("vp_probe.scenes", 200, _pool_size("probe"))
     vp_probe_ambiguity: float = _key("vp_probe.ambiguity_rate", 0.4, _UNIT)
     trainset_ratios: tuple[int, ...] = _key(
         "ablation.trainset_ratios", (1, 4, 6),
-        (lambda v: len(v) > 0 and min(v) >= 1, "a non-empty list of values >= 1"))
+        (lambda v: 1 <= len(v) <= 100 and min(v) >= 1,
+         "a list of 1 to 100 values >= 1"))
     service_timeout: float = _key("service.timeout", 5.0, _POSITIVE)
 
     def to_dict(self) -> dict:
@@ -446,11 +461,6 @@ def _load_once(run: RunPaths, cfg: PipelineConfig, producer_stage: str,
 # Stages
 # ---------------------------------------------------------------------------
 
-def _scene_seed(cfg: PipelineConfig, pool: str, index: int) -> int:
-    offset = 0 if pool == "train" else 500_000
-    return cfg.seed * 1_000_000 + offset + index
-
-
 def stage_gen_world(run: RunPaths, cfg: PipelineConfig) -> None:
     run.verified.clear()
     try:
@@ -685,34 +695,47 @@ def stage_ablate(run: RunPaths, cfg: PipelineConfig, axis: str) -> dict:
         result = ablate_distilled_count(base, _load_students(run, cfg, store),
                                         test_set, store)
     elif axis == "trainset-size":
+        # Nested subsets, each smaller one inside every larger one: one
+        # distillation and one evaluation per ratio.
         require_artifacts(run, cfg, "harvest", [run.triples])
         triples = load_triples(run.triples)
-        total = len(triples)
-        hi = max(cfg.trainset_ratios)
-        sizes = [max(1, total * r // hi) for r in cfg.trainset_ratios]
-        result = ablate_trainset_size(sizes, triples, base, store, cfg.world,
-                                      cfg.profile, test_set, tau=cfg.tau,
-                                      alpha=cfg.alpha, seed=cfg.seed,
-                                      epochs=cfg.epochs)
+        n, hi = len(triples), max(cfg.trainset_ratios)
+        order = list(range(n))
+        random.Random(f"subset:{cfg.seed}").shuffle(order)
+        result = {"curve": []}
+        for r in sorted(cfg.trainset_ratios):
+            size = min(max(1, n * r // hi), n)
+            students = fresh_students(store, cfg.world, cfg.profile,
+                                      tau=cfg.tau, alpha=cfg.alpha)
+            train(students, [triples[i] for i in order[:size]], store,
+                  epochs=cfg.epochs, seed=cfg.seed)
+            report = evaluate(distilled_registry(base, students), test_set, store)
+            result["curve"].append({"size": size, "acc_all": report.acc_all,
+                                    "acc_no_nan": report.acc_no_nan})
         _write_csv(run.curve_csv, [["size", "acc_all", "acc_no_nan"]] + [
             [point["size"], f"{point['acc_all']:.6f}",
              f"{point['acc_no_nan']:.6f}"] for point in result["curve"]])
         outputs.append(run.curve_csv)
     elif axis == "cross-framework":
-        student = run.student_file("simple_query")
-        require_artifacts(run, cfg, "distill", [student])
+        # The distilled simple_query student as saved (not retrained),
+        # transplanted into the baseline under the coarse framework.
+        path = run.student_file("simple_query")
+        require_artifacts(run, cfg, "distill", [path])
         coarse_test = _coarse_counterparts(cfg, eval_store, test_set)
-        reports = cross_framework(base, student,
-                                  coarse_test, store, cfg.world,
-                                  cfg.visual_pointer)
-        result = {name: rep.to_dict() for name, rep in reports.items()}
+        registries = {"baseline": base, "transplanted": distilled_registry(
+            base, {"simple_query": TableStudent.load(path, store, cfg.world)})}
+        result = {name: evaluate(
+            registry, coarse_test, store, coarse=True, world=cfg.world,
+            metadata={"mode": f"coarse_{name}",
+                      "visual_pointer": cfg.visual_pointer}).to_dict()
+            for name, registry in registries.items()}
     else:
         probe_world = replace(cfg.world,
                               ambiguity_rate=cfg.vp_probe_ambiguity)
         probe_store = WorldStore()
         for i in range(cfg.vp_probe_scenes):
-            probe_store.add(generate_world(
-                cfg.seed * 1_000_000 + 900_000 + i, probe_world))
+            probe_store.add(generate_world(_scene_seed(cfg, "probe", i),
+                                           probe_world))
         result = visual_pointer_effect(probe_store, probe_world, cfg.profile,
                                        cfg.questions_per_scene, cfg.seed,
                                        miss_rate=cfg.miss_rate,

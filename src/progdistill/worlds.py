@@ -166,8 +166,8 @@ class WorldConfig:
                 raise WorldConfigError("attribute families overlap")
             seen |= set(values)
         lo, hi = self.objects_per_scene
-        if lo < 1 or hi < lo:
-            raise WorldConfigError("objects_per_scene range invalid")
+        if not 1 <= lo <= hi <= 100:
+            raise WorldConfigError("objects_per_scene needs 1 <= lo <= hi <= 100")
         if not 0.0 <= self.ambiguity_rate <= 1.0:
             raise WorldConfigError("ambiguity_rate outside [0, 1]")
         # generate_world places boxes up to 20 units on a side.
@@ -438,25 +438,6 @@ def scene_from_record(record: dict) -> SceneGraph:
                       objects=objects, seed=int(record.get("seed", -1)))
 
 
-def scene_from_gqa_record(record: dict) -> SceneGraph:
-    """Load a GQA-shaped scene-graph record: objects keyed by id, each with
-    name/attributes/x/y/w/h. Relations, when present, are ignored."""
-    scene_id = str(record.get("scene_id") or record.get("image_id") or "gqa")
-    width = int(record.get("width", 100))
-    height = int(record.get("height", 100))
-    objects = []
-    for oid in sorted(record["objects"]):
-        od = record["objects"][oid]
-        objects.append(SceneObject(
-            id=str(oid),
-            name=od["name"],
-            attributes=frozenset(od.get("attributes", ())),
-            bbox=(int(od["x"]), int(od["y"]), int(od["w"]), int(od["h"])),
-        ))
-    return SceneGraph(scene_id=scene_id, canvas=(width, height),
-                      objects=tuple(objects), seed=-1)
-
-
 @dataclass
 class WorldStore:
     """In-memory scene_id -> SceneGraph map shared by backends."""
@@ -476,10 +457,8 @@ class WorldStore:
                                   for sid in self.ids()))
 
     @classmethod
-    def load_jsonl(cls, path: str | Path,
-                   record_format: str = "native") -> "WorldStore":
-        loader = scene_from_record if record_format == "native" else scene_from_gqa_record
+    def load_jsonl(cls, path: str | Path) -> "WorldStore":
         store = cls()
         for record in read_jsonl(path):
-            store.add(loader(record))
+            store.add(scene_from_record(record))
         return store

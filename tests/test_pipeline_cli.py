@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import shutil
 import subprocess
@@ -262,6 +263,32 @@ class TestConfig:
             path = tmp_path / "config.json"
             path.write_text(json.dumps({section: {leaf: value}}))
             with pytest.raises(ConfigError, match=f"'{key}' must be") as err:
+                load_config(path)
+            assert err.value.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, bound, over", [
+        ("questions.per_scene", [1, 100], [[1, 101], [1, 10**9]]),
+        ("grounding.per_scene", [0, 100], [[0, 101], [0, 10**9]]),
+        ("distill.epochs", 1_000, [1_001, 10**9]),
+        ("ablation.trainset_ratios", [1] * 100, [[1] * 101, [1] * 5_000]),
+        ("world.objects_per_scene", [1, 100], [[1, 101], [1, 10**9]]),
+    ])
+    def test_keys_that_size_a_loop_are_bounded(self, tmp_path, key, bound,
+                                               over):
+        # Each value sizes a loop of some stage (question attempts, grounding
+        # cases, epochs, trainset-size runs, objects placed), so an unbounded
+        # one runs for hours. Only the config is read; no stage runs.
+        section, leaf = key.split(".")
+        extra = TINY_WORLD if section == "world" else {}
+        cfg = PipelineConfig.from_dict({section: {**extra, leaf: bound}})
+        assert cfg.to_dict()[section][leaf] == bound
+        for value in over:
+            data = {section: {**extra, leaf: value}}
+            with pytest.raises(ConfigError, match=leaf):
+                PipelineConfig.from_dict(data)
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(data))
+            with pytest.raises(ConfigError, match=leaf) as err:
                 load_config(path)
             assert err.value.exit_code == EXIT_CONFIG
 
@@ -645,6 +672,24 @@ def test_cli_import_loads_no_network_stack_or_logging():
     assert sorted(unwanted & (roots | set(loaded))) == []
 
 
+def test_the_package_imports_only_the_standard_library():
+    # Every import statement of the package, those inside functions too,
+    # names a standard-library module or one of the package's own.
+    package = Path(__file__).resolve().parents[1] / "src" / "progdistill"
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
 class TestManifests:
     STUDENTS = {f"students/{kind}.json" for kind in
                 ("best_text_match", "simple_query", "verify_property")}
@@ -754,6 +799,10 @@ class TestEndToEnd:
          "d4b665a16d9e0e9154f140ed21d356f53d70563b174dbf5a6c87252e3d2d2e4f"),
         ("eval_distilled.json",
          "b9fe1e8d93de938bc6ec651fdda77c4962ca363afae5614b4d3c55bdcad0a9be"),
+        ("ablate_trainset_size.json",
+         "d596f048a47dd7b0cc3243071df6cc198e7f21763b9f93904dc3e7db1b954de2"),
+        ("trainset_curve.csv",
+         "c1d8ce3af5428cb338c593be6abe455399332c09ae72295a91e82c4b9ffcd6ed"),
     ])
     def test_distillation_artifacts_are_pinned(self, full_run, path, digest):
         """Every student key, teacher label, answer and error-taxonomy count
@@ -794,6 +843,16 @@ class TestEndToEnd:
             "cross-framework").read_text())
         assert [result[name]["metadata"]["visual_pointer"]
                 for name in ("baseline", "transplanted")] == [False, False]
+
+    def test_cross_framework_result_is_pinned(self, full_run, tmp_path,
+                                              tiny_config_file):
+        """Both coarse-framework reports of the tiny run, the transplanted
+        student's answers and the error taxonomy included."""
+        out = _copy_run(full_run, tmp_path)
+        assert _run(["ablate", "--axis", "cross-framework", "--config",
+                     tiny_config_file, "--out-dir", str(out)]) == EXIT_OK
+        assert sha256_file(RunPaths(out).ablation_file("cross-framework")) == (
+            "26ad742823e7d738c596c5ece4e295bf05a6a7dd1d74cbef4411fd86b1a241b8")
 
     def test_trainset_curve_uses_the_configured_epochs(self, tmp_path,
                                                         tiny_config_file):

@@ -10,8 +10,8 @@ from progdistill.worlds import (AskAttributeFamily, AskName, ChooseOption,
                                 WorldConfigError, WorldStore, crop,
                                 default_world_config, full_patch,
                                 generate_world, overlap_ratio,
-                                rect_iou, scene_from_gqa_record,
-                                scene_from_record, scene_to_record)
+                                rect_iou, scene_from_record,
+                                scene_to_record)
 
 GOLDEN_SCENE0_SHA = "7679e43d2cc279bbfe2ae7992919c8892893031b68779cb4a46f46bdb837a345"
 
@@ -241,40 +241,6 @@ class TestSerialization:
         again = tmp_path / "again.jsonl"
         loaded.save_jsonl(again)
         assert again.read_bytes() == path.read_bytes()
-
-    def test_gqa_shaped_loader(self):
-        record = {
-            "image_id": "2407890",
-            "width": 640,
-            "height": 480,
-            "objects": {
-                "1023838": {"name": "flower", "attributes": ["red"],
-                            "x": 10, "y": 20, "w": 30, "h": 40,
-                            "relations": [{"name": "near", "object": "1023839"}]},
-                "1023839": {"name": "table", "attributes": [],
-                            "x": 100, "y": 200, "w": 50, "h": 60},
-            },
-        }
-        scene = scene_from_gqa_record(record)
-        assert scene.canvas == (640, 480)
-        assert {o.name for o in scene.objects} == {"flower", "table"}
-        flower = scene.object_by_id("1023838")
-        assert flower.bbox == (10, 20, 30, 40)
-        assert flower.attributes == frozenset({"red"})
-
-    def test_gqa_record_loads_to_its_native_record(self):
-        record = {"image_id": "7", "width": 50, "height": 40, "objects": {
-            "12": {"name": "cup", "attributes": ["red", "small"],
-                   "x": 1, "y": 2, "w": 3, "h": 4},
-            "11": {"name": "cup", "attributes": [], "x": 5, "y": 6, "w": 7,
-                   "h": 8}}}
-        native = {"scene_id": "7", "canvas": [50, 40], "seed": -1, "objects": [
-            {"id": "11", "name": "cup", "attributes": [], "bbox": [5, 6, 7, 8]},
-            {"id": "12", "name": "cup", "attributes": ["red", "small"],
-             "bbox": [1, 2, 3, 4]}]}
-        scene = scene_from_gqa_record(record)
-        assert json.dumps(scene_to_record(scene)) == json.dumps(native)
-        assert scene_from_record(native) == scene
 
     def test_loaded_objects_share_their_vocabulary(self, world, tmp_path):
         store = WorldStore()
