@@ -16,14 +16,15 @@ separation.
 
 Every sub-module call is a pure function of its backend and inputs, so
 ModuleRegistry.dispatch memoizes its coerced output per (backend, kind,
-receiver, args). replace() hands the same memo to the registry it returns:
-one memo serves a registry family (a base and every combination built from
-it), and it is freed with them. Calls to a student that is not yet frozen
+receiver, args). replace() returns a copy that shares the memo: one memo
+serves a registry family (a base and every combination built from it), and
+it is freed with them. Calls to a student that is not yet frozen
 are never memoized.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .adapter import AdapterError, adapt_step
 from .interpreter import answer_to_text, execute
-from .dsl import MODULE_ARITY, MODULE_KINDS, ParseError, parse
+from .dsl import MODULE_ARITY, ParseError, parse
 from .questions import (DISTILLABLE_KINDS, ParsedQuery, QAPair,
                         QuestionParser, RawText)
 from .util import stable_hash, stable_unit
@@ -124,11 +125,10 @@ class OracleBackend:
     """Answers exactly from the ground-truth scene graph; the desk-scale
     teacher. Reads a call's sub-question (see `resolve_query`)."""
 
-    def __init__(self, store: WorldStore, world: WorldConfig,
-                 parser: QuestionParser | None = None):
+    def __init__(self, store: WorldStore, world: WorldConfig):
         self.store = store
         self.world = world
-        self.parser = parser or QuestionParser(world)
+        self.parser = QuestionParser(world)
         self.name = "oracle"
 
     def predict(self, inp: SubTaskInput) -> str:
@@ -184,12 +184,11 @@ class CorruptedBackend:
     labels, never geometry."""
 
     def __init__(self, store: WorldStore, world: WorldConfig,
-                 profile: CorruptionProfile,
-                 parser: QuestionParser | None = None):
+                 profile: CorruptionProfile):
         self.store = store
         self.world = world
         self.profile = profile
-        self.parser = parser or QuestionParser(world)
+        self.parser = QuestionParser(world)
         self.name = f"corrupted(rho={profile.rho},seed={profile.seed})"
 
     def perceived_signature(self, inp: SubTaskInput, corrupted: bool) -> str:
@@ -340,21 +339,17 @@ class TableStudent:
 class ModuleRegistry:
     """Immutable binding of the five module kinds to backends.
 
-    find and exists must be served by the detector; replace() only accepts the
-    three distillable kinds and returns a new registry that shares this one's
-    dispatch memo.
+    The detector serves find and exists, and `backend` every distillable
+    kind. replace() rebinds one distillable kind in a copy that shares this
+    registry's dispatch memo.
     """
 
-    def __init__(self, bindings: Mapping[str, object],
-                 memo: dict | None = None):
-        missing = [k for k in MODULE_KINDS if k not in bindings]
-        if missing:
-            raise RegistryError(f"unbound module kinds: {missing}")
-        for kind in ("find", "exists"):
-            if not isinstance(bindings[kind], DetectorBackend):
-                raise RegistryError(f"{kind} must be bound to the detector")
-        self._bindings = dict(bindings)
-        self._memo = {} if memo is None else memo
+    def __init__(self, detector: DetectorBackend, backend):
+        if not isinstance(detector, DetectorBackend):
+            raise RegistryError("find and exists must be bound to the detector")
+        self._bindings = {"find": detector, "exists": detector,
+                          **dict.fromkeys(DISTILLABLE_KINDS, backend)}
+        self._memo = {}
 
     def backend(self, kind: str):
         return self._bindings[kind]
@@ -362,9 +357,9 @@ class ModuleRegistry:
     def replace(self, kind: str, backend) -> "ModuleRegistry":
         if kind not in DISTILLABLE_KINDS:
             raise RegistryError(f"{kind} cannot be replaced")
-        bindings = dict(self._bindings)
-        bindings[kind] = backend
-        return ModuleRegistry(bindings, self._memo)
+        registry = copy.copy(self)
+        registry._bindings = {**self._bindings, kind: backend}
+        return registry
 
     def describe(self) -> dict[str, str]:
         return {kind: getattr(b, "name", type(b).__name__)
@@ -415,16 +410,8 @@ def baseline_registry(store: WorldStore, world: WorldConfig,
                       profile: CorruptionProfile, miss_rate: float = 0.05,
                       detector_seed: int = 11) -> ModuleRegistry:
     """Pre-distillation framework: fixed detector plus corrupted students."""
-    parser = QuestionParser(world)
     detector = DetectorBackend(store, miss_rate=miss_rate, seed=detector_seed)
-    student = CorruptedBackend(store, world, profile, parser)
-    return ModuleRegistry({
-        "find": detector,
-        "exists": detector,
-        "verify_property": student,
-        "best_text_match": student,
-        "simple_query": student,
-    })
+    return ModuleRegistry(detector, CorruptedBackend(store, world, profile))
 
 
 def oracle_registry(store: WorldStore, world: WorldConfig,
@@ -432,16 +419,8 @@ def oracle_registry(store: WorldStore, world: WorldConfig,
                     detector_seed: int = 11) -> ModuleRegistry:
     """Teacher replacement: distillable kinds answered by the teacher
     directly; find stays the detector."""
-    parser = QuestionParser(world)
     detector = DetectorBackend(store, miss_rate=miss_rate, seed=detector_seed)
-    oracle = OracleBackend(store, world, parser)
-    return ModuleRegistry({
-        "find": detector,
-        "exists": detector,
-        "verify_property": oracle,
-        "best_text_match": oracle,
-        "simple_query": oracle,
-    })
+    return ModuleRegistry(detector, OracleBackend(store, world))
 
 
 def perfect_registry(store: WorldStore, world: WorldConfig) -> ModuleRegistry:
@@ -461,12 +440,9 @@ def distilled_registry(base: ModuleRegistry,
 def fresh_students(store: WorldStore, world: WorldConfig,
                    profile: CorruptionProfile, tau: int = 3,
                    alpha: float = 1.0) -> dict[str, TableStudent]:
-    parser = QuestionParser(world)
-    out = {}
-    for kind in DISTILLABLE_KINDS:
-        base = CorruptedBackend(store, world, profile, parser)
-        out[kind] = TableStudent(kind, base, tau=tau, alpha=alpha)
-    return out
+    base = CorruptedBackend(store, world, profile)
+    return {kind: TableStudent(kind, base, tau=tau, alpha=alpha)
+            for kind in DISTILLABLE_KINDS}
 
 
 def consistency_verifier(store: WorldStore, world: WorldConfig):

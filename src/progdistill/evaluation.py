@@ -16,8 +16,8 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .backends import (BackendError, CorruptionProfile, ModuleRegistry,
-                       TableStudent, baseline_registry, consistency_verifier,
-                       distilled_registry, perfect_registry)
+                       TableStudent, baseline_registry, distilled_registry,
+                       perfect_registry)
 from .dsl import ParseError, parse
 from .interpreter import (ExecutionTrace, STATUS_FALLBACK, STATUS_NAN,
                           answer_to_text, run_with_fallback)
@@ -287,12 +287,10 @@ def visual_pointer_effect(store: WorldStore, world: WorldConfig,
     two different key lotteries instead of the pointer mechanism itself
     (ambiguous patches resolving to the wrong object).
     """
-    verifier = consistency_verifier(store, world)
     arms = {arm: {qa.question_id: qa for scene_id in store.ids()
                   for qa in generate_qa(store.get(scene_id), world, seed,
                                         questions_per_scene,
-                                        visual_pointer=pointer,
-                                        verifier=verifier if pointer else None)}
+                                        visual_pointer=pointer)}
             for arm, pointer in (("vp", True), ("plain", False))}
     shared = sorted(set(arms["vp"]) & set(arms["plain"]))
 

@@ -69,7 +69,7 @@ def _span(lo: int, hi: int) -> tuple:
 
 
 def _count(lo: int, hi: int) -> tuple:
-    return (lambda v: lo <= v <= hi, f">= {lo} and <= {hi:,}")
+    return (lambda v: lo <= v <= hi, f">= {lo:,} and <= {hi:,}")
 
 
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
@@ -77,7 +77,7 @@ _POSITIVE = (lambda v: v > 0.0, "> 0")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 
 # A run's scene seeds are `seed * _SEEDS_PER_RUN` plus the scene's pool
-# offset plus its index in the pool.
+# offset plus its index in the pool. The seed's range keeps them below 2**63.
 _SEEDS_PER_RUN = 1_000_000
 _SEED_POOLS = {"train": 0, "eval": 500_000, "probe": 900_000}
 
@@ -103,7 +103,7 @@ def _key(key: str, default, check: tuple[Callable, str] | None = None):
 
 @dataclass
 class PipelineConfig:
-    seed: int = _key("seed", 0)
+    seed: int = _key("seed", 0, _count(-10**12, 10**12))
     world: WorldConfig = _key("world", default_world_config)
     train_scenes: int = _key("scenes.train", 700, _pool_size("train"))
     eval_scenes: int = _key("scenes.eval", 300, _pool_size("eval"))
@@ -209,12 +209,13 @@ def load_config(path: str | Path | None, seed: int | None = None) -> PipelineCon
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: not UTF-8, or an integer literal past Python's digit
+        # limit.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    cfg = PipelineConfig.from_dict(data)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+    if seed is not None and isinstance(data, dict):
+        data["seed"] = seed
+    return PipelineConfig.from_dict(data)
 
 
 def _strict_bool(value) -> bool:

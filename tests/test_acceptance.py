@@ -113,6 +113,26 @@ def test_c05_trainset_scaling(recipe):
     _passed(5, "nested 1:4:6 training subsets give non-decreasing accuracy")
 
 
+def test_ablation_end_points_are_the_stored_evaluations(recipe):
+    # No students and all three students are the baseline and distilled
+    # registries; the curve's last point trains on every triple. So a curve
+    # trained on no triples, or on all of them at every point, fails here.
+    _, run = recipe
+    accs = ("acc_all", "acc_no_nan")
+    baseline, distilled = (json.loads(run.eval_file(name).read_text())
+                           for name in ("baseline", "distilled"))
+    rows = json.loads(run.ablation_file("distilled-count").read_text())["rows"]
+    assert all(rows[0][k] == baseline[k] for k in accs)
+    assert all(rows[-1][k] == distilled[k] for k in accs)
+    curve = json.loads(run.ablation_file("trainset-size").read_text())["curve"]
+    with run.triples.open(encoding="utf-8") as f:
+        assert curve[-1]["size"] == sum(1 for _ in f)
+    assert all(curve[-1][k] == distilled[k] for k in accs)
+    sizes = [point["size"] for point in curve]
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    assert any(curve[0][k] != curve[-1][k] for k in accs)
+
+
 def test_c06_cross_framework_transfer(recipe):
     _, run = recipe
     assert run.student_file("simple_query").exists()  # serialized, not retrained

@@ -330,6 +330,50 @@ class TestConfig:
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on int-str conversion")
+    def test_an_integer_literal_past_the_digit_limit_is_a_config_error(
+            self, tmp_path, capsys):
+        # json.loads converts the literal with int(), which refuses more
+        # digits than the interpreter's limit with a plain ValueError.
+        bad = tmp_path / "bad.json"
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        bad.write_text(f'{{"detector": {{"seed": {digits}}}}}')
+        with pytest.raises(ConfigError) as err:
+            load_config(bad)
+        assert str(bad) in str(err.value)
+        assert _run(["gen-world", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [10**12 + 1, -10**12 - 1,
+                                      10**4_295, -10**4_299],
+                             ids=["over", "under", "4296-digits",
+                                  "minus-4300-digits"])
+    def test_seed_out_of_range_is_a_config_error(self, tmp_path, seed):
+        # Scene seeds are seed * 1,000,000 plus an offset; at 4,296 digits
+        # gen-world crashed rendering the scene id. The file's seed and the
+        # --seed flag go through one check. No stage runs at these sizes.
+        with pytest.raises(ConfigError, match="'seed' must be"):
+            PipelineConfig.from_dict({"seed": seed})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": seed}))
+        for config, flag in ((path, None), (None, seed)):
+            with pytest.raises(ConfigError, match="'seed' must be") as err:
+                load_config(config, seed=flag)
+            assert err.value.exit_code == EXIT_CONFIG
+        assert _run(["gen-world", "--config", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert _run(["gen-world", "--seed", str(seed),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seed", [0, -3, 10**12, -10**12])
+    def test_seed_in_range_reads(self, tiny_config_file, seed):
+        assert PipelineConfig.from_dict({"seed": seed}).seed == seed
+        assert load_config(None, seed=seed).seed == seed
+        assert load_config(tiny_config_file, seed=seed).seed == seed
+
     def test_config_path_naming_a_directory_is_a_config_error(self, tmp_path,
                                                               capsys):
         assert _run(["gen-world", "--config", str(tmp_path),
