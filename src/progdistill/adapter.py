@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Collection, Sequence
 
 from .dsl import MODULE_ARITY
-from .questions import DISTILLABLE_KINDS, PLURAL_IRREGULAR, article
-from .worlds import ScenePatch
+from .questions import DISTILLABLE_KINDS, article
+from .worlds import PLURAL_IRREGULAR, ScenePatch
 
 
 class AdapterError(ValueError):
@@ -67,17 +67,9 @@ def adapt_best_text_match(options: Sequence[str], center: str | None = None,
 
 
 def adapt_simple_query(question: str) -> str:
-    """Pass the question through, normalized to end with exactly one "?".
-
-    An empty question is returned as-is with a warning record; adapt_step
-    treats it as a rejection, so a sub-question is never empty.
-    """
+    """Pass the question through, normalized to end with exactly one "?"."""
     if not question.strip():
-        # Imported on the warning path only: a CLI process never loads
-        # logging unless it warns.
-        import logging
-        logging.getLogger(__name__).warning("adapter: empty simple_query question")
-        return ""
+        raise AdapterError("empty simple_query question")
     return question.rstrip().rstrip("?").rstrip() + "?"
 
 
@@ -99,7 +91,4 @@ def adapt_step(module_kind: str, receiver, args: tuple, *,
         return adapt_best_text_match(
             [str(o) for o in args[0]], center=center,
             plural=center in PLURAL_IRREGULAR, attribute_vocab=attribute_vocab)
-    sub_question = adapt_simple_query(str(args[0]))
-    if not sub_question:
-        raise AdapterError("empty simple_query question")
-    return sub_question
+    return adapt_simple_query(str(args[0]))

@@ -34,7 +34,8 @@ from .questions import (DISTILLABLE_KINDS, QAPair,
                         qa_to_record)
 from .service import (PROFILE_PLAIN, PROFILE_POINTER, ProgramServiceClient,
                       ServiceError)
-from .util import (config_digest, iter_jsonl, read_jsonl, sha256_file,
+from .util import (AT_LEAST_1, POSITIVE, UNIT, config_digest, config_key,
+                   in_range, iter_jsonl, ordered_pair, read_jsonl, sha256_file,
                    write_jsonl)
 from .worlds import WorldConfig, WorldStore, default_world_config, generate_world
 
@@ -63,19 +64,6 @@ class ChecksumError(PipelineError):
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _span(lo: int, hi: int) -> tuple:
-    return (lambda v: len(v) == 2 and lo <= v[0] <= v[1] <= hi,
-            f"a [lo, hi] pair with {lo} <= lo <= hi <= {hi:,}")
-
-
-def _count(lo: int, hi: int) -> tuple:
-    return (lambda v: lo <= v <= hi, f">= {lo:,} and <= {hi:,}")
-
-
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_POSITIVE = (lambda v: v > 0.0, "> 0")
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-
 # A run's scene seeds are `seed * _SEEDS_PER_RUN` plus the scene's pool
 # offset plus its index in the pool. The seed's range keeps them below 2**63.
 _SEEDS_PER_RUN = 1_000_000
@@ -90,73 +78,72 @@ def _pool_size(pool: str) -> tuple:
     """A pool's scene count, at most the gap to the next pool's offset."""
     start = _SEED_POOLS[pool]
     end = min(o for o in (*_SEED_POOLS.values(), _SEEDS_PER_RUN) if o > start)
-    return _count(1, end - start)
-
-
-def _key(key: str, default, check: tuple[Callable, str] | None = None):
-    """A field read from the config file at the dotted `key` and, with a
-    `check` (test, what the value must be), range-checked. A callable
-    `default` is a factory."""
-    kind = "default_factory" if callable(default) else "default"
-    return field(metadata={"key": key, "check": check}, **{kind: default})
+    return in_range(1, end - start)
 
 
 @dataclass
 class PipelineConfig:
-    seed: int = _key("seed", 0, _count(-10**12, 10**12))
-    world: WorldConfig = _key("world", default_world_config)
-    train_scenes: int = _key("scenes.train", 700, _pool_size("train"))
-    eval_scenes: int = _key("scenes.eval", 300, _pool_size("eval"))
-    questions_per_scene: tuple[int, int] = _key(
-        "questions.per_scene", (12, 16), _span(1, 100))
-    fault_rate: float = _key("questions.fault_rate", 0.0, _UNIT)
-    visual_pointer: bool = _key("questions.visual_pointer", True)
-    framework: str = _key("questions.framework", "fine", (
+    seed: int = config_key("seed", 0, in_range(-10**12, 10**12))
+    # Its keys are WorldConfig's fields.
+    world: WorldConfig = field(default_factory=default_world_config)
+    train_scenes: int = config_key("scenes.train", 700, _pool_size("train"))
+    eval_scenes: int = config_key("scenes.eval", 300, _pool_size("eval"))
+    questions_per_scene: tuple[int, int] = config_key(
+        "questions.per_scene", (12, 16), ordered_pair(1, 100))
+    fault_rate: float = config_key("questions.fault_rate", 0.0, UNIT)
+    visual_pointer: bool = config_key("questions.visual_pointer", True)
+    framework: str = config_key("questions.framework", "fine", (
         lambda v: v in ("fine", "coarse"), "'fine' or 'coarse'"))
-    miss_rate: float = _key("detector.miss_rate", 0.05, _UNIT)
-    detector_seed: int = _key("detector.seed", 11)
+    miss_rate: float = config_key("detector.miss_rate", 0.05, UNIT)
+    detector_seed: int = config_key("detector.seed", 11)
     # Chosen so the realized corrupted fraction sits at the nominal rho across
     # every question-form family (single draws over small form sets are lumpy).
-    corruption_seed: int = _key("corruption.seed", 98)
-    rho: float = _key("corruption.rho", 0.3, _UNIT)
-    tau: int = _key("students.tau", 3, _AT_LEAST_1)
-    alpha: float = _key("students.alpha", 1.0, _POSITIVE)
-    epochs: int = _key("distill.epochs", 1, _count(0, 1_000))
-    per_type_cap: int = _key("dataset.per_type_cap", 160, _AT_LEAST_1)
-    val_scene_share: float = _key("dataset.val_scene_share", 0.65, _UNIT)
-    grounding_per_scene: tuple[int, int] = _key(
-        "grounding.per_scene", (1, 2), _span(0, 100))
-    vp_probe_scenes: int = _key("vp_probe.scenes", 200, _pool_size("probe"))
-    vp_probe_ambiguity: float = _key("vp_probe.ambiguity_rate", 0.4, _UNIT)
-    trainset_ratios: tuple[int, ...] = _key(
+    corruption_seed: int = config_key("corruption.seed", 98)
+    rho: float = config_key("corruption.rho", 0.3, UNIT)
+    tau: int = config_key("students.tau", 3, AT_LEAST_1)
+    alpha: float = config_key("students.alpha", 1.0, POSITIVE)
+    epochs: int = config_key("distill.epochs", 1, in_range(0, 1_000))
+    per_type_cap: int = config_key("dataset.per_type_cap", 160, AT_LEAST_1)
+    val_scene_share: float = config_key("dataset.val_scene_share", 0.65, UNIT)
+    grounding_per_scene: tuple[int, int] = config_key(
+        "grounding.per_scene", (1, 2), ordered_pair(0, 100))
+    vp_probe_scenes: int = config_key("vp_probe.scenes", 200, _pool_size("probe"))
+    vp_probe_ambiguity: float = config_key("vp_probe.ambiguity_rate", 0.4, UNIT)
+    trainset_ratios: tuple[int, ...] = config_key(
         "ablation.trainset_ratios", (1, 4, 6),
         (lambda v: 1 <= len(v) <= 100 and min(v) >= 1,
          "a list of 1 to 100 values >= 1"))
-    service_timeout: float = _key("service.timeout", 5.0, _POSITIVE)
+    service_timeout: float = config_key("service.timeout", 5.0, POSITIVE)
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for f in fields(self):
+        for f in _LEAVES:
             section, _, leaf = f.metadata["key"].rpartition(".")
+            owner = self.world if f in _WORLD_FIELDS else self
             (out.setdefault(section, {}) if section else out)[leaf] = \
-                _plain(getattr(self, f.name))
+                _plain(getattr(owner, f.name))
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """Read every key present in `d` by its field's type; an unknown
         key or a bad section, value or range raises ConfigError naming the
-        dotted key."""
+        dotted key. A `world` section that is given must carry the keys
+        WorldConfig has no default for."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        keys = [f.metadata["key"] for f in fields(cls)]
+        keys = [f.metadata["key"] for f in _LEAVES]
         sections = {key.rpartition(".")[0] for key in keys} - {""}
         present = [name for name in d if name not in sections]
         present += [f"{name}.{leaf}" for name in sections
                     if isinstance(d.get(name), dict) for leaf in d[name]]
-        _reject_unknown(present, keys)
-        values = {}
-        for f, key in zip(fields(cls), keys):
+        # A mistyped key must not silently keep its default.
+        unknown = sorted(set(present) - set(keys))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        values: dict = {}
+        world: dict = {}
+        for f, key in zip(_LEAVES, keys):
             section_name, _, leaf = key.rpartition(".")
             section = d.get(section_name, {}) if section_name else d
             if not isinstance(section, dict):
@@ -168,20 +155,20 @@ class PipelineConfig:
             try:
                 value = read(raw)
                 ok = check is None or check[0](value)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ConfigError(
-                    f"bad config value for {key!r}: {detail}") from exc
+                    f"bad config value for {key!r}: {exc}") from exc
             if not ok:
                 raise ConfigError(f"config key {key!r} must be "
                                   f"{check[1]}, got {raw!r}")
-            values[f.name] = value
-        cfg = cls(**values)
-        try:
-            cfg.world.validate()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value for 'world': {exc}") from exc
-        return cfg
+            (world if f in _WORLD_FIELDS else values)[f.name] = value
+        if "world" in d:
+            try:
+                values["world"] = WorldConfig(**world)
+                values["world"].validate()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad config value for 'world': {exc}") from exc
+        return cls(**values)
 
     def digest(self) -> str:
         return config_digest(self.to_dict())
@@ -197,6 +184,13 @@ class PipelineConfig:
     @property
     def profile(self) -> CorruptionProfile:
         return CorruptionProfile(seed=self.corruption_seed, rho=self.rho)
+
+
+# The fields read from the config file, in its order: PipelineConfig's own,
+# with `world` standing for WorldConfig's.
+_WORLD_FIELDS = fields(WorldConfig)
+_LEAVES = tuple(leaf for f in fields(PipelineConfig) for leaf in (
+    _WORLD_FIELDS if f.name == "world" else (f,)))
 
 
 def load_config(path: str | Path | None, seed: int | None = None) -> PipelineConfig:
@@ -255,25 +249,6 @@ def _words(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _reject_unknown(keys, known) -> None:
-    """ConfigError naming every dotted key of `keys` not in `known`: a
-    mistyped key must not silently keep its default."""
-    unknown = sorted(set(keys) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-
-def _world(d: dict) -> WorldConfig:
-    """The `world` section; optional keys it leaves out keep their defaults."""
-    if not isinstance(d, dict):
-        raise TypeError(f"expected a JSON object, got {d!r}")
-    world_fields = fields(WorldConfig)
-    _reject_unknown((f"world.{key}" for key in d),
-                    (f"world.{f.name}" for f in world_fields))
-    return WorldConfig(**{f.name: _READERS[f.type](d[f.name])
-                          for f in world_fields if f.name in d})
-
-
 # A raw JSON value read as a field of PipelineConfig or WorldConfig, by the
 # text of the field's annotation (both modules postpone annotations).
 _READERS: dict[str, Callable] = {
@@ -281,14 +256,11 @@ _READERS: dict[str, Callable] = {
     "str": str, "tuple[int, int]": _int_list, "tuple[int, ...]": _int_list,
     "tuple[str, ...]": _words,
     "dict[str, tuple[str, ...]]": lambda d: {k: _words(v) for k, v in d.items()},
-    "WorldConfig": _world,
 }
 
 
 def _plain(value):
-    """`value` as JSON data: a tuple becomes a list, a WorldConfig a dict."""
-    if isinstance(value, WorldConfig):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    """`value` as JSON data: a tuple becomes a list."""
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, tuple):

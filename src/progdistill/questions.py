@@ -21,7 +21,7 @@ from .util import stable_unit
 from .worlds import (AskAttributeFamily, AskName, ChooseOption, Exists,
                      SceneGraph, SceneObject, ScenePatch, UNKNOWN,
                      VerifyAttribute, WorldConfig, YES_NO, Rect,
-                     attribute_value)
+                     attribute_value, pluralize)
 
 DISTILLABLE_KINDS = ("verify_property", "best_text_match", "simple_query")
 
@@ -79,31 +79,8 @@ ParsedQuery = (VerifyAttribute | ChooseOption | AskAttributeFamily | AskName
 # Small text helpers
 # ---------------------------------------------------------------------------
 
-# Irregular plurals. A plural form used as a noun is its own plural; the
-# adapter renders a center word (the noun a find() matched) as plural only if
-# it is one. QuestionParser reads plurals back through pluralize.
-_PLURALS = {"man": "men", "woman": "women", "child": "children",
-            "person": "people", "foot": "feet", "tooth": "teeth",
-            "goose": "geese", "mouse": "mice", "leaf": "leaves",
-            "knife": "knives", "sheep": "sheep", "scissors": "scissors",
-            "glasses": "glasses", "pants": "pants"}
-PLURAL_IRREGULAR = frozenset(_PLURALS.values())
-
-
 def article(word: str) -> str:
     return "an" if word[:1].lower() in "aeiou" else "a"
-
-
-def pluralize(word: str) -> str:
-    """The English plural: irregular ones from the table, "-es" after s, x,
-    z, ch or sh, "-ies" for a consonant and y, "-s" otherwise."""
-    if word in _PLURALS or word in PLURAL_IRREGULAR:
-        return _PLURALS.get(word, word)
-    if word.endswith(("s", "x", "z", "ch", "sh")):
-        return word + "es"
-    if len(word) > 1 and word[-1] == "y" and word[-2] not in "aeiou":
-        return word[:-1] + "ies"
-    return word + "s"
 
 
 def attribute_sub_question(family: str, name: str, visual_pointer: bool) -> str:

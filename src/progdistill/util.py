@@ -1,12 +1,14 @@
-"""Deterministic hashing and JSONL helpers."""
+"""Deterministic hashing and JSONL helpers, and the config-field helpers of
+`pipeline` and `worlds`: `config_key` and the checks it takes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 _SEP = "\x1f"
 
@@ -88,3 +90,25 @@ def iter_jsonl(path: str | Path) -> Iterator[dict]:
 
 def read_jsonl(path: str | Path) -> list[dict]:
     return list(iter_jsonl(path))
+
+
+def config_key(key: str, default, check: tuple[Callable, str] | None = None):
+    """A dataclass field read from the config file at the dotted `key` and,
+    with a `check` (test, what the value must be), range-checked. A callable
+    `default` is a factory; `dataclasses.MISSING` makes the key required."""
+    kind = "default_factory" if callable(default) else "default"
+    return field(metadata={"key": key, "check": check}, **{kind: default})
+
+
+def in_range(lo: int, hi: int) -> tuple:
+    return (lambda v: lo <= v <= hi, f">= {lo:,} and <= {hi:,}")
+
+
+def ordered_pair(lo: int, hi: int) -> tuple:
+    return (lambda v: len(v) == 2 and lo <= v[0] <= v[1] <= hi,
+            f"a [lo, hi] pair with {lo} <= lo <= hi <= {hi:,}")
+
+
+UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+POSITIVE = (lambda v: v > 0.0, "> 0")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")

@@ -13,12 +13,14 @@ functions, so scenes and patches can be shared freely.
 from __future__ import annotations
 
 import random
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .util import read_jsonl, shared_set, write_jsonl
+from .util import (UNIT, config_key, ordered_pair, read_jsonl, shared_set,
+                   write_jsonl)
 
 Rect = tuple[int, int, int, int]  # (x, y, w, h)
 
@@ -27,10 +29,6 @@ Rect = tuple[int, int, int, int]  # (x, y, w, h)
 VISIBILITY_THRESHOLD = 0.5
 
 UNKNOWN = "unknown"
-
-
-class WorldConfigError(ValueError):
-    pass
 
 
 class CropError(ValueError):
@@ -139,40 +137,80 @@ class PatchList:
         return iter(self.patches)
 
 
+# ---------------------------------------------------------------------------
+# Vocabulary
+# ---------------------------------------------------------------------------
+
+# Irregular plurals. A plural form used as a noun is its own plural; the
+# adapter renders a center word (the noun a find() matched) as plural only if
+# it is one. QuestionParser reads plurals back through pluralize.
+_PLURALS = {"man": "men", "woman": "women", "child": "children",
+            "person": "people", "foot": "feet", "tooth": "teeth",
+            "goose": "geese", "mouse": "mice", "leaf": "leaves",
+            "knife": "knives", "sheep": "sheep", "scissors": "scissors",
+            "glasses": "glasses", "pants": "pants"}
+PLURAL_IRREGULAR = frozenset(_PLURALS.values())
+
+
+def pluralize(word: str) -> str:
+    """The English plural: irregular ones from the table, "-es" after s, x,
+    z, ch or sh, "-ies" for a consonant and y, "-s" otherwise."""
+    if word in _PLURALS or word in PLURAL_IRREGULAR:
+        return _PLURALS.get(word, word)
+    if word.endswith(("s", "x", "z", "ch", "sh")):
+        return word + "es"
+    if len(word) > 1 and word[-1] == "y" and word[-2] not in "aeiou":
+        return word[:-1] + "ies"
+    return word + "s"
+
+
+# QuestionParser reads a noun, attribute value or family name back from a
+# sub-question only as one lowercase word that is not one of the words the
+# sub-question is built from: the articles and the option separator.
+_READABLE = "lowercase words, none of them 'a', 'an' or 'or'"
+
+
+def _readable(words) -> bool:
+    return all(re.fullmatch(r"\w+", w) and w == w.casefold()
+               and w not in ("a", "an", "or") for w in words)
+
+
+def _nouns_readable(nouns: tuple[str, ...]) -> bool:
+    return len(nouns) > 0 and _readable(nouns) and all(
+        pluralize(n) == n or pluralize(n) not in nouns for n in nouns)
+
+
+def _families_readable(families: dict[str, tuple[str, ...]]) -> bool:
+    values = [a for family in families.values() for a in set(family)]
+    return (len(families) > 0 and all(families.values()) and
+            _readable(families) and _readable(values)
+            and len(values) == len(set(values)))
+
+
 @dataclass
 class WorldConfig:
-    nouns: tuple[str, ...]
-    attribute_families: dict[str, tuple[str, ...]]
+    """The config's `world` section; checked where it is read from a file."""
+    nouns: tuple[str, ...] = config_key("world.nouns", MISSING, (
+        _nouns_readable,
+        f"a non-empty list of {_READABLE}, and none the plural of another"))
+    attribute_families: dict[str, tuple[str, ...]] = config_key(
+        "world.attribute_families", MISSING, (
+            _families_readable,
+            f"a non-empty object of non-empty lists of {_READABLE}, keyed "
+            "by family names of the same kind, with no value in two families"))
     # Kept in the config and its digest; scenes carry no relations.
-    relations: tuple[str, ...]
-    objects_per_scene: tuple[int, int] = (3, 8)
-    ambiguity_rate: float = 0.25
-    canvas: tuple[int, int] = (100, 100)
+    relations: tuple[str, ...] = config_key("world.relations", MISSING)
+    objects_per_scene: tuple[int, int] = config_key(
+        "world.objects_per_scene", (3, 8), ordered_pair(1, 100))
+    ambiguity_rate: float = config_key("world.ambiguity_rate", 0.25, UNIT)
+    # generate_world places boxes up to 20 units on a side.
+    canvas: tuple[int, int] = config_key("world.canvas", (100, 100), (
+        lambda v: len(v) == 2 and min(v) >= 20, "two sides of at least 20"))
 
     def validate(self) -> None:
-        if not self.nouns:
-            raise WorldConfigError("noun vocabulary is empty")
-        if not self.attribute_families:
-            raise WorldConfigError("attribute vocabulary is empty")
-        for family, values in self.attribute_families.items():
-            if not values:
-                raise WorldConfigError(f"attribute family {family!r} is empty")
-        attrs = self.all_attributes()
-        if set(self.nouns) & attrs:
-            raise WorldConfigError("noun and attribute vocabularies overlap")
-        seen: set[str] = set()
-        for values in self.attribute_families.values():
-            if seen & set(values):
-                raise WorldConfigError("attribute families overlap")
-            seen |= set(values)
-        lo, hi = self.objects_per_scene
-        if not 1 <= lo <= hi <= 100:
-            raise WorldConfigError("objects_per_scene needs 1 <= lo <= hi <= 100")
-        if not 0.0 <= self.ambiguity_rate <= 1.0:
-            raise WorldConfigError("ambiguity_rate outside [0, 1]")
-        # generate_world places boxes up to 20 units on a side.
-        if len(self.canvas) != 2 or min(self.canvas) < 20:
-            raise WorldConfigError("canvas needs two sides of at least 20")
+        """The check that spans two keys, once each key has passed its own."""
+        if set(self.nouns) & self.all_attributes():
+            raise ValueError("noun and attribute vocabularies overlap")
 
     def all_attributes(self) -> set[str]:
         out: set[str] = set()
@@ -211,7 +249,6 @@ def generate_world(seed: int, config: WorldConfig) -> SceneGraph:
     With probability `ambiguity_rate`, an object is nested inside an earlier
     object's box, so that the host's find()-patch shows two objects.
     """
-    config.validate()
     rng = random.Random(f"world:{seed}")
     width, height = config.canvas
     lo, hi = config.objects_per_scene

@@ -90,10 +90,13 @@ class TestSimpleQueryTemplate:
     def test_extra_question_marks_collapse_to_one(self):
         assert adapt_simple_query("Really??") == "Really?"
 
-    def test_empty_question_warns_and_passes_through(self, caplog):
+    @pytest.mark.parametrize("question", ["", "  ", "\n"])
+    def test_blank_question_is_rejected_without_a_warning(self, caplog,
+                                                            question):
         with caplog.at_level(logging.WARNING):
-            assert adapt_simple_query("") == ""
-        assert "empty" in caplog.text
+            with pytest.raises(AdapterError, match="empty simple_query"):
+                adapt_simple_query(question)
+        assert caplog.text == ""
 
 
 class TestPluralityAndArticles:

@@ -19,7 +19,8 @@ from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
 from progdistill.evaluation import score
 from progdistill.dsl import parse
 from progdistill.interpreter import execute, trace_to_record
-from progdistill.pipeline import (_READERS, ChecksumError, ConfigError,
+from progdistill.pipeline import (_LEAVES, _READERS, ChecksumError,
+                                  ConfigError,
                                   MissingArtifactError, PipelineConfig,
                                   RunPaths, load_config, load_world_stores,
                                   read_split, stage_ablate,
@@ -63,6 +64,32 @@ def _run(args):
 # The smallest valid `world` section.
 TINY_WORLD = {"nouns": ["dog"], "attribute_families": {"color": ["red"]},
               "relations": ["near"]}
+
+
+def _unreadable_worlds() -> dict:
+    """World sections whose words QuestionParser cannot read back, by case
+    id -> (section, the dotted key that refuses it): two words, a capital,
+    the option separator and the articles of a sub-question, each as a noun,
+    an attribute value and a family name; and a noun that is another's
+    plural."""
+    base = {"nouns": ["cup", "lamp"], "relations": ["near"],
+            "attribute_families": {"color": ["red", "blue"]}}
+    cases = {"noun-plural-of-noun":
+             ({**base, "nouns": ["dog", "dogs"]}, "world.nouns")}
+    for word in ("hot dog", "Dog", "or", "a", "an"):
+        cases[f"noun-{word}"] = ({**base, "nouns": ["cup", word]},
+                                 "world.nouns")
+        cases[f"attribute-{word}"] = (
+            {**base, "attribute_families": {"color": ["red", word]}},
+            "world.attribute_families")
+        cases[f"family-{word}"] = (
+            {**base, "attribute_families": {"color": ["red"],
+                                            word: ["small"]}},
+            "world.attribute_families")
+    return cases
+
+
+UNREADABLE_WORLDS = _unreadable_worlds()
 
 
 FULL_SEQUENCE = [
@@ -227,10 +254,20 @@ class TestConfig:
             PipelineConfig.from_dict(payload)
 
     @pytest.mark.parametrize("payload, message", [
-        ({"world": 5},
-         "bad config value for 'world': expected a JSON object, got 5"),
+        ({"world": 5}, "config key 'world' must be a JSON object"),
         ({"world": {**TINY_WORLD, "nouns": []}},
-         "bad config value for 'world': noun vocabulary is empty"),
+         "config key 'world.nouns' must be a non-empty list of lowercase "
+         "words, none of them 'a', 'an' or 'or', and none the plural of "
+         "another, got []"),
+        ({"world": {**TINY_WORLD, "canvas": [10, 10]}},
+         "config key 'world.canvas' must be two sides of at least 20, "
+         "got [10, 10]"),
+        ({"world": {"nouns": ["dog"], "relations": ["near"]}},
+         "bad config value for 'world': WorldConfig.__init__() missing 1 "
+         "required positional argument: 'attribute_families'"),
+        ({"world": {**TINY_WORLD, "nouns": ["red"]}},
+         "bad config value for 'world': noun and attribute vocabularies "
+         "overlap"),
         ({"scenes": None}, "config key 'scenes' must be a JSON object"),
         ({"scenes": {"train": 0}},
          "config key 'scenes.train' must be >= 1 and <= 500,000, got 0"),
@@ -367,6 +404,33 @@ class TestConfig:
         assert _run(["gen-world", "--seed", str(seed),
                      "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("world, key", UNREADABLE_WORLDS.values(),
+                             ids=list(UNREADABLE_WORLDS))
+    def test_vocabulary_the_parser_cannot_read_is_a_config_error(
+            self, tmp_path, world, key):
+        # The oracle teacher answers a sub-question only if QuestionParser
+        # reads its words back, so such a world would score its own ground
+        # truth as wrong.
+        data = {"world": world}
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            PipelineConfig.from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"'{key}'") as err:
+            load_config(path)
+        assert err.value.exit_code == EXIT_CONFIG
+        assert _run(["gen-world", "--config", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("nouns", [["sheep", "glasses", "man"],
+                                       ["dog", "0", "hot_dog", "café"]])
+    def test_vocabulary_of_readable_words_loads(self, nouns):
+        # A noun that is its own plural is no other noun's plural.
+        cfg = PipelineConfig.from_dict({"world": {**TINY_WORLD,
+                                                  "nouns": nouns}})
+        assert cfg.world.nouns == tuple(nouns)
 
     @pytest.mark.parametrize("seed", [0, -3, 10**12, -10**12])
     def test_seed_in_range_reads(self, tiny_config_file, seed):
@@ -1186,11 +1250,13 @@ class TestDefaults:
         assert again.digest() == cfg.digest()
 
     def test_every_key_is_unique(self):
-        keys = [f.metadata["key"] for f in fields(PipelineConfig)]
+        keys = [f.metadata["key"] for f in _LEAVES]
         assert len(set(keys)) == len(keys)
+        assert [key for key in keys if key.startswith("world.")] == [
+            f"world.{f.name}" for f in fields(WorldConfig)]
 
     def test_every_field_has_a_reader(self):
-        for f in fields(PipelineConfig) + fields(WorldConfig):
+        for f in _LEAVES:
             assert f.type in _READERS, f.name
 
     def test_non_default_config_round_trips(self):

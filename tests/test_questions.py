@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from progdistill.adapter import adapt_step
@@ -14,15 +14,16 @@ from progdistill.backends import (CorruptionProfile, SubTaskInput,
 from progdistill.dsl import ParseError, parse
 from progdistill.evaluation import question_correct
 from progdistill.interpreter import answer_to_text, execute
+from progdistill.pipeline import ConfigError, PipelineConfig
 from progdistill.questions import (ALL_TEMPLATE_IDS, DISTILLABLE_KINDS,
                                    QuestionParser, RawText, TEMPLATES,
                                    TemplateQuery, corrupt_program,
-                                   generate_grounding, generate_qa, pluralize,
+                                   generate_grounding, generate_qa,
                                    qa_from_record, qa_to_record)
 from progdistill.worlds import (AskAttributeFamily, AskName, ChooseOption,
                                 Exists, UNKNOWN, VerifyAttribute, WorldConfig,
                                 WorldStore, default_world_config, full_patch,
-                                generate_world)
+                                generate_world, pluralize)
 
 from conftest import store_for
 
@@ -350,31 +351,48 @@ def test_generated_questions_round_trip_for_any_noun(nouns, awkward, seed):
 ATTRIBUTE_POOL = ("red", "blue", "green", "yellow", "small", "large", "tiny",
                   "wooden", "metal", "striped", "round", "shiny")
 FAMILY_NAMES = ("color", "size", "material", "pattern")
+# Words of the questions' own wording and answers.
+FUNCTION_WORDS = ("a", "an", "or", "is", "the", "this", "these", "are",
+                  "what", "there", "how", "many", "any", "none", "yes", "no",
+                  "unknown", "of", "in")
+
+
+def _words(pool) -> st.SearchStrategy:
+    """A word of `pool`, a function word or a generated one."""
+    return st.one_of(st.sampled_from(pool), st.sampled_from(FUNCTION_WORDS),
+                     st.text("abcdefghijklmnopqrstuvwxyz0123456789_",
+                             min_size=1, max_size=6))
 
 
 @st.composite
 def random_worlds(draw) -> WorldConfig:
     """Worlds of 1-4 attribute families (a family may hold one value), any
-    ambiguity rate, object count range and canvas."""
-    nouns = draw(st.lists(st.sampled_from(default_world_config().nouns
-                                          + AWKWARD_NOUNS),
+    ambiguity rate, object count range and canvas, whose `world` section
+    the config loader accepts."""
+    nouns = draw(st.lists(_words(default_world_config().nouns + AWKWARD_NOUNS),
                           min_size=1, max_size=6, unique=True))
-    values = draw(st.lists(st.sampled_from(ATTRIBUTE_POOL), min_size=1,
+    values = draw(st.lists(_words(ATTRIBUTE_POOL), min_size=1,
                            max_size=len(ATTRIBUTE_POOL), unique=True))
     families = draw(st.integers(1, min(len(FAMILY_NAMES), len(values))))
+    names = draw(st.lists(_words(FAMILY_NAMES), min_size=families,
+                          max_size=families, unique=True))
     cuts = sorted(draw(st.lists(st.integers(1, len(values) - 1),
                                 min_size=families - 1, max_size=families - 1,
                                 unique=True)) if families > 1 else [])
     bounds = [0, *cuts, len(values)]
     lo = draw(st.integers(1, 8))
-    return WorldConfig(
-        nouns=tuple(nouns),
-        attribute_families={FAMILY_NAMES[i]: tuple(values[a:b]) for i, (a, b)
-                            in enumerate(zip(bounds, bounds[1:]))},
-        relations=("near",),
-        objects_per_scene=(lo, draw(st.integers(lo, 10))),
-        ambiguity_rate=draw(st.floats(0.0, 1.0)),
-        canvas=(draw(st.integers(20, 160)), draw(st.integers(20, 160))))
+    section = {
+        "nouns": nouns,
+        "attribute_families": {name: values[a:b] for name, (a, b)
+                               in zip(names, zip(bounds, bounds[1:]))},
+        "relations": ["near"],
+        "objects_per_scene": [lo, draw(st.integers(lo, 10))],
+        "ambiguity_rate": draw(st.floats(0.0, 1.0)),
+        "canvas": [draw(st.integers(20, 160)), draw(st.integers(20, 160))]}
+    try:
+        return PipelineConfig.from_dict({"world": section}).world
+    except ConfigError:
+        reject()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -62,3 +62,14 @@ def test_tiny_workload_passes_the_traced_benchmarks_checks(name, tmp_path):
     agg["cli_process_s"] = 0.0
     _, coverage = bench.layer_metrics(workload, agg, [it], it)
     assert coverage == []
+
+
+@pytest.mark.parametrize("name", ["recipe", "wide-vocab"])
+def test_workload_config_passes_the_benchmarks_setup_probe(name, tmp_path):
+    # Before each run the benchmark times a fresh interpreter that loads the
+    # workload's config and calls what `child.py setup` calls; a probe that
+    # exits non-zero stops the benchmark before its first run. (replay loads
+    # recipe's config.)
+    workload = workloads.WORKLOADS[name](0, "bench", tmp_path)
+    workloads.Workload.prepare(workload)
+    assert len(bench.measure_setup(workload, 1)) == 1

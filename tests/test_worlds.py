@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -7,7 +8,7 @@ from progdistill import worlds
 from progdistill.worlds import (AskAttributeFamily, AskName, ChooseOption,
                                 CropError, Exists, SceneGraph, SceneObject,
                                 UNKNOWN, VerifyAttribute, WorldConfig,
-                                WorldConfigError, WorldStore, crop,
+                                WorldStore, crop,
                                 default_world_config, full_patch,
                                 generate_world, overlap_ratio,
                                 rect_iou, scene_from_record,
@@ -59,10 +60,13 @@ class TestGeneration:
                 assert len(obj.attributes & set(values)) == 1
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(WorldConfigError):
-            WorldConfig(nouns=(), attribute_families={"color": ("red",)},
-                        relations=("near",)).validate()
-        with pytest.raises(WorldConfigError):
+        # Each key's own check is declared on its field; validate() keeps
+        # the one that spans two keys.
+        checks = {f.name: f.metadata["check"] for f in fields(WorldConfig)}
+        assert not checks["nouns"][0](())
+        assert not checks["attribute_families"][0]({"color": ()})
+        assert not checks["canvas"][0]((10, 100))
+        with pytest.raises(ValueError, match="overlap"):
             WorldConfig(nouns=("red",), attribute_families={"color": ("red",)},
                         relations=("near",)).validate()
 
