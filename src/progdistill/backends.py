@@ -267,28 +267,19 @@ class TableStudent:
 
     def key_and_support(self, inp: SubTaskInput) -> tuple[str, tuple[str, ...]]:
         """The input's student key and its query's answer support: all that
-        the smoothed distribution reads of an input."""
+        label_probability reads of an input."""
         return (self.base.student_key(inp),
                 resolve_query(inp, self.base.parser).support(self.base.world))
 
-    def smoothed_distribution(self, key: str, support: Sequence[str],
-                              extra_label: str | None = None) -> dict[str, float]:
-        """Add-alpha distribution over the key's counted labels, `support`
-        and `extra_label`, in label order."""
-        counts = self.table.get(key, {})
-        labels = set(counts) | set(support)
-        if extra_label is not None:
-            labels.add(extra_label)
-        total = sum(counts.values())
-        denom = total + self.alpha * len(labels)
-        if denom <= 0:
-            return {}
-        return {label: (counts.get(label, 0.0) + self.alpha) / denom
-                for label in sorted(labels)}
-
     def label_probability(self, key: str, support: Sequence[str],
                           label: str) -> float:
-        return self.smoothed_distribution(key, support, label).get(label, 0.0)
+        """Add-alpha smoothed over the key's counts, `support` and `label`."""
+        counts = self.table.get(key, {})
+        denom = sum(counts.values()) + self.alpha * len(
+            set(counts) | set(support) | {label})
+        if denom <= 0:
+            return 0.0
+        return (counts.get(label, 0.0) + self.alpha) / denom
 
     def predict(self, inp: SubTaskInput) -> str:
         counts = self.table.get(self.base.student_key(inp))

@@ -66,7 +66,6 @@ def _run_programs(args, run, cfg) -> str:
                               f"--service-endpoint or ${ENDPOINT_ENV_VAR}")
         client = ProgramServiceClient(endpoint, timeout=cfg.service_timeout)
     stage_run_programs(run, cfg, args.split, args.registry,
-                       program_source=args.program_source,
                        service_client=client,
                        on_service_error=args.on_service_error)
     return ""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -39,7 +39,6 @@ MODULE_ARITY = {
     "best_text_match": 1,
     "simple_query": 1,
 }
-MODULE_KINDS = tuple(MODULE_ARITY)
 
 KEYWORDS = {"if", "else", "return", "and", "or", "not", "len", "True",
             "False", "image"}
@@ -153,36 +152,6 @@ class Program:
     source_text: str
     module_kinds: frozenset[str] = frozenset()  # the kind of every call in it
     literals: tuple = ()  # the value of each Slot of `code`
-
-    @property
-    def statements(self) -> tuple[Stmt, ...]:
-        """`code` with its Slots filled in: for tests and introspection."""
-        return _unslot(self.code, self.literals)
-
-
-def _unslot(code: tuple, literals: tuple) -> tuple:
-    """`code` rebuilt bottom-up with a Literal for each Slot. The walk keeps
-    its own stack, not one Python frame per level, since a program that
-    parses may nest thousands of levels deep."""
-    stack: list = [(code, None)]
-    built: list = []
-    while stack:
-        node, parts = stack.pop()
-        if parts is not None:  # its parts are the last `len(parts)` built
-            args = built[len(built) - len(parts):]
-            del built[len(built) - len(parts):]
-            built.append(tuple(args) if type(node) is tuple
-                         else type(node)(*args))
-        elif type(node) is Slot:
-            built.append(Literal(literals[node.index]))
-        elif type(node) is tuple or is_dataclass(node):
-            parts = node if type(node) is tuple else [
-                getattr(node, name) for name in node.__slots__]
-            stack.append((node, parts))
-            stack += [(part, None) for part in reversed(parts)]
-        else:
-            built.append(node)  # a name, operator or index of a node
-    return built[0]
 
 
 # ---------------------------------------------------------------------------

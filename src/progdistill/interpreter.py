@@ -25,14 +25,7 @@ STATUS_NAN = "runtime_nan"
 
 
 class NaNValue:
-    """Singleton marker for a failed prediction."""
-
-    _instance: "NaNValue | None" = None
-
-    def __new__(cls) -> "NaNValue":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Marker for a failed prediction; NAN is its one instance."""
 
     def __repr__(self) -> str:
         return "NaN"

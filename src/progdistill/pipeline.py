@@ -15,7 +15,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -150,12 +150,15 @@ class PipelineConfig:
                 raise ConfigError(
                     f"config key {section_name!r} must be a JSON object")
             if leaf not in section:
+                if section_name in d and f.default is MISSING is f.default_factory:
+                    raise ConfigError(f"config key {key!r} is required when "
+                                      f"{section_name!r} is given")
                 continue
             raw, read, check = section[leaf], _READERS[f.type], f.metadata["check"]
             try:
                 value = read(raw)
                 ok = check is None or check[0](value)
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"bad config value for {key!r}: {exc}") from exc
             if not ok:
@@ -166,7 +169,7 @@ class PipelineConfig:
             try:
                 values["world"] = WorldConfig(**world)
                 values["world"].validate()
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"bad config value for 'world': {exc}") from exc
         return cls(**values)
 
@@ -249,13 +252,20 @@ def _words(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _word_lists(value) -> dict[str, tuple[str, ...]]:
+    if not isinstance(value, dict):
+        raise TypeError(
+            f"expected a JSON object of arrays of strings, got {value!r}")
+    return {k: _words(v) for k, v in value.items()}
+
+
 # A raw JSON value read as a field of PipelineConfig or WorldConfig, by the
 # text of the field's annotation (both modules postpone annotations).
 _READERS: dict[str, Callable] = {
     "int": _strict_int, "float": _strict_float, "bool": _strict_bool,
     "str": str, "tuple[int, int]": _int_list, "tuple[int, ...]": _int_list,
     "tuple[str, ...]": _words,
-    "dict[str, tuple[str, ...]]": lambda d: {k: _words(v) for k, v in d.items()},
+    "dict[str, tuple[str, ...]]": _word_lists,
 }
 
 
@@ -298,6 +308,8 @@ class RunPaths:
     def split_manifest(self): return self.base / "split_manifest.json"
     @property
     def triples(self): return self.base / "triples.jsonl"
+    @property
+    def adapter_audit(self): return self.base / "adapter_audit.jsonl"
     @property
     def training_report(self): return self.base / "training_report.json"
     @property
@@ -551,16 +563,14 @@ def build_registry(name: str, run: RunPaths, cfg: PipelineConfig,
 
 def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
                        registry_name: str = "baseline",
-                       program_source: str = "templates",
                        service_client: ProgramServiceClient | None = None,
                        on_service_error: str = "fail") -> None:
+    """Trace the split's programs, the service's when given a service_client."""
     run.verified.clear()
     qapairs = read_split(run, cfg, split)
     _, _, store = load_world_stores(run, cfg)
 
-    if program_source == "service":
-        if service_client is None:
-            raise ConfigError("program source 'service' needs an endpoint")
+    if service_client is not None:
         profile_name = PROFILE_POINTER if cfg.visual_pointer else PROFILE_PLAIN
         regenerated = []
         for qa in qapairs:
@@ -573,8 +583,6 @@ def stage_run_programs(run: RunPaths, cfg: PipelineConfig, split: str,
                 raise
             regenerated.append(replace(qa, program=text))
         qapairs = regenerated
-    elif program_source != "templates":
-        raise ConfigError(f"unknown program source {program_source!r}")
 
     registry = build_registry(registry_name, run, cfg, store)
     traces = run_programs(qapairs, store, registry)
@@ -595,9 +603,8 @@ def stage_harvest(run: RunPaths, cfg: PipelineConfig) -> int:
     triples = harvest(traces, teacher, cfg.world, question_types=question_types,
                       audit=audit)
     save_triples(run.triples, triples)
-    audit_path = run.base / "adapter_audit.jsonl"
-    write_jsonl(audit_path, audit)
-    write_stage_manifest(run, "harvest", cfg, [run.triples, audit_path])
+    write_jsonl(run.adapter_audit, audit)
+    write_stage_manifest(run, "harvest", cfg, [run.triples, run.adapter_audit])
     return len(triples)
 
 

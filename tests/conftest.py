@@ -1,6 +1,9 @@
+from dataclasses import is_dataclass
+
 import pytest
 
 from progdistill.backends import CorruptionProfile
+from progdistill.dsl import Literal, Slot
 from progdistill.worlds import (SceneGraph, SceneObject, WorldStore,
                                 default_world_config, generate_world)
 
@@ -56,3 +59,29 @@ def store_for(*scenes) -> WorldStore:
     for scene in scenes:
         store.add(scene)
     return store
+
+
+def statements(program) -> tuple:
+    """The program's `code` rebuilt bottom-up with a Literal for each Slot:
+    the tests' view of what a text parses to. The walk keeps its own stack,
+    not one Python frame per level, since a program that parses may nest
+    thousands of levels deep."""
+    stack: list = [(program.code, None)]
+    built: list = []
+    while stack:
+        node, parts = stack.pop()
+        if parts is not None:  # its parts are the last `len(parts)` built
+            args = built[len(built) - len(parts):]
+            del built[len(built) - len(parts):]
+            built.append(tuple(args) if type(node) is tuple
+                         else type(node)(*args))
+        elif type(node) is Slot:
+            built.append(Literal(program.literals[node.index]))
+        elif type(node) is tuple or is_dataclass(node):
+            parts = node if type(node) is tuple else [
+                getattr(node, name) for name in node.__slots__]
+            stack.append((node, parts))
+            stack += [(part, None) for part in reversed(parts)]
+        else:
+            built.append(node)  # a name, operator or index of a node
+    return built[0]

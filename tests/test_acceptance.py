@@ -5,12 +5,18 @@ criterion. Accuracy tolerances are in accuracy points on a 0..1 scale
 (3 points = 0.03).
 """
 
+import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import progdistill
 from progdistill.adapter import (adapt_best_text_match, adapt_simple_query,
                                  adapt_verify_property)
 from progdistill.backends import (CorruptedBackend, CorruptionProfile,
@@ -276,21 +282,63 @@ def test_c11_dataset_rules(recipe):
                 "machine-verified on the build")
 
 
+# sha256 of each compared file of the default recipe (seed 0). A change that
+# moves the behaviour contract on purpose updates these and says why.
+PINNED_RECIPE_FILES = {
+    "report.md": "b53eecc6766e3e00199d763807cd5f34"
+                 "b3320c3efe5fe0cc8cdeedf6d549104a",
+    "report_tables.csv": "ed03a62153c0811e3ea6392016bcb20f"
+                         "fa90ecaedaab8e700807fb52469a2877",
+    "trainset_curve.csv": "100843d4e7aaddcb45a99a8e85c2d570"
+                          "26b7b7369f360b8f09beadb549af7457",
+    "eval_baseline.json": "61e831e24ca11855112967d23bd25eaf"
+                          "bb25fc652ac1cf3559dc57a54b10ca26",
+    "eval_distilled.json": "899ef322c978afc5b254d23dd81d8504"
+                           "7b1243a2e766e55217c2367bc6fb1688",
+    "eval_teacher_replacement.json": "2140652e785e53c8c5888a7197107ba6"
+                                     "ec2ae936a57a9bb9437961aa6d6c95d0",
+    "eval_all_oracle.json": "f2ad4cb0e63acfdcf7047cfcf701667d"
+                            "05661100f224cf73537e3ccfa77ef211",
+    "split_manifest.json": "1a0c625c7dccea9dfe82ff9bcfb99547"
+                           "5be62c0932ba4bd01165361c541437e0",
+    "triples.jsonl": "40132b65504615c0de6d301b7104285a"
+                     "a92736fc8a1d449f1e7a1bb0b82e1640",
+    "training_report.json": "0e278d795103d5a5d76fac697ed09f6d"
+                            "96804a648c0bfd3c4de6b28d384a64cc",
+    "ablate_distilled_count.json": "f77fde75fdc64555feb1a270591d8249"
+                                   "1316453ab065a65f6628adce3ab194cf",
+    "ablate_trainset_size.json": "9556604bf82c09f734a52d2b707181f5"
+                                 "c239c1d22fd2a7b5118b8a043460d0e2",
+    "ablate_cross_framework.json": "5d3ad933cd7f1054d843470d870fae8e"
+                                   "42d336f83e70f44be73edf1d8fd65ef7",
+    "ablate_visual_pointer.json": "575f5e3e0170b3742b479505ab7ad330"
+                                  "1c9264a9bcc636fa91ad49302984d292",
+    "grounding.json": "f7722fc61c5c8e3ea30f8d2a36cc7826"
+                      "d02f610d48bfb4c59e19c59701ff6f80",
+}
+
+
 def test_c12_full_recipe_determinism(recipe, tmp_path_factory):
-    cfg, first = recipe
-    second = run_full_recipe(tmp_path_factory.mktemp("recipe-again"),
-                             PipelineConfig())
-    compared = 0
-    for name in ("report.md", "report_tables.csv", "trainset_curve.csv",
-                 "eval_baseline.json", "eval_distilled.json",
-                 "eval_teacher_replacement.json", "eval_all_oracle.json",
-                 "split_manifest.json", "triples.jsonl",
-                 "training_report.json", "ablate_distilled_count.json",
-                 "ablate_trainset_size.json", "ablate_cross_framework.json",
-                 "ablate_visual_pointer.json", "grounding.json"):
+    # The second run is another process, under a fixed hash seed unlike this
+    # one's, into a run directory whose path has another length; so neither
+    # set order, a module-level cache nor the run's path can reach the bytes
+    # unseen. Both runs must also match the pinned digests.
+    _, first = recipe
+    second = tmp_path_factory.mktemp("recipe-in-a-child-process")
+    package_root = Path(progdistill.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONHASHSEED": "987654",
+           "PYTHONPATH": os.pathsep.join(
+               [str(package_root), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "progdistill.cli", "recipe",
+                    "--out-dir", str(second)], env=env, check=True,
+                   capture_output=True)
+    assert len(str(second)) != len(str(first.base))
+    for name, digest in PINNED_RECIPE_FILES.items():
         a = (first.base / name).read_bytes()
-        b = (second.base / name).read_bytes()
+        b = (second / name).read_bytes()
         assert a == b, f"{name} differs between identical-seed runs"
-        compared += 1
-    assert compared == 15
-    _passed(12, "two identical-seed recipe runs produce byte-identical reports")
+        assert hashlib.sha256(a).hexdigest() == digest, \
+            f"{name} moved from its pinned digest"
+    assert len(PINNED_RECIPE_FILES) == 15
+    _passed(12, "two identical-seed recipe runs, in two processes under two "
+                "hash seeds, produce byte-identical, pinned reports")

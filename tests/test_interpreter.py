@@ -13,7 +13,7 @@ from progdistill.interpreter import (NAN, STATUS_FALLBACK, STATUS_NAN,
 from progdistill.questions import corrupt_program, generate_qa
 from progdistill.worlds import PatchList, ScenePatch
 
-from conftest import store_for
+from conftest import statements, store_for
 
 
 @pytest.fixture()
@@ -177,12 +177,12 @@ class TestTraceCompleteness:
             scene = small_store.get(sid)
             for qa in generate_qa(scene, world, 1):
                 program = parse(qa.program)
-                if len(program.statements) > 5:
+                if len(program.code) > 5:
                     continue
                 trace = execute(program, scene, registry, qa.question_id)
                 if trace.status != STATUS_OK:
                     continue
-                expected = self._reference_call_count(program.statements,
+                expected = self._reference_call_count(statements(program),
                                                       trace.branch_decisions)
                 assert len(trace.steps) == expected, qa.program
                 checked += 1
@@ -193,17 +193,17 @@ class TestFallback:
     def test_fallback_program_shape(self):
         program = fallback_program("Is the sky blue?")
         assert program.source_text == 'return image.simple_query("Is the sky blue?")\n'
-        assert len(program.statements) == 1
+        assert len(program.code) == 1
 
     def test_fallback_program_empty_question(self):
         program = fallback_program("")
-        call = program.statements[0].expr
+        call = statements(program)[0].expr
         assert call.module_kind == "simple_query"
         assert call.args[0].value == ""
 
     def test_fallback_escapes_quotes(self):
         program = fallback_program('say "hi"\\now')
-        assert program.statements[0].expr.args[0].value == 'say "hi"\\now'
+        assert statements(program)[0].expr.args[0].value == 'say "hi"\\now'
 
     # A question may carry any character: the DSL's escaped ones, every one
     # str.splitlines breaks a line at, NUL and a lone surrogate.
@@ -211,7 +211,7 @@ class TestFallback:
     @given(st.one_of(st.text(), st.text(alphabet=list(
         'a "\\\n\t\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x00\ud800'))))
     def test_fallback_program_parses_any_question(self, question):
-        (statement,) = fallback_program(question).statements
+        (statement,) = statements(fallback_program(question))
         assert statement.expr.args == (Literal(question),)
 
     def test_unparseable_source_takes_fallback(self, flower_scene, world):

@@ -10,12 +10,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from progdistill.cli import (EXIT_CHECKSUM, EXIT_CONFIG,
                              EXIT_MISSING_ARTIFACT, EXIT_OK, EXIT_SERVICE,
                              build_parser, main)
+from progdistill import dsl
 from progdistill.evaluation import score
 from progdistill.dsl import parse
 from progdistill.interpreter import execute, trace_to_record
@@ -30,7 +31,7 @@ from progdistill.pipeline import (_LEAVES, _READERS, ChecksumError,
                                   stage_run_programs, write_stage_manifest)
 from progdistill.questions import QAPair, qa_to_record
 from progdistill.service import ENDPOINT_ENV_VAR
-from progdistill.util import read_jsonl, sha256_file, write_jsonl
+from progdistill.util import read_jsonl, sha256_file, shared_set, write_jsonl
 from progdistill.worlds import SceneGraph, SceneObject, WorldConfig, WorldStore
 
 
@@ -237,6 +238,8 @@ class TestConfig:
         {"vp_probe": {"scenes": 0}},
         {"vp_probe": {"scenes": -5}},
         {"world": 5},
+        {"world": {"nouns": ["dog"], "relations": ["near"]}},
+        {"world": {**TINY_WORLD, "attribute_families": ["red"]}},
     ])
     def test_invalid_values(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
@@ -263,8 +266,11 @@ class TestConfig:
          "config key 'world.canvas' must be two sides of at least 20, "
          "got [10, 10]"),
         ({"world": {"nouns": ["dog"], "relations": ["near"]}},
-         "bad config value for 'world': WorldConfig.__init__() missing 1 "
-         "required positional argument: 'attribute_families'"),
+         "config key 'world.attribute_families' is required when 'world' "
+         "is given"),
+        ({"world": {**TINY_WORLD, "attribute_families": ["red"]}},
+         "bad config value for 'world.attribute_families': expected a JSON "
+         "object of arrays of strings, got ['red']"),
         ({"world": {**TINY_WORLD, "nouns": ["red"]}},
          "bad config value for 'world': noun and attribute vocabularies "
          "overlap"),
@@ -332,11 +338,14 @@ class TestConfig:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.booleans(), st.lists(st.tuples(_CONFIG_PATHS, _JSON_VALUES),
                                    max_size=6))
+    @example(False, [("world.nouns", ["dog"])])
     def test_any_json_at_any_key_reads_or_is_a_config_error(self, complete,
                                                             assignments):
         # Random JSON values put at known and unknown dotted keys, over an
         # empty file or a complete one, read to a config that survives its
         # own round trip, or to a ConfigError; never to another exception.
+        # The error's message says what was expected, never an exception's
+        # text from inside a reader or a constructor.
         data = PipelineConfig().to_dict() if complete else {}
         for path, value in assignments:
             *sections, leaf = path.split(".")
@@ -349,7 +358,9 @@ class TestConfig:
                 target[leaf] = value
         try:
             cfg = PipelineConfig.from_dict(data)
-        except ConfigError:
+        except ConfigError as err:
+            assert "object has no attribute" not in str(err)
+            assert "__init__()" not in str(err)
             return
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -866,6 +877,28 @@ class TestManifests:
 
 
 class TestEndToEnd:
+    def test_a_second_run_in_one_process_writes_the_same_bytes(
+            self, tmp_path, tiny_config_file):
+        # dsl.parse, dsl._shape and util.shared_set are module-level caches:
+        # the first run starts them empty and the second finds them full, and
+        # no state may carry from one run into the other's bytes.
+        for cache in (dsl.parse, dsl._shape, shared_set):
+            cache.cache_clear()
+        runs = [tmp_path / "run", tmp_path / "second-run"]
+        for out in runs:
+            for step in FULL_SEQUENCE:
+                code = _run(step + ["--config", tiny_config_file,
+                                    "--out-dir", str(out)])
+                assert code == EXIT_OK, step
+        first, second = ({path.relative_to(out): path.read_bytes()
+                          for path in out.rglob("*") if path.is_file()
+                          and path.relative_to(out).parts[0] != "manifests"}
+                         for out in runs)
+        assert len(first) > 20
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name] == second[name], name
+
     def test_stage_sequence_produces_all_artifacts(self, full_run):
         run = RunPaths(full_run)
         for path in (run.worlds_train, run.qa_train, run.split_file("test"),
